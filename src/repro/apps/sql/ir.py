@@ -247,10 +247,14 @@ class Catalog:
         self.scales = dict(scales or {})
         self.aliases = dict(aliases or {})
         self.prefix_ranges = dict(prefix_ranges or {})
-        # Monotone data version: every mutation bumps it, so plan and
-        # result caches keyed on (query, version) go stale instead of
-        # serving answers computed against old data (see repro.serve).
+        # Monotone data version: every mutation bumps it. Each column
+        # also remembers the version of its last write, so a plan's
+        # data version (the newest version among the columns it reads)
+        # moves only when data that plan depends on changes; plan and
+        # result caches key on it (see repro.serve).
         self.version = 0
+        self._floor = 0  # version of the last bump_version()
+        self._column_versions: Dict[Tuple[str, str], int] = {}
         self._stats: Dict[Tuple[str, str], ColumnStats] = {}
         self._column_table: Dict[str, List[str]] = {}
         for table, columns in tables.items():
@@ -258,22 +262,37 @@ class Catalog:
                 self._column_table.setdefault(column, []).append(table)
 
     def bump_version(self) -> int:
-        """Declare the underlying data changed (caches must miss).
+        """Declare all the underlying data changed: every column's
+        version advances, so every plan's data version does too.
 
         Also drops memoized column statistics — they were computed
         against the previous contents.
         """
         self.version += 1
+        self._floor = self.version
+        self._column_versions.clear()
         self._stats.clear()
         return self.version
+
+    def column_version(self, table: str, name: str) -> int:
+        """The catalog version of the last write to ``table.name``."""
+        return self._column_versions.get((table, name), self._floor)
+
+    def data_version(self, reads: Sequence[Tuple[str, str]]) -> int:
+        """The newest version among the ``(table, column)`` pairs
+        ``reads``: it changes exactly when one of them is written."""
+        return max((self.column_version(table, name)
+                    for table, name in reads), default=self._floor)
 
     def update_column(self, table: str, name: str,
                       values: np.ndarray) -> int:
         """Replace one column's array and bump the catalog version.
 
         The serving layer's write path: a tenant "update" swaps the
-        column in place and every cached plan/result keyed against the
-        old version is invalidated on its next lookup.
+        column in place and stamps only that column with the new
+        version, so cached plans and results of queries that read it
+        miss on their next lookup while the rest stay valid. Only this
+        column's memoized statistics are dropped.
         """
         columns = self.tables[table]
         if name not in columns:
@@ -285,7 +304,10 @@ class Catalog:
                 f"({len(values)} vs {self.num_rows(table)})",
                 clause="update")
         columns[name] = values
-        return self.bump_version()
+        self.version += 1
+        self._column_versions[(table, name)] = self.version
+        self._stats.pop((table, name), None)
+        return self.version
 
     def num_rows(self, table: str) -> int:
         columns = self.tables[table]
@@ -380,6 +402,11 @@ class LogicalPlan:
     limit: Optional[int]
     join_order: List[Dict[str, Any]] = field(default_factory=list)
     needed_fact_columns: List[str] = field(default_factory=list)
+    # Every (table, column) the plan depends on: the columns the binder
+    # resolved (alias targets included) plus both sides of each join
+    # edge. Lowering reads no others, so a write elsewhere leaves the
+    # lowered plan unchanged.
+    reads: List[Tuple[str, str]] = field(default_factory=list)
 
     def describe(self) -> Dict[str, Any]:
         """JSON-friendly plan summary (feeds the golden snapshots)."""
@@ -429,6 +456,7 @@ class _Binder:
         self.fact = fact
         self.chains = chains
         self.text = text
+        self.reads: Dict[Tuple[str, str], None] = {}  # ordered set
 
     def resolve_column(self, col: Col) -> Ref:
         catalog = self.catalog
@@ -448,6 +476,7 @@ class _Binder:
         if name not in catalog.tables[table]:
             raise PlanError(f"unknown column {name!r} on {table!r}",
                             query=self.text, clause="column reference")
+        self.reads[(table, name)] = None
         return Ref(chain=self.chains[table], column=name, table=table)
 
     def scale_of(self, node: Any) -> int:
@@ -791,6 +820,9 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
                 f"{fact!r}", query=text, clause="join")
 
     binder = _Binder(catalog, stmt.tables, fact, chains, text)
+    for dim, (src, fk, pk) in edges.items():
+        binder.reads[(src, fk)] = None
+        binder.reads[(dim, pk)] = None
 
     # 4. Bind and classify the filter conjuncts.
     fact_ranges: List[FactRange] = []
@@ -999,4 +1031,5 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
         limit=stmt.limit,
         join_order=join_order,
         needed_fact_columns=needed,
+        reads=sorted(binder.reads),
     )

@@ -378,26 +378,34 @@ class CompiledQuery:
     plan: Dict[str, Any]
     record_bytes: int
     logical: LogicalPlan = field(repr=False, default=None)
-    # Catalog.version at lowering time: broadcasts and finish gathers
-    # were built from that snapshot, so a plan is only valid while the
-    # catalog still carries this version (see repro.serve.PlanCache).
-    catalog_version: int = 0
+    # The (table, column) pairs the plan reads (LogicalPlan.reads) and
+    # the catalog version of each at lowering time: broadcasts,
+    # statistics and finish gathers were built from exactly these
+    # columns, so the plan stays valid until one of them is written.
+    reads: Tuple[Tuple[str, str], ...] = ()
+    read_versions: Tuple[int, ...] = ()
 
     @property
-    def batch_key(self) -> Tuple[str, int]:
-        """Shared-scan compatibility class.
+    def data_version(self) -> int:
+        """The newest version among the plan's reads: what the serving
+        caches key on (see repro.serve)."""
+        return max(self.read_versions, default=0)
 
-        Queries with equal keys stream the same fact table at the same
-        catalog version, so a serving batch can store the union of
-        their needed columns once per DPU and run each query's
-        group-by against that single resident copy
-        (:func:`~repro.cluster.scaleout.cluster_batched_queries`).
-        Every query can batch under ``pre_aggregate``; all-to-all
-        plans lose their planner-chosen exchange when batched, so the
-        serving layer only batches them when riding along is still a
-        win (it re-checks ``plan["exchange"]``).
+    @property
+    def batch_key(self) -> str:
+        """Shared-scan compatibility class: the fact table.
+
+        Queries with equal keys stream the same fact table, so a
+        serving batch can store the union of their needed columns
+        once per DPU and run each query's group-by against that single
+        resident copy
+        (:func:`~repro.cluster.scaleout.cluster_batched_queries`, which
+        also rejects members that recorded different versions of a
+        column they both read). Every query can batch under
+        ``pre_aggregate``; all-to-all plans give up their
+        planner-chosen exchange when batched.
         """
-        return (self.fact, self.catalog_version)
+        return self.fact
 
     # -- execution ------------------------------------------------------
     def _fact_columns(self, data) -> Dict[str, np.ndarray]:
@@ -1022,7 +1030,9 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
         plan=plan_dict,
         record_bytes=record_bytes,
         logical=plan,
-        catalog_version=catalog.version,
+        reads=tuple(plan.reads),
+        read_versions=tuple(catalog.column_version(table, column)
+                            for table, column in plan.reads),
     )
 
     xeon_seconds = DbmsCostModel(XeonModel()).plan_seconds(

@@ -40,7 +40,7 @@ the final leader, after every shard arrived).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -969,7 +969,9 @@ def cluster_batched_queries(
     (:mod:`repro.serve`): every
     :class:`~repro.apps.sql.physical.CompiledQuery` in ``batch`` must
     read the same fact table (equal
-    :attr:`~repro.apps.sql.physical.CompiledQuery.batch_key`). Each
+    :attr:`~repro.apps.sql.physical.CompiledQuery.batch_key`), and no
+    two members may have recorded different versions of a column they
+    both read (plans lowered on either side of a write to it). Each
     DPU stores the *union* of the batch's needed columns once, then
     runs every query's group-by against that single resident copy —
     the DRAM image, admission ticket, and gather round-trip are paid
@@ -987,14 +989,20 @@ def cluster_batched_queries(
     if not batch:
         raise ValueError("empty query batch")
     fact = batch[0].fact
-    for compiled in batch[1:]:
+    seen: Dict[Tuple[str, str], Tuple[int, str]] = {}
+    for compiled in batch:
         if compiled.batch_key != batch[0].batch_key:
             raise ValueError(
-                f"{compiled.name} (fact {compiled.fact!r}, catalog "
-                f"v{compiled.catalog_version}) cannot share a scan with "
-                f"{batch[0].name} (fact {fact!r}, catalog "
-                f"v{batch[0].catalog_version})"
-            )
+                f"{compiled.name} (fact {compiled.fact!r}) cannot share a "
+                f"scan with {batch[0].name} (fact {fact!r})")
+        for column, version in zip(compiled.reads, compiled.read_versions):
+            other_version, other = seen.setdefault(
+                column, (version, compiled.name))
+            if other_version != version:
+                raise ValueError(
+                    f"{compiled.name} (read {column[0]}.{column[1]} at "
+                    f"v{version}) cannot share a scan with {other} (read "
+                    f"it at v{other_version})")
     _validate_shards(cluster, shards, "fact shards")
     union_names = list(dict.fromkeys(
         name for compiled in batch for name in compiled.needed_columns

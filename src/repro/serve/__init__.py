@@ -6,8 +6,8 @@ See docs/SERVING.md for the full design; the pieces are
   token bucket);
 * :mod:`repro.serve.workload` — deterministic open-loop client
   generator (Zipfian tenants x uniform query mix);
-* :mod:`repro.serve.cache` — plan/result LRUs with catalog-version
-  invalidation;
+* :mod:`repro.serve.cache` — plan/result LRUs keyed on each query's
+  data version (the newest version among the columns it reads);
 * :mod:`repro.serve.frontend` — the dispatcher tying them to
   :func:`~repro.cluster.scaleout.cluster_batched_queries`.
 """

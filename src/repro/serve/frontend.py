@@ -7,11 +7,15 @@ weighted by QoS tier (:mod:`repro.serve.qos`); each tenant's private
 :class:`~repro.runtime.admission.TokenBucket` gates *eligibility*
 (a flow whose bucket is empty keeps its place in virtual time but
 cannot be dequeued); dequeued queries go through a compiled-plan
-cache and a result cache keyed on the catalog version
+cache and a result cache keyed on each query's data version — the
+newest catalog version among the columns it reads
 (:mod:`repro.serve.cache`); result-cache misses that share a fact
-table at the same catalog version batch into one shared scan
+table batch into one shared scan
 (:func:`~repro.cluster.scaleout.cluster_batched_queries`) instead of
-N separate jobs.
+N separate jobs. With caching on, each (query, data version) is
+executed at most once while its result stays cached: every
+result-cache miss is one execution, and a queued request whose answer
+is cached is served from the cache, batch window or not.
 
 Because cluster jobs are synchronous coordinator-side calls that
 drive the shared simulation engine internally, the front end is a
@@ -121,6 +125,11 @@ class ServingFrontend:
         self.hub = hub
         self.queue = WeightedFairQueue()
         self.buckets: Dict[str, TokenBucket] = {}
+        # Each planned query's reads, and its data version memoized for
+        # one Catalog.version, so a cache hit stays one dict lookup.
+        self._reads: Dict[str, Tuple[Tuple[str, str], ...]] = {}
+        self._versions: Dict[str, int] = {}
+        self._versions_at = catalog.version
         for tenant, tier_name in self.tenants.items():
             tier = self.tiers[tier_name]
             self.queue.register(tenant, tier.weight)
@@ -150,15 +159,35 @@ class ServingFrontend:
                 "bucket")
 
     # -- plan / result plumbing -----------------------------------------
+    def _data_version(self, name: str) -> Optional[int]:
+        """The data version ``name``'s plan and result are cached at;
+        ``None`` until the query is first planned, since its reads are
+        known only from a plan."""
+        catalog = self.catalog
+        if self._versions_at != catalog.version:
+            self._versions.clear()
+            self._versions_at = catalog.version
+        version = self._versions.get(name)
+        if version is None and name in self._reads:
+            version = catalog.data_version(self._reads[name])
+            self._versions[name] = version
+        return version
+
     def _compiled(self, name: str):
-        """Plan-cache lookup; a miss runs the cost-based planner and
-        charges ``plan_compile_cycles`` of frontend time."""
-        compiled = self.plan_cache.get(name, self.catalog.version)
+        """Plan-cache lookup at the query's data version; a miss runs
+        the cost-based planner and charges ``plan_compile_cycles`` of
+        frontend time."""
+        compiled = self.plan_cache.get(name, self._data_version(name))
         if compiled is None:
             compiled = compile_query(self.queries[name], self.catalog, name)
-            self.plan_cache.put(name, self.catalog.version, compiled)
+            self._reads[name] = compiled.reads
+            self._versions[name] = compiled.data_version
+            self.plan_cache.put(name, compiled.data_version, compiled)
             self._advance(self.plan_compile_cycles)
         return compiled
+
+    def _cached_rows(self, name: str) -> Optional[Tuple]:
+        return self.result_cache.get(name, self._data_version(name))
 
     def _record(self, request: QueryRequest, source: str,
                 batch_size: int, report: ServingReport) -> None:
@@ -192,6 +221,8 @@ class ServingFrontend:
         pending = sorted(requests, key=lambda r: (r.arrival, r.index))
         report = ServingReport()
         report.counters["requests"] = len(pending)
+        plan_before = self.plan_cache.stats()
+        result_before = self.result_cache.stats()
         engine = self.cluster.engine
         cursor = 0
 
@@ -237,16 +268,17 @@ class ServingFrontend:
             self._take_token(tenant, now)
             compiled = self._compiled(request.query)
             if self.caching:
-                rows = self.result_cache.get(
-                    request.query, self.catalog.version)
+                rows = self._cached_rows(request.query)
                 if rows is not None:
                     self._serve_cached(request, rows, report)
                     continue
 
             # Result-cache miss: pull compatible eligible heads into a
-            # shared-scan batch. Members that turn out to be cache
-            # hits for an already-seen query are served from cache on
-            # the spot; distinct queries dedup into one slot each.
+            # shared-scan batch. A repeat of a query already in the
+            # batch joins its slot; a head whose result is cached at
+            # its data version is served from the cache on the spot
+            # instead of being recomputed in the batch; every other
+            # distinct query is a result-cache miss and takes one slot.
             members: List[Tuple[QueryRequest, int]] = [(request, 0)]
             uniques = [compiled]
             slot_of = {request.query: 0}
@@ -274,6 +306,11 @@ class ServingFrontend:
                 if co_request.query in slot_of:
                     members.append((co_request, slot_of[co_request.query]))
                     continue
+                if self.caching:
+                    rows = self._cached_rows(co_request.query)
+                    if rows is not None:
+                        self._serve_cached(co_request, rows, report)
+                        continue
                 slot_of[co_request.query] = len(uniques)
                 uniques.append(self._compiled(co_request.query))
                 members.append((co_request, slot_of[co_request.query]))
@@ -301,12 +338,15 @@ class ServingFrontend:
                 report.results[unique.name] = rows
                 if self.caching:
                     self.result_cache.put(
-                        unique.name, unique.catalog_version, rows)
+                        unique.name, unique.data_version, rows)
             for member, slot in members:
                 self._record(member, source, len(members), report)
 
-        report.counters["plan_cache"] = self.plan_cache.stats()
-        report.counters["result_cache"] = self.result_cache.stats()
+        # Per-run deltas, like every other counter in the report.
+        report.counters["plan_cache"] = self.plan_cache.stats_since(
+            plan_before)
+        report.counters["result_cache"] = self.result_cache.stats_since(
+            result_before)
         return report
 
     def _project(self, uniques, shards: Sequence[Table]) -> List[Table]:

@@ -1,14 +1,16 @@
 """Multi-tenant serving layer (docs/SERVING.md).
 
-Covers the PR-10 surface end to end: the shared-default-config bugfix
-sweep (no two construction sites may alias one ``FabricConfig``), the
-anchor-based :class:`~repro.runtime.admission.TokenBucket` (a long
-run of tiny refills admits exactly what one large refill admits),
-start-time fair queueing, plan/result caches with catalog-version
-invalidation, shared-scan batching, the QoS serving front end — and
-the byte-equality contract that makes all of it safe: every cached,
-batched, or chaos-recovered response equals the rows of a standalone
-:func:`~repro.cluster.scaleout.cluster_compiled_query` run.
+Covers the serving surface end to end: the shared-default-config
+bugfix sweep (no two construction sites may alias one
+``FabricConfig``), the anchor-based
+:class:`~repro.runtime.admission.TokenBucket` (a long run of tiny
+refills admits exactly what one large refill admits), start-time fair
+queueing, plan/result caches keyed on each query's data version (the
+newest version among the catalog columns its plan reads), complete
+read sets, shared-scan batching, exactly-once serving, the QoS front
+end — and the byte-equality contract that makes all of it safe: every
+cached, batched, or chaos-recovered response equals the rows of a
+standalone :func:`~repro.cluster.scaleout.cluster_compiled_query` run.
 """
 
 import numpy as np
@@ -16,8 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro.serve.frontend as frontend_module
 from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
 from repro.apps.sql.ir import PlanError
+from repro.baseline import XeonModel
 from repro.cluster import (
     Cluster,
     FabricConfig,
@@ -41,6 +45,7 @@ from repro.sim import Engine
 from repro.workloads.tpch import generate_tpch
 
 QUERIES = ["q1", "q6", "q12", "q14"]
+ALL_QUERIES = ["q1", "q3", "q5", "q6", "q10", "q12", "q14"]
 
 
 @pytest.fixture(scope="module")
@@ -74,15 +79,17 @@ def _full_shards(data, num_shards, fact="lineitem"):
     ]
 
 
-def _reference_rows(query_texts, catalog, data, name, num_dpus=4):
+def _reference_rows(query_texts, catalog, data, name, num_dpus=4,
+                    shards=None):
     """Standalone cluster run of one query: the byte-equality oracle."""
     compiled = compile_query(query_texts[name], catalog, name)
-    shards = _full_shards(data, num_dpus)
+    if shards is None:
+        shards = _full_shards(data, num_dpus)
     projected = [
         Table(s.name, {n: s.columns[n] for n in compiled.needed_columns})
         for s in shards
     ]
-    return cluster_compiled_query(Cluster(num_dpus), compiled,
+    return cluster_compiled_query(Cluster(len(shards)), compiled,
                                   projected).value
 
 
@@ -298,8 +305,8 @@ class TestCaches:
         assert len(cache) == 1
 
     def test_stale_put_does_not_evict_newer_version(self):
-        # A put carrying an older catalog_version (a plan compiled
-        # before an interleaved catalog bump) must not invalidate the
+        # A put carrying an older data version (a plan compiled
+        # before an interleaved catalog write) must not invalidate the
         # newer-version entry: eager invalidation is strictly older-only.
         cache = ResultCache(capacity=4)
         cache.put("q1", 1, "new")
@@ -313,15 +320,30 @@ class TestCaches:
         cache = PlanCache()
         version = catalog.version
         compiled = compile_query(query_texts["q6"], catalog, "q6")
-        cache.put("q6", version, compiled)
-        assert cache.get("q6", catalog.version) is compiled
+        assert compiled.data_version == version
+        cache.put("q6", compiled.data_version, compiled)
+        assert cache.get("q6", catalog.data_version(compiled.reads)) \
+            is compiled
+        # A write to a column q6 does not read keeps its plan valid.
+        shipmode = catalog.tables["lineitem"]["l_shipmode"]
+        assert catalog.update_column(
+            "lineitem", "l_shipmode", shipmode.copy()) == version + 1
+        assert cache.get("q6", catalog.data_version(compiled.reads)) \
+            is compiled
+        # A write to one it reads invalidates it.
         quantity = catalog.tables["lineitem"]["l_quantity"]
         assert catalog.update_column(
-            "lineitem", "l_quantity", quantity.copy()) == version + 1
-        assert cache.get("q6", catalog.version) is None
+            "lineitem", "l_quantity", quantity.copy()) == version + 2
+        assert cache.get("q6", catalog.data_version(compiled.reads)) is None
         recompiled = compile_query(query_texts["q6"], catalog, "q6")
-        assert recompiled.catalog_version == version + 1
-        assert recompiled.batch_key != compiled.batch_key
+        assert recompiled.data_version == version + 2
+        assert recompiled.read_versions != compiled.read_versions
+        # Both stream lineitem, so they share a batch key, but a batch
+        # refuses them: they read l_quantity at different versions.
+        assert recompiled.batch_key == compiled.batch_key == "lineitem"
+        with pytest.raises(ValueError, match="cannot share a scan"):
+            cluster_batched_queries(Cluster(2), [compiled, recompiled],
+                                    _full_shards(data, 2))
 
     def test_catalog_update_rejects_bad_shapes(self, data):
         catalog = tpch_catalog(data)
@@ -329,6 +351,65 @@ class TestCaches:
             catalog.update_column("lineitem", "nope", np.zeros(4))
         with pytest.raises(PlanError):
             catalog.update_column("lineitem", "l_quantity", np.zeros(4))
+
+
+# -- read sets -------------------------------------------------------------
+
+
+def _broadcast_bytes(compiled):
+    return [(name, arr.dtype.str, arr.tobytes())
+            for name, arr in compiled.broadcasts]
+
+
+class TestReadSets:
+    """A plan's reads must name every column its lowering looks at:
+    writing any column outside them leaves the plan, its broadcasts
+    and its rows unchanged, so serving its cached answer is safe."""
+
+    def test_writes_outside_the_reads_change_nothing(self, data, catalog):
+        model = XeonModel()
+        base = {name: compile_query(load_query(name), catalog, name)
+                for name in ALL_QUERIES}
+        for compiled in base.values():
+            assert {(compiled.fact, column)
+                    for column in compiled.needed_columns} \
+                <= set(compiled.reads), compiled.name
+        outside = inside = 0
+        for index, (table, column) in enumerate(
+                (table, column) for table in catalog.tables
+                for column in catalog.tables[table]):
+            written = tpch_catalog(data)
+            values = written.tables[table][column]
+            written.update_column(
+                table, column,
+                np.random.default_rng([5, index]).permutation(values))
+            for name, compiled in base.items():
+                version = written.data_version(compiled.reads)
+                if (table, column) in compiled.reads:
+                    inside += 1
+                    assert version > compiled.data_version, (name, column)
+                    continue
+                outside += 1
+                assert version == compiled.data_version, (name, column)
+                again = compile_query(load_query(name), written, name)
+                assert again.data_version == compiled.data_version
+                assert again.plan == compiled.plan, (name, column)
+                assert _broadcast_bytes(again) == \
+                    _broadcast_bytes(compiled), (name, column)
+                assert again.run_xeon(model, written.tables).value == \
+                    compiled.run_xeon(model, catalog.tables).value
+        assert inside and outside
+        assert inside + outside == len(ALL_QUERIES) * sum(
+            len(columns) for columns in catalog.tables.values())
+
+    def test_bump_version_invalidates_every_plan(self, data):
+        written = tpch_catalog(data)
+        base = {name: compile_query(load_query(name), written, name)
+                for name in ALL_QUERIES}
+        written.bump_version()
+        for name, compiled in base.items():
+            assert written.data_version(compiled.reads) \
+                > compiled.data_version, name
 
 
 # -- shared-scan batching --------------------------------------------------
@@ -357,14 +438,35 @@ class TestBatchedQueries:
             cluster_batched_queries(Cluster(2), [],
                                     _full_shards(data, 2))
 
-    def test_rejects_mixed_catalog_versions(self, data, query_texts):
-        catalog = tpch_catalog(data)
-        q6 = compile_query(query_texts["q6"], catalog, "q6")
-        catalog.bump_version()
-        q14 = compile_query(query_texts["q14"], catalog, "q14")
-        with pytest.raises(ValueError, match="cannot share a scan"):
-            cluster_batched_queries(Cluster(2), [q6, q14],
-                                    _full_shards(data, 2))
+    def test_rejects_mixed_catalog_versions(self, data, catalog,
+                                            query_texts):
+        # Members may not have recorded different versions of a column
+        # they both read: bump_version() advances every column, and
+        # l_extendedprice is read by q6 and q14 alike.
+        shards = _full_shards(data, 2)
+        for write in ("bump", "l_extendedprice"):
+            mutable = tpch_catalog(data)
+            q6 = compile_query(query_texts["q6"], mutable, "q6")
+            if write == "bump":
+                mutable.bump_version()
+            else:
+                mutable.update_column("lineitem", write,
+                                      mutable.tables["lineitem"][write].copy())
+            q14 = compile_query(query_texts["q14"], mutable, "q14")
+            with pytest.raises(ValueError, match="cannot share a scan"):
+                cluster_batched_queries(Cluster(2), [q6, q14], shards)
+        # A write to a column only one member reads (q6's l_quantity)
+        # leaves them batchable, and byte-equal to standalone runs.
+        mutable = tpch_catalog(data)
+        q6 = compile_query(query_texts["q6"], mutable, "q6")
+        mutable.update_column("lineitem", "l_quantity",
+                              mutable.tables["lineitem"]["l_quantity"].copy())
+        q14 = compile_query(query_texts["q14"], mutable, "q14")
+        assert mutable.data_version(q6.reads) > q6.data_version
+        result = cluster_batched_queries(Cluster(2), [q6, q14], shards)
+        for compiled, rows in zip((q6, q14), result.value):
+            assert rows == _reference_rows(query_texts, catalog, data,
+                                           compiled.name, 2)
 
     def test_batch_cheaper_than_separate_jobs(self, data, catalog,
                                               query_texts):
@@ -417,6 +519,13 @@ class TestServingFrontend:
                                             query_texts):
         workload = OpenLoopWorkload(TENANTS, QUERIES, seed=7)
         requests = workload.generate(40, mean_interarrival_cycles=20_000.0)
+        # A burst of distinct cold queries, one per tenant, at cycle 0:
+        # every one is a result-cache miss, so they share one scan.
+        requests += [
+            QueryRequest(len(requests) + i, tenant, tier, name, 0.0)
+            for i, ((tenant, tier), name) in enumerate(
+                zip(TENANTS.items(), QUERIES))
+        ]
         frontend = _frontend(data, catalog, query_texts)
         report = frontend.run(requests)
         assert len(report.records) == len(requests)
@@ -479,6 +588,103 @@ class TestServingFrontend:
                                             key=lambda r: r.request.index)]
         assert sources[0] == "direct"
         assert sources.count("cache") == 7
+
+
+# -- exactly-once serving --------------------------------------------------
+
+
+class TestExactlyOnceServing:
+    """Each (query, data version) is executed at most once: a write
+    recomputes only the queries that read the written column, and a
+    queued request whose answer is cached never rides in a batch."""
+
+    @staticmethod
+    def _count_executions(monkeypatch):
+        executed = []
+        direct = frontend_module.cluster_compiled_query
+        batched = frontend_module.cluster_batched_queries
+
+        def run_direct(cluster, compiled, shards, **kwargs):
+            executed.append((compiled.name, compiled.data_version))
+            return direct(cluster, compiled, shards, **kwargs)
+
+        def run_batch(cluster, batch, shards):
+            executed.extend((c.name, c.data_version) for c in batch)
+            return batched(cluster, batch, shards)
+
+        monkeypatch.setattr(frontend_module, "cluster_compiled_query",
+                            run_direct)
+        monkeypatch.setattr(frontend_module, "cluster_batched_queries",
+                            run_batch)
+        return executed
+
+    @staticmethod
+    def _misses_are_executions(report):
+        counters = report.counters
+        assert (counters.get("direct", 0)
+                + counters.get("batched_queries", 0)
+                == counters["result_cache"]["misses"])
+
+    def test_write_recomputes_only_its_readers(self, data, monkeypatch):
+        executed = self._count_executions(monkeypatch)
+        texts = {name: load_query(name) for name in ALL_QUERIES}
+        catalog = tpch_catalog(data)
+        shards = _full_shards(data, 4)
+        tenants = {f"t{i}": "gold" for i in range(len(ALL_QUERIES))}
+        frontend = ServingFrontend(Cluster(4), catalog, texts,
+                                   {"lineitem": shards}, tenants=tenants)
+
+        def segment(start, repeats):
+            return [
+                QueryRequest(k, f"t{k % len(tenants)}", "gold",
+                             ALL_QUERIES[k % len(ALL_QUERIES)],
+                             start + 1000.0 * k)
+                for k in range(repeats * len(ALL_QUERIES))
+            ]
+
+        first = frontend.run(segment(0.0, 2))
+        self._misses_are_executions(first)
+        assert sorted(executed) == sorted((n, 0) for n in ALL_QUERIES)
+
+        # Write l_quantity (read only by q1 and q6) between segments.
+        quantity = catalog.tables["lineitem"]["l_quantity"]
+        values = np.random.default_rng(3).permutation(quantity)
+        catalog.update_column("lineitem", "l_quantity", values)
+        bounds = np.cumsum([0] + [shard.num_rows for shard in shards])
+        for i, shard in enumerate(shards):
+            shard.columns["l_quantity"] = values[bounds[i]:bounds[i + 1]]
+        before = len(executed)
+        second = frontend.run(segment(frontend.cluster.engine.now, 2))
+        self._misses_are_executions(second)
+
+        recomputed = sorted(name for name, _v in executed[before:])
+        assert recomputed == ["q1", "q6"]
+        assert len(executed) == len(set(executed))
+        for record in second.records:
+            if record.request.query not in ("q1", "q6"):
+                assert record.source == "cache"
+        for name in ALL_QUERIES:
+            assert second.results[name] == _reference_rows(
+                texts, catalog, data, name, shards=shards), name
+
+    def test_run_counters_are_per_run(self, data, catalog, query_texts):
+        frontend = _frontend(data, catalog, query_texts)
+        workload = OpenLoopWorkload(TENANTS, QUERIES, seed=7)
+        requests = workload.generate(40, mean_interarrival_cycles=20_000.0)
+        half = len(requests) // 2
+        reports = [frontend.run(requests[:half]),
+                   frontend.run(requests[half:])]
+        for cache in ("plan_cache", "result_cache"):
+            totals = getattr(frontend, cache).stats()
+            for key in ("hits", "misses", "evictions", "invalidations"):
+                assert sum(report.counters[cache][key]
+                           for report in reports) == totals[key], (cache, key)
+        # The second run starts with the first run's results cached, so
+        # it misses less; lifetime counters could never shrink.
+        assert reports[1].counters["result_cache"]["misses"] \
+            < reports[0].counters["result_cache"]["misses"]
+        for report in reports:
+            self._misses_are_executions(report)
 
 
 # -- rate-limit integrity --------------------------------------------------

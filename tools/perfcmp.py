@@ -33,10 +33,10 @@ much host wall-clock the simulation itself burns. Two subcommands:
     and exits nonzero when ``tier1_wall_s`` regressed more than
     ``--max-regression`` (default 0.25 = 25%), which is the CI gate.
 
-The committed baseline (``benchmarks/host_perf_baseline.json``) was
-measured on the pre-fast-path tree so the report shows the honest
-cumulative speedup of the host-perf work; regenerate it only when the
-hardware running CI changes, via ``measure`` on a baseline checkout.
+The committed baseline (``benchmarks/host_perf_baseline.json``)
+records the host it was measured on; regenerate it with ``measure``
+when that hardware or the measured workload set changes (the tier-1
+suite grows with every change), never to absorb a regression.
 """
 
 from __future__ import annotations
