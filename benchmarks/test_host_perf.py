@@ -34,12 +34,13 @@ if TOOLS_DIR not in sys.path:
 import perfcmp  # noqa: E402
 
 # Pinned host-time ceilings, in seconds. Reference hardware does the
-# 1M-event run in ~1.1s and the DMS stream in ~0.1s; the ceilings
-# leave >10x headroom for slow CI runners while still catching a
-# complexity-class regression (the pre-deque O(n^2) drain paths blow
-# straight through them).
+# 1M-event run in ~1.1s, the DMS stream in ~0.1s and the 64-DPU
+# cluster build in ~0.12s; the ceilings leave >10x headroom for slow
+# CI runners while still catching a complexity-class regression (the
+# pre-deque O(n^2) drain paths blow straight through them).
 ENGINE_1M_BUDGET_S = 20.0
 DMS_STREAM_BUDGET_S = 10.0
+CLUSTER_BUILD_BUDGET_S = 1.5
 
 
 class TestEngineThroughput:
@@ -123,6 +124,18 @@ class TestDmsThroughput:
             f"{'workload':<12}  {'wall':>8}",
             [f"{'fig11 body':<12}  {fig11_s:>7.2f}s",
              f"{'fig16 body':<12}  {fig16_s:>7.2f}s"],
+        )
+
+
+class TestConstructionCost:
+    def test_cluster_build_within_budget(self):
+        """Building Cluster(64) and running its engine once builds no
+        per-core unit: event files, DMAD channels, ATE engines and
+        mailboxes wait for their first use."""
+        elapsed = perfcmp.measure_cluster_build()
+        assert elapsed < CLUSTER_BUILD_BUDGET_S, (
+            f"Cluster(64) build took {elapsed:.2f}s "
+            f"(budget {CLUSTER_BUILD_BUDGET_S}s)"
         )
 
 

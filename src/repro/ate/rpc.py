@@ -144,14 +144,11 @@ class Ate:
         self.topology = CrossbarTopology(config)
         # Receiving request FIFOs, bounded to the hardware SRAM depth:
         # a put into a full inbox blocks in the crossbar until the
-        # engine drains an entry, backpressuring fan-in senders.
-        self._inboxes: Dict[int, Store] = {
-            core: Store(engine, capacity=config.ate_inbox_depth or None)
-            for core in config.core_ids
-        }
-        self._issue_slots: Dict[int, Resource] = {
-            core: Resource(engine, 1) for core in config.core_ids
-        }
+        # engine drains an entry, backpressuring fan-in senders. A
+        # core's inbox and engine are built at the first request to it
+        # (see _inbox), its issue slot at its first request out.
+        self._inboxes: Dict[int, Store] = {}
+        self._issue_slots: Dict[int, Resource] = {}
         # SW RPC handlers installed per core: name -> callable(args).
         # A handler may be a plain function or a generator (to charge
         # additional cycles); its return value travels back.
@@ -170,16 +167,36 @@ class Ate:
         self._reply_cache: Dict[int, Dict[int, tuple]] = {
             core: {} for core in config.core_ids
         }
-        for core in config.core_ids:
-            engine.process(
-                self._engine_loop(core), name=f"ate[{core}]", daemon=True
-            )
+        # Where the engines would have started had they been built
+        # with the ATE (see Engine.start_daemon).
+        self._mark = engine.mark()
 
     # -- software interface -------------------------------------------------
 
     def install_handler(self, core_id: int, name: str, handler: Callable) -> None:
         """Pre-install a software RPC handler on ``core_id``."""
         self._handlers[core_id][name] = handler
+
+    def _issue_slot(self, src: int) -> Resource:
+        """``src``'s one outstanding-request slot, built on first use."""
+        slot = self._issue_slots.get(src)
+        if slot is None:
+            slot = self._issue_slots[src] = Resource(self.engine, 1)
+        return slot
+
+    def _inbox(self, dst: int) -> Store:
+        """``dst``'s request FIFO; the first request to ``dst`` builds
+        it and starts ``dst``'s engine on it (``Engine.start_daemon``)."""
+        inbox = self._inboxes.get(dst)
+        if inbox is None:
+            inbox = self._inboxes[dst] = Store(
+                self.engine, capacity=self.config.ate_inbox_depth or None
+            )
+            self.engine.start_daemon(
+                self._engine_loop(dst, inbox), f"ate[{dst}]",
+                self._mark, dst / self.config.num_cores,
+            )
+        return inbox
 
     def issue(
         self,
@@ -201,7 +218,7 @@ class Ate:
         one-outstanding-request rule is enforced per source core.
         """
         engine = self.engine
-        slot = self._issue_slots[src]
+        slot = self._issue_slot(src)
         yield slot.acquire()
         reply = SimEvent(engine)
         seq = self._seq[src] + 1
@@ -238,7 +255,7 @@ class Ate:
 
         Stall counters are emitted only when the sender actually
         blocked, so the uncontended stats snapshot is unchanged."""
-        inbox = self._inboxes[dst]
+        inbox = self._inbox(dst)
         if inbox.capacity is not None and len(inbox.items) >= inbox.capacity:
             began = self.engine.now
             yield inbox.put(message)
@@ -302,6 +319,7 @@ class Ate:
                 attempt += 1
                 if attempt > self.config.ate_rpc_max_retries:
                     slot.release()
+                    inbox = self._inbox(message.dst)
                     completion.fail(
                         AteError(
                             f"ATE {message.kind.value} {message.src}->"
@@ -311,10 +329,8 @@ class Ate:
                             sim_time=self.engine.now,
                             retry_count=attempt - 1,
                             occupancy={
-                                "dst_inbox": len(self._inboxes[message.dst]),
-                                "dst_blocked_putters": self._inboxes[
-                                    message.dst
-                                ].blocked_putters,
+                                "dst_inbox": len(inbox),
+                                "dst_blocked_putters": inbox.blocked_putters,
                             },
                         )
                     )
@@ -353,7 +369,7 @@ class Ate:
         reply, so the issue slot frees as soon as the message is in
         the interconnect — the fast path for barrier release fan-out.
         """
-        slot = self._issue_slots[src]
+        slot = self._issue_slot(src)
         yield slot.acquire()
         message = _Message(
             kind=RpcKind.STORE,
@@ -399,9 +415,8 @@ class Ate:
 
     # -- receiving engine -------------------------------------------------------
 
-    def _engine_loop(self, core_id: int):
+    def _engine_loop(self, core_id: int, inbox: Store):
         engine = self.engine
-        inbox = self._inboxes[core_id]
         cache = self._reply_cache[core_id]
         stats = self.stats
         hw_execute = self.config.ate_hw_execute_cycles

@@ -215,6 +215,21 @@ class DPU:
     def context(self, core_id: int) -> "CoreContext":
         return CoreContext(self, core_id)
 
+    def _core_list(self, cores: Optional[Iterable[int]]) -> List[int]:
+        """The cores one launch runs on: every core by default. A core
+        named twice would run two kernels on one DMAD and event file."""
+        if cores is None:
+            return list(self.config.core_ids)
+        core_list = list(cores)
+        seen = set()
+        for core_id in core_list:
+            if core_id in seen:
+                raise SimulationError(
+                    f"core {core_id} named more than once in one launch"
+                )
+            seen.add(core_id)
+        return core_list
+
     def set_admission(self, controller) -> None:
         """Attach an :class:`~repro.runtime.admission.AdmissionController`.
 
@@ -243,7 +258,7 @@ class DPU:
         launch is complete when every core's kernel generator returns
         (cooperative run-to-completion, no preemption — §4).
         """
-        core_list = list(cores) if cores is not None else list(self.config.core_ids)
+        core_list = self._core_list(cores)
         if self.admission is not None:
             site = f"dpu.launch:{getattr(kernel, '__name__', 'kernel')}"
             ticket = self.run_process(
@@ -320,7 +335,7 @@ class DPU:
         values. For coordinators running many concurrent jobs on a
         shared engine — the admission gate (if attached) queues,
         sheds, or degrades each job inside the simulation."""
-        core_list = list(cores) if cores is not None else list(self.config.core_ids)
+        core_list = self._core_list(cores)
         label = site or f"dpu.job:{getattr(kernel, '__name__', 'kernel')}"
 
         def job():
@@ -366,7 +381,7 @@ class DPU:
         every DPU first, then run the engine once (e.g. via
         ``engine.run_until_complete(engine.all_of(processes))``).
         """
-        core_list = list(cores) if cores is not None else list(self.config.core_ids)
+        core_list = self._core_list(cores)
         processes = []
         for core_id in core_list:
             context = self.context(core_id)

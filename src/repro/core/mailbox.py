@@ -36,7 +36,12 @@ class Mailbox:
 
 
 class MailboxController:
-    """All 34 mailboxes plus their interrupt delivery costs."""
+    """All 34 mailboxes plus their interrupt delivery costs.
+
+    A run exchanges messages through a few endpoints (typically core
+    0 and the A9), so each mailbox is built at its first send,
+    receive or poll.
+    """
 
     def __init__(
         self,
@@ -47,26 +52,32 @@ class MailboxController:
         self.engine = engine
         self.config = config
         self.stats = stats if stats is not None else StatsRecorder()
-        self.mailboxes: Dict[int, Mailbox] = {
-            endpoint: Mailbox(engine, endpoint) for endpoint in range(NUM_MAILBOXES)
-        }
+        self.mailboxes: Dict[int, Mailbox] = {}
         self._send_cycles = config.mbc_send_cycles
         self._interrupt_cycles = config.mbc_interrupt_cycles
 
     def _check(self, endpoint: int) -> None:
-        if endpoint not in self.mailboxes:
+        if not 0 <= endpoint < NUM_MAILBOXES:
             raise ValueError(
                 f"mailbox id {endpoint} outside 0..{NUM_MAILBOXES - 1} "
                 f"(dpCores 0-31, A9={A9_ID}, M0={M0_ID})"
             )
 
+    def _mailbox(self, endpoint: int) -> Mailbox:
+        """``endpoint``'s mailbox, built on first use."""
+        mailbox = self.mailboxes.get(endpoint)
+        if mailbox is None:
+            self._check(endpoint)
+            mailbox = self.mailboxes[endpoint] = Mailbox(self.engine, endpoint)
+        return mailbox
+
     def send(self, src: int, dst: int, payload: Any):
         """Write to ``dst``'s data register; blocks if the queue is
         full (hardware back pressure). Process generator."""
         self._check(src)
-        self._check(dst)
+        queue = self._mailbox(dst).queue
         yield Timeout(self.engine, self._send_cycles)
-        yield self.mailboxes[dst].queue.put((src, payload))
+        yield queue.put((src, payload))
         self.stats.count("mbc.sent", 1)
 
     def receive(self, endpoint: int):
@@ -75,13 +86,11 @@ class MailboxController:
         The arrival interrupt plus register reads cost
         ``mbc_interrupt_cycles`` on the receiving core.
         """
-        self._check(endpoint)
-        message = yield self.mailboxes[endpoint].queue.get()
+        message = yield self._mailbox(endpoint).queue.get()
         yield Timeout(self.engine, self._interrupt_cycles)
         self.stats.count("mbc.received", 1)
         return message
 
     def try_receive(self, endpoint: int):
         """Non-blocking poll of the mailbox's status register."""
-        self._check(endpoint)
-        return self.mailboxes[endpoint].queue.try_get()
+        return self._mailbox(endpoint).queue.try_get()

@@ -49,6 +49,8 @@ class DmadChannel:
     """One active list: a growing program plus a program counter."""
 
     index: int
+    # Woken by every push; the walker blocks on it when drained.
+    wakeup: Store
     program: List[Descriptor] = field(default_factory=list)
     pc: int = 0
     loop_remaining: Dict[int, int] = field(default_factory=dict)
@@ -85,8 +87,9 @@ class Dmad:
         # The injector's plan is frozen; whether descriptor CRC checks
         # run is fixed for the DMAD's lifetime.
         self._crc_faulty = self.faults.active("dms.descriptor")
-        self.channels = [DmadChannel(i) for i in range(self.NUM_CHANNELS)]
-        self._wakeups = [Store(engine) for _ in range(self.NUM_CHANNELS)]
+        # A channel's active list and walker are built at its first
+        # push (most kernels use channel 0 only); None until then.
+        self.channels: List[Optional[DmadChannel]] = [None] * self.NUM_CHANNELS
         self.outstanding = Resource(engine, config.dms_max_outstanding)
         self._drained = engine.event()
         self._inflight = 0
@@ -98,12 +101,9 @@ class Dmad:
         # Completion of the most recent in-flight descriptor notifying
         # each event (the buffer-refill flow-control chain).
         self._notify_tail: Dict[int, object] = {}
-        for channel in self.channels:
-            engine.process(
-                self._channel_loop(channel),
-                name=f"dmad{core_id}.ch{channel.index}",
-                daemon=True,
-            )
+        # Where the channel walkers would have started had they been
+        # built with the DMAD (see Engine.start_daemon).
+        self._mark = engine.mark()
 
     # -- software interface ----------------------------------------------
 
@@ -119,7 +119,9 @@ class Dmad:
         if not 0 <= channel < self.NUM_CHANNELS:
             raise DescriptorError(f"DMS channel must be 0 or 1: {channel}")
         chan = self.channels[channel]
-        if chan.program and chan.pc >= len(chan.program) and not chan.loop_remaining:
+        if chan is None:
+            chan = self._open_channel(channel)
+        elif chan.program and chan.pc >= len(chan.program) and not chan.loop_remaining:
             # The ring is fully drained: retired slots are reusable, so
             # recycle them (keeps the modelled list bounded; safe only
             # with no pending LOOP, which could rewind over them).
@@ -147,23 +149,34 @@ class Dmad:
                                dtype=descriptor.dtype.name, channel=channel)
             self.trace.counter(f"{self._unit}.ring", unit=self._unit,
                                occupancy=pending)
-        self._wakeups[channel].put(object())
+        chan.wakeup.put(object())
 
     def occupancy(self, channel: int = 0) -> int:
         """Entries in the channel ring not yet walked past."""
         chan = self.channels[channel]
-        return len(chan.program) - chan.pc
+        return 0 if chan is None else len(chan.program) - chan.pc
 
     def idle(self) -> bool:
         """True when all channels have drained and nothing is in flight."""
         return self._inflight == 0 and all(
-            channel.pc >= len(channel.program) for channel in self.channels
+            channel is None or channel.pc >= len(channel.program)
+            for channel in self.channels
         )
 
     # -- channel engine ------------------------------------------------------
 
+    def _open_channel(self, index: int) -> DmadChannel:
+        """Build a channel and start its walker at its first push,
+        before the push wakes it (see ``Engine.start_daemon``)."""
+        channel = self.channels[index] = DmadChannel(index, Store(self.engine))
+        self.engine.start_daemon(
+            self._channel_loop(channel), f"dmad{self.core_id}.ch{index}",
+            self._mark, index / self.NUM_CHANNELS,
+        )
+        return channel
+
     def _channel_loop(self, channel: DmadChannel):
-        wakeup = self._wakeups[channel.index]
+        wakeup = channel.wakeup
         engine = self.engine
         event_file = self.event_file
         dmac = self.dmac
@@ -201,7 +214,7 @@ class Dmad:
                 tail = notify_tail.get(notify_event)
                 if tail is not None and tail.callbacks is not None:
                     yield tail
-                yield event_file.events[notify_event].wait_clear()
+                yield event_file.event(notify_event).wait_clear()
             yield Timeout(engine, setup_cycles)
             effective = self._resolve_addresses(channel, descriptor)
             prep = dmac.prepare(effective, self.core_id)

@@ -10,7 +10,7 @@ and the data movement hardware.
 
 from __future__ import annotations
 
-from typing import List
+from typing import Dict
 
 from ..sim import BinaryEvent, Engine, SimEvent
 
@@ -20,14 +20,16 @@ EVENTS_PER_CORE = 32
 
 
 class EventFile:
-    """The 32 binary events belonging to one dpCore."""
+    """The 32 binary events belonging to one dpCore.
+
+    A kernel names a handful of them, so each :class:`BinaryEvent` is
+    built the first time its id is used.
+    """
 
     def __init__(self, engine: Engine, core_id: int) -> None:
         self.engine = engine
         self.core_id = core_id
-        self.events: List[BinaryEvent] = [
-            BinaryEvent(engine, event_id) for event_id in range(EVENTS_PER_CORE)
-        ]
+        self.events: Dict[int, BinaryEvent] = {}
 
     def _check(self, event_id: int) -> None:
         if not 0 <= event_id < EVENTS_PER_CORE:
@@ -35,22 +37,26 @@ class EventFile:
                 f"event id {event_id} outside 0..{EVENTS_PER_CORE - 1}"
             )
 
+    def event(self, event_id: int) -> BinaryEvent:
+        """The binary event ``event_id``, built on its first use."""
+        event = self.events.get(event_id)
+        if event is None:
+            self._check(event_id)
+            event = self.events[event_id] = BinaryEvent(self.engine, event_id)
+        return event
+
     def set(self, event_id: int) -> None:
-        self._check(event_id)
-        self.events[event_id].set()
+        self.event(event_id).set()
 
     def clear(self, event_id: int) -> None:
-        self._check(event_id)
-        self.events[event_id].clear()
+        self.event(event_id).clear()
 
     def is_set(self, event_id: int) -> bool:
-        self._check(event_id)
-        return self.events[event_id].is_set
+        return self.event(event_id).is_set
 
     def wait(self, event_id: int) -> SimEvent:
         """Event that succeeds when ``event_id`` is (or becomes) set.
 
         This is the hardware side of the ``wfe`` instruction.
         """
-        self._check(event_id)
-        return self.events[event_id].wait()
+        return self.event(event_id).wait()

@@ -138,14 +138,7 @@ class ServingFrontend:
 
     # -- engine plumbing ------------------------------------------------
     def _advance(self, cycles: float) -> None:
-        if cycles <= 0:
-            return
-        engine = self.cluster.engine
-
-        def waiter():
-            yield engine.timeout(cycles)
-
-        engine.run_until_complete(engine.process(waiter()))
+        self.cluster.engine.advance(cycles)
 
     def _take_token(self, tenant: str, now: float) -> None:
         """Consume one submission token; every dequeue path first

@@ -31,7 +31,19 @@ system (pinned bit-exact by ``tests/test_equivalence.py``):
   the ``triggered`` property;
 * cancelled timers (:meth:`Timeout.cancel`) use lazy deletion: the heap
   entry stays (so simulated time still advances through it exactly as
-  before) but fires as a no-op instead of scheduling stale callbacks.
+  before) but fires as a no-op instead of scheduling stale callbacks;
+* per-core service loops (DMAD walkers, ATE engines) are started at
+  their first use (:meth:`Engine.start_daemon`), so a DPU costs host
+  memory and time only for the units a run touches. A loop started
+  late is *parked*: stepped inline, with no heap entry, to its first
+  blocking ``get`` on a still-empty store, so the item that follows
+  resumes it through the heap exactly where it would have resumed a
+  loop started with its unit. Before the engine has run since the unit
+  was built, the first step is queued at the heap key the unit
+  reserved (:meth:`Engine.mark`) instead;
+* :meth:`Engine.advance` moves the clock without a sleeper process
+  when nothing is queued at or before the target instant, where the
+  sleeper would have popped only its own two entries.
 
 Dispatch *order* is sacred: callbacks of a triggered event are always
 scheduled through the heap at the current instant, never invoked
@@ -44,7 +56,7 @@ from __future__ import annotations
 import heapq
 import time
 from itertools import count
-from typing import Any, Callable, Generator, Iterable, List, Optional
+from typing import Any, Callable, Generator, Iterable, List, Optional, Tuple
 
 __all__ = [
     "Engine",
@@ -316,6 +328,7 @@ class Process(SimEvent):
         generator: Generator,
         name: str = "",
         daemon: bool = False,
+        deferred: bool = False,
     ) -> None:
         self.engine = engine
         self.callbacks = []
@@ -334,7 +347,10 @@ class Process(SimEvent):
         engine._register_process(self)
         if engine.tracer is not None:
             engine.tracer.process_started(self)
-        _heappush(engine._queue, (engine.now, engine._next_seq(), self._start, None))
+        if not deferred:  # else Engine.start_daemon schedules the start
+            _heappush(
+                engine._queue, (engine.now, engine._next_seq(), self._start, None)
+            )
 
     def _start(self, _ignored: Any) -> None:
         self._step(None, None)
@@ -490,6 +506,9 @@ class Engine:
         # in a cluster) distinguish each other's dormant-going ticks
         # from real events, so they never keep one another alive.
         self._metric_ticks = 0
+        # Run-loop entries so far: tells start_daemon whether the
+        # engine has run since a mark was taken.
+        self._runs = 0
         self._processes: List["Process"] = []
         self._process_prune_at = 256
         self._unobserved_failures: List[SimEvent] = []
@@ -568,6 +587,75 @@ class Engine:
         """Start driving ``generator`` as a process."""
         return Process(self, generator, name, daemon=daemon)
 
+    def mark(self) -> Tuple[float, int, int]:
+        """This point in dispatch order, for :meth:`start_daemon`.
+
+        A unit that starts its service loops on first use takes a mark
+        when it is built. The mark reserves a sequence number of its
+        own, so the heap keys between it and the next one are free for
+        those loops' first steps.
+        """
+        return (self.now, self._next_seq(), self._runs)
+
+    def start_daemon(
+        self, generator: Generator, name: str, mark: Tuple[float, int, int],
+        rank: float = 0.0,
+    ) -> Process:
+        """Start a daemon service loop at its first use, exactly as if
+        it had been started at ``mark`` (loops sharing a mark are
+        ordered by ``rank``, ``0 <= rank < 1``).
+
+        If the engine has not run since ``mark``, the loop's first step
+        is queued at the mark's reserved heap key, where the step of a
+        loop started then would still wait. Otherwise such a loop would
+        by now be parked on its first blocking wait, a ``get`` on a
+        store that must still be empty, so the loop is *parked*:
+        stepped inline, with no heap entry, to that ``get``. The item
+        the caller puts next then resumes it through the heap exactly
+        where it would have resumed the loop started at ``mark``.
+
+        "Run since" means a run loop was entered after the mark, or
+        the clock moved past it. A unit built by a process while a run
+        is in progress is therefore exact only if it is first used in
+        that same instant before the run dispatches past its mark, or
+        at a later instant; the simulator builds every unit before its
+        engine runs.
+        """
+        when, seq, runs = mark
+        process = Process(self, generator, name, daemon=True, deferred=True)
+        if self.now == when and self._runs == runs:
+            _heappush(self._queue, (when, seq + rank, process._start, None))
+            return process
+        process._step(None, None)
+        if process._waiting_on is None:
+            raise SimulationError(
+                f"{process.name} did not park on a pending event at its start"
+            )
+        return process
+
+    def advance(self, cycles: float) -> None:
+        """Let ``cycles`` of simulated time pass, running whatever is due.
+
+        Equivalent to running a process that sleeps ``cycles`` until it
+        finishes. When the queue is empty, or its head lies strictly
+        after the target, that sleeper would pop only its own two
+        entries, so the clock is set directly. A watchdog counts those
+        two entries against its event budget, so with one attached the
+        sleeper always runs.
+        """
+        if cycles <= 0:
+            return
+        target = self.now + cycles
+        queue = self._queue
+        if self.watchdog is None and (not queue or queue[0][0] > target):
+            self.now = target
+            return
+
+        def sleeper():
+            yield Timeout(self, cycles)
+
+        self.run_until_complete(Process(self, sleeper()))
+
     def all_of(self, events: Iterable[SimEvent]) -> AllOf:
         return AllOf(self, events)
 
@@ -579,6 +667,7 @@ class Engine:
 
         Returns the simulation time at which the run stopped.
         """
+        self._runs += 1
         queue = self._queue
         pop = _heappop
         watchdog = self.watchdog
@@ -610,6 +699,7 @@ class Engine:
         :class:`SimulationError` if the queue drained without the
         process completing (a deadlock in the modelled system).
         """
+        self._runs += 1
         queue = self._queue
         pop = _heappop
         watchdog = self.watchdog

@@ -22,6 +22,9 @@ much host wall-clock the simulation itself burns. Two subcommands:
       continuous metrics sampling enabled at a fine cadence,
       in-process (records the sampling path's host cost; the
       disabled path is pinned to literally zero by tests)
+    * ``cluster_build_s``  — build a 64-DPU cluster and run its
+      engine once, in-process (the construction cost every run pays
+      before any work)
 
 ``compare``
     Diff a baseline report against a current one::
@@ -160,6 +163,18 @@ def measure_metrics_sweep() -> float:
     return time.perf_counter() - began
 
 
+def measure_cluster_build() -> float:
+    """Build ``Cluster(64)`` and run its engine once. Per-core units
+    are built on first use, so this is the host cost of what every
+    DPU builds up front."""
+    from repro.cluster import Cluster
+
+    began = time.perf_counter()
+    cluster = Cluster(64)
+    cluster.engine.run()
+    return time.perf_counter() - began
+
+
 WORKLOADS = {
     "tier1_wall_s": measure_tier1,
     "goldens_wall_s": measure_goldens,
@@ -167,6 +182,7 @@ WORKLOADS = {
     "fig11_body_s": measure_fig11_body,
     "engine_1m_events_s": measure_engine_1m,
     "metrics_sweep_s": measure_metrics_sweep,
+    "cluster_build_s": measure_cluster_build,
 }
 
 # The CI regression gate applies to this key.
