@@ -41,6 +41,9 @@ import perfcmp  # noqa: E402
 ENGINE_1M_BUDGET_S = 20.0
 DMS_STREAM_BUDGET_S = 10.0
 CLUSTER_BUILD_BUDGET_S = 1.5
+# A floor, in descriptors retired per host second: reference hardware
+# retires ~20k/s in the Fig. 11 8-column launch, so >10x headroom.
+DMS_DESCRIPTOR_FLOOR_PER_S = 1500.0
 
 
 class TestEngineThroughput:
@@ -103,6 +106,16 @@ class TestDmsThroughput:
         assert elapsed < DMS_STREAM_BUDGET_S, (
             f"DMS stream sweep point took {elapsed:.1f}s "
             f"(budget {DMS_STREAM_BUDGET_S}s)"
+        )
+
+    def test_dms_descriptor_rate_above_floor(self):
+        """Descriptors retired per host second in the Fig. 11 8-column
+        launch (8,192 descriptors through the DMAD walkers and the
+        DMAC), the per-descriptor host cost perfcmp tracks."""
+        rate = perfcmp.measure_dms_descriptor_rate()
+        assert rate > DMS_DESCRIPTOR_FLOOR_PER_S, (
+            f"DMS retired {rate:,.0f} descriptors/s "
+            f"(floor {DMS_DESCRIPTOR_FLOOR_PER_S:,.0f}/s)"
         )
 
     def test_fig_pair_bodies(self, benchmark, report):

@@ -127,20 +127,6 @@ class PartitionSpec:
         return 1 << self.radix_bits
 
 
-# Data descriptor types (Table 1's six directions + DMS->DDR); a
-# module-level set because enum ``.value`` access goes through a slow
-# descriptor protocol on the hot path.
-_DATA_TYPES = frozenset({
-    DescriptorType.DDR_TO_DMEM,
-    DescriptorType.DMEM_TO_DDR,
-    DescriptorType.DMS_TO_DMS,
-    DescriptorType.DMS_TO_DMEM,
-    DescriptorType.DMEM_TO_DMS,
-    DescriptorType.DDR_TO_DMS,
-    DescriptorType.DMS_TO_DDR,
-})
-
-
 # Table 1: which operations each data direction supports.
 _CAP = {
     DescriptorType.DDR_TO_DMEM: frozenset({"scatter", "gather", "stride"}),
@@ -154,6 +140,15 @@ _CAP = {
     DescriptorType.DMS_TO_DDR: frozenset({"stride"}),
 }
 DESCRIPTOR_CAPABILITIES: Dict[DescriptorType, FrozenSet[str]] = _CAP
+
+# Table 1 keyed by id() of the data types, for the checks every
+# descriptor runs: hashing an enum member calls the Python-level
+# ``Enum.__hash__`` and ``.value`` goes through a slow descriptor
+# protocol, while id() and an int-keyed lookup stay in C. Members are
+# singletons, so identity is equality.
+_CAPS_BY_ID: Dict[int, FrozenSet[str]] = {
+    id(dtype): caps for dtype, caps in _CAP.items()
+}
 
 
 @dataclass(slots=True)
@@ -206,8 +201,8 @@ class Descriptor:
     def _validate(self) -> None:
         if self.internal_mem not in ("cmem", "crc", "cid", "bv"):
             raise DescriptorError(f"unknown internal memory {self.internal_mem!r}")
-        if self.dtype in _DATA_TYPES:
-            caps = DESCRIPTOR_CAPABILITIES[self.dtype]
+        caps = _CAPS_BY_ID.get(id(self.dtype))
+        if caps is not None:
             if self.ddr_stride is not None and "stride" not in caps:
                 raise DescriptorError(f"{self.dtype.name} does not support stride")
             if self.gather_src and "gather" not in caps:
@@ -261,7 +256,7 @@ class Descriptor:
     @property
     def transfer_bytes(self) -> int:
         """Payload size of a data descriptor."""
-        if self.dtype not in _DATA_TYPES:
+        if id(self.dtype) not in _CAPS_BY_ID:
             return 0
         return self.rows * self.col_width
 

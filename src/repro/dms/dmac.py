@@ -212,43 +212,43 @@ class Dmac:
             return ("bv", None, None)
         return (None, None, None)
 
-    # -- execution ---------------------------------------------------------
+    # -- execution -----------------------------------------------------------
+    #
+    # A data descriptor runs as a chain of stages, each a heap callback
+    # taking its DescriptorRun (see repro.dms.dmad). A stage books the
+    # transfer it issues and hands the next stage to ``run.at(finish,
+    # stage)``, at the heap key a Timeout for that transfer would take,
+    # or waits with ``run.wait(event, stage)``; the last stage calls
+    # ``run.done()``. Stages therefore interleave with same-instant
+    # processes and timers exactly as a process waiting on those
+    # timeouts and events would.
 
-    def execute(self, descriptor: Descriptor, core_id: int, prep=None):
-        """Process generator performing one data descriptor."""
-        trace = self.trace
-        if not trace.enabled:
-            yield from self._execute(descriptor, core_id, prep)
-            return
-        began = self.engine.now
-        name = f"dms.{descriptor.dtype.name.lower()}"
-        try:
-            yield from self._execute(descriptor, core_id, prep)
-        except BaseException as error:
-            trace.complete_async(name, "dmac", began, core=core_id,
-                                 error=type(error).__name__)
-            raise
-        trace.complete_async(name, "dmac", began, core=core_id,
-                             bytes=int(descriptor.transfer_bytes))
-
-    def _execute(self, descriptor: Descriptor, core_id: int, prep=None):
-        dtype = descriptor.dtype
+    def start(self, run) -> None:
+        """First stage of ``run``'s data descriptor."""
+        dtype = run.descriptor.dtype
         if dtype is DescriptorType.DDR_TO_DMEM:
-            yield from self._exec_ddr_to_dmem(descriptor, core_id)
+            self._ddr_to_dmem(run)
         elif dtype is DescriptorType.DMEM_TO_DDR:
-            yield from self._exec_dmem_to_ddr(descriptor, core_id)
+            self._dmem_to_ddr(run)
         elif dtype is DescriptorType.DDR_TO_DMS:
-            yield from self._exec_ddr_to_dms(descriptor, core_id, prep)
+            self._load(run)
         elif dtype is DescriptorType.DMS_TO_DMS:
-            yield from self._exec_hash(descriptor, core_id, prep)
+            self._hash(run)
         elif dtype is DescriptorType.DMS_TO_DMEM:
-            yield from self._exec_partition_store(descriptor, core_id, prep)
+            self._store(run)
         elif dtype is DescriptorType.DMEM_TO_DMS:
-            yield from self._exec_dmem_to_dms(descriptor, core_id)
+            # The register contents were snapshotted at dispatch, in
+            # program order; charge the crossbar time of the RID/BV load.
+            run.at(self._dmax_for(run.core).book(run.descriptor.transfer_bytes),
+                   self._counted)
         elif dtype is DescriptorType.DMS_TO_DDR:
-            yield from self._exec_dms_to_ddr(descriptor, core_id, prep)
+            self._drain(run)
         else:
             raise DescriptorError(f"{dtype.name} is not a data descriptor")
+
+    def _counted(self, run) -> None:
+        self.stats.count("dms.descriptors", 1)
+        run.done()
 
     # -- DDR <-> DMEM streaming -------------------------------------------
 
@@ -259,119 +259,149 @@ class Dmac:
         target = descriptor.dmem_core if descriptor.dmem_core is not None else core_id
         return self.scratchpads[target]
 
-    def _exec_ddr_to_dmem(self, descriptor: Descriptor, core_id: int):
+    def _ddr_to_dmem(self, run) -> None:
+        descriptor = run.descriptor
         if descriptor.rle:
             raise DescriptorError("RLE decode is not modelled")
-        dmem = self._target_dmem(descriptor, core_id)
+        run.dmem = self._target_dmem(descriptor, run.core)
         width = descriptor.col_width
-        decode = self._decode_cycles
         if descriptor.gather_src:
-            gather_began = self.engine.now
-            yield from self._guarded_gather_begin()
-            try:
-                indices = self._gather_indices(descriptor, core_id)
-                touched = len(indices) * width + len(indices) * int(
-                    self.config.dms_gather_row_penalty_bytes
-                )
-                yield self.ddr_channel.request(
-                    descriptor.ddr_addr, touched, extra_overhead_cycles=decode
-                )
-                source = self.ddr_memory.view(
-                    descriptor.ddr_addr, descriptor.rows * width, _WIDTH_DTYPE[width]
-                )
-                gathered = source[indices]
-                yield self._dmax_for(core_id).transfer(
-                    min(len(indices) * width, 256)
-                )
-                dmem.write(descriptor.dmem_addr, gathered)
-                moved = len(indices) * width
-            finally:
+            run.gather_began = self.engine.now
+            self._active_gathers += 1
+            if self._active_gathers > 1 and self.config.rtl_gather_bug:
+                active = self._active_gathers
                 self._active_gathers -= 1
+                raise DmsHardwareError(
+                    "gather bit-vector count FIFO overflow: more than one "
+                    "dpCore has a gather in flight on first-silicon "
+                    "hardware; apply the software workaround (serialize "
+                    "gathers) or disable rtl_gather_bug (paper §3.4, "
+                    "Figure 12)",
+                    site="dmac.gather",
+                    sim_time=self.engine.now,
+                    occupancy={"active_gathers": active},
+                )
+            run.gathering = True
+            run.after(0, self._gather)
+        elif descriptor.ddr_stride is not None and descriptor.ddr_stride != width:
+            # Strided reads touch a DRAM burst per element.
+            run.at(self.ddr_channel.book(
+                descriptor.ddr_addr, descriptor.rows * max(width, 16),
+                extra_overhead_cycles=self._decode_cycles,
+            ), self._strided_read)
+        else:
+            run.at(self.ddr_channel.book(
+                descriptor.ddr_addr, descriptor.transfer_bytes,
+                extra_overhead_cycles=self._decode_cycles,
+            ), self._read)
+
+    def _read(self, run) -> None:
+        descriptor = run.descriptor
+        nbytes = descriptor.transfer_bytes
+        run.data = self.ddr_memory.read(descriptor.ddr_addr, nbytes)
+        run.at(self._dmax_for(run.core).book(min(nbytes, 256)), self._landed)
+
+    def _strided_read(self, run) -> None:
+        descriptor = run.descriptor
+        width = descriptor.col_width
+        stride = descriptor.ddr_stride
+        span = (descriptor.rows - 1) * stride + width
+        raw = self.ddr_memory.view(descriptor.ddr_addr, span)
+        offsets = np.arange(descriptor.rows) * stride
+        element = np.arange(width)
+        run.data = raw[offsets[:, None] + element[None, :]].ravel()
+        run.at(self._dmax_for(run.core).book(min(len(run.data), 256)),
+               self._landed)
+
+    def _gather(self, run) -> None:
+        descriptor = run.descriptor
+        indices = run.rows = self._gather_indices(descriptor, run.core)
+        touched = len(indices) * descriptor.col_width + len(indices) * int(
+            self.config.dms_gather_row_penalty_bytes
+        )
+        run.at(self.ddr_channel.book(
+            descriptor.ddr_addr, touched,
+            extra_overhead_cycles=self._decode_cycles,
+        ), self._gather_read)
+
+    def _gather_read(self, run) -> None:
+        descriptor = run.descriptor
+        width = descriptor.col_width
+        source = self.ddr_memory.view(
+            descriptor.ddr_addr, descriptor.rows * width, _WIDTH_DTYPE[width]
+        )
+        run.data = source[run.rows]
+        run.at(self._dmax_for(run.core).book(min(len(run.rows) * width, 256)),
+               self._landed)
+
+    def _landed(self, run) -> None:
+        """The DDR -> DMEM payload crossed the DMAX: write it."""
+        descriptor = run.descriptor
+        run.dmem.write(descriptor.dmem_addr, run.data)
+        if run.gathering:
+            run.gathering = False
+            self._active_gathers -= 1
+            moved = len(run.rows) * descriptor.col_width
             if self.trace.enabled:
                 self.trace.complete_async(
-                    "dms.gather", "dmac", gather_began, core=core_id,
-                    rows=int(len(indices)), bytes=int(moved),
-                    cycles=self.engine.now - gather_began,
+                    "dms.gather", "dmac", run.gather_began, core=run.core,
+                    rows=int(len(run.rows)), bytes=int(moved),
+                    cycles=self.engine.now - run.gather_began,
                 )
-        elif descriptor.ddr_stride is not None and descriptor.ddr_stride != width:
-            stride = descriptor.ddr_stride
-            span = (descriptor.rows - 1) * stride + width
-            # Strided reads touch a DRAM burst per element.
-            touched = descriptor.rows * max(width, 16)
-            yield self.ddr_channel.request(
-                descriptor.ddr_addr, touched, extra_overhead_cycles=decode
-            )
-            raw = self.ddr_memory.view(descriptor.ddr_addr, span)
-            offsets = np.arange(descriptor.rows) * stride
-            element = np.arange(width)
-            strided = raw[offsets[:, None] + element[None, :]].ravel()
-            yield self._dmax_for(core_id).transfer(min(len(strided), 256))
-            dmem.write(descriptor.dmem_addr, strided)
-            moved = descriptor.rows * width
         else:
-            nbytes = descriptor.transfer_bytes
-            yield self.ddr_channel.request(
-                descriptor.ddr_addr, nbytes, extra_overhead_cycles=decode
-            )
-            payload = self.ddr_memory.read(descriptor.ddr_addr, nbytes)
-            yield self._dmax_for(core_id).transfer(min(nbytes, 256))
-            dmem.write(descriptor.dmem_addr, payload)
-            moved = nbytes
+            moved = descriptor.transfer_bytes
         self.stats.count("dms.bytes_read", moved)
         self.stats.count("dms.descriptors", 1)
+        run.done()
 
-    def _exec_dmem_to_ddr(self, descriptor: Descriptor, core_id: int):
+    def _dmem_to_ddr(self, run) -> None:
+        descriptor = run.descriptor
         if descriptor.rle:
             raise DescriptorError("RLE encode is not modelled")
-        dmem = self._target_dmem(descriptor, core_id)
+        dmem = self._target_dmem(descriptor, run.core)
         width = descriptor.col_width
-        decode = self._decode_cycles
         if descriptor.scatter_dst:
-            indices = self._gather_indices(descriptor, core_id)
-            rows = dmem.view(
+            indices = run.rows = self._gather_indices(descriptor, run.core)
+            run.data = dmem.view(
                 descriptor.dmem_addr, len(indices) * width, _WIDTH_DTYPE[width]
             )
-            yield self._dmax_for(core_id).transfer(min(len(indices) * width, 256))
-            touched = len(indices) * width + len(indices) * int(
-                self.config.dms_gather_row_penalty_bytes
-            )
-            yield self.ddr_channel.request(
-                descriptor.ddr_addr, touched, extra_overhead_cycles=decode,
-                is_write=True,
-            )
-            target = self.ddr_memory.view(
-                descriptor.ddr_addr, descriptor.rows * width, _WIDTH_DTYPE[width]
-            )
-            target[indices] = rows
-            moved = len(indices) * width
+            nbytes = len(indices) * width
         else:
             nbytes = descriptor.transfer_bytes
-            payload = dmem.read(descriptor.dmem_addr, nbytes)
-            yield self._dmax_for(core_id).transfer(min(nbytes, 256))
-            yield self.ddr_channel.request(
-                descriptor.ddr_addr, nbytes, extra_overhead_cycles=decode,
-                is_write=True,
+            run.data = dmem.read(descriptor.dmem_addr, nbytes)
+        run.at(self._dmax_for(run.core).book(min(nbytes, 256)), self._write)
+
+    def _write(self, run) -> None:
+        """The DMEM -> DDR payload crossed the DMAX: issue the write."""
+        descriptor = run.descriptor
+        if run.rows is not None:
+            indices = run.rows
+            nbytes = len(indices) * descriptor.col_width + len(indices) * int(
+                self.config.dms_gather_row_penalty_bytes
             )
-            self.ddr_memory.write(descriptor.ddr_addr, payload)
-            moved = nbytes
+        else:
+            nbytes = descriptor.transfer_bytes
+        run.at(self.ddr_channel.book(
+            descriptor.ddr_addr, nbytes,
+            extra_overhead_cycles=self._decode_cycles, is_write=True,
+        ), self._written)
+
+    def _written(self, run) -> None:
+        descriptor = run.descriptor
+        if run.rows is not None:
+            width = descriptor.col_width
+            target = self.ddr_memory.view(
+                descriptor.ddr_addr, descriptor.rows * width,
+                _WIDTH_DTYPE[width],
+            )
+            target[run.rows] = run.data
+            moved = len(run.rows) * width
+        else:
+            self.ddr_memory.write(descriptor.ddr_addr, run.data)
+            moved = descriptor.transfer_bytes
         self.stats.count("dms.bytes_written", moved)
         self.stats.count("dms.descriptors", 1)
-
-    def _guarded_gather_begin(self):
-        self._active_gathers += 1
-        if self._active_gathers > 1 and self.config.rtl_gather_bug:
-            active = self._active_gathers
-            self._active_gathers -= 1
-            raise DmsHardwareError(
-                "gather bit-vector count FIFO overflow: more than one dpCore "
-                "has a gather in flight on first-silicon hardware; apply the "
-                "software workaround (serialize gathers) or disable "
-                "rtl_gather_bug (paper §3.4, Figure 12)",
-                site="dmac.gather",
-                sim_time=self.engine.now,
-                occupancy={"active_gathers": active},
-            )
-        yield self.engine.timeout(0)
+        run.done()
 
     def _gather_indices(self, descriptor: Descriptor, core_id: int) -> np.ndarray:
         register = self._bv_registers.get(core_id)
@@ -386,8 +416,9 @@ class Dmac:
 
     # -- internal-memory descriptors -----------------------------------------
 
-    def _acquire_slot(self, slots: Resource, name: str):
-        """Acquire an SRAM slot, recording stall cycles and occupancy.
+    def _acquire_slot(self, run, slots: Resource, name: str, then) -> None:
+        """Acquire an SRAM slot for ``run``, then run stage ``then``,
+        recording stall cycles and occupancy.
 
         Counters are emitted only when the acquirer actually waited, so
         uncontended runs keep an unchanged stats snapshot."""
@@ -395,36 +426,44 @@ class Dmac:
         self.stats.peak(f"{name}.occupancy_peak", min(slots.in_use + 1, slots.capacity))
         if slots.in_use >= slots.capacity:
             self.stats.peak(f"{name}.queue_peak", slots.queue_depth + 1)
-        yield slots.acquire()
-        waited = self.engine.now - began
-        if waited > 0:
-            self.stats.count(f"{name}.stall_cycles", waited)
-            self.stats.count(f"{name}.stalls", 1)
 
-    def _exec_dmem_to_dms(self, descriptor: Descriptor, core_id: int):
-        """Charge the crossbar time for a RID/BV load (the register
-        contents were snapshotted at dispatch, in program order)."""
-        yield self._dmax_for(core_id).transfer(descriptor.transfer_bytes)
-        self.stats.count("dms.descriptors", 1)
+        def acquired(run) -> None:
+            waited = self.engine.now - began
+            if waited > 0:
+                self.stats.count(f"{name}.stall_cycles", waited)
+                self.stats.count(f"{name}.stalls", 1)
+            then(run)
 
-    def _exec_ddr_to_dms(self, descriptor: Descriptor, core_id: int, prep):
+        run.wait(slots.acquire(), acquired)
+
+    def _load(self, run) -> None:
         """Load one column of a partition chunk into a CMEM bank."""
-        _kind, chunk, load_event = prep
-        if not chunk.bank_acquired:
-            chunk.bank_acquired = True
-            yield from self._acquire_slot(self.cmem_slots, "dmac.cmem")
-        width = descriptor.col_width
-        nbytes = descriptor.rows * width
+        chunk = run.prep[1]
+        if chunk.bank_acquired:
+            self._load_column(run)
+            return
+        chunk.bank_acquired = True
+        self._acquire_slot(run, self.cmem_slots, "dmac.cmem", self._load_column)
+
+    def _load_column(self, run) -> None:
+        descriptor = run.descriptor
+        chunk = run.prep[1]
+        nbytes = descriptor.rows * descriptor.col_width
         if chunk.total_bytes() + nbytes > self.config.cmem_bank_bytes:
             raise DescriptorError(
                 f"chunk exceeds CMEM bank: {chunk.total_bytes() + nbytes} B "
                 f"> {self.config.cmem_bank_bytes} B; use smaller chunks"
             )
-        yield self.ddr_channel.request(
-            descriptor.ddr_addr,
-            nbytes,
+        run.at(self.ddr_channel.book(
+            descriptor.ddr_addr, nbytes,
             extra_overhead_cycles=self._decode_cycles,
-        )
+        ), self._column_loaded)
+
+    def _column_loaded(self, run) -> None:
+        descriptor = run.descriptor
+        _kind, chunk, load_event = run.prep
+        width = descriptor.col_width
+        nbytes = descriptor.rows * width
         values = self.ddr_memory.view(
             descriptor.ddr_addr, nbytes, _WIDTH_DTYPE[width]
         ).copy()
@@ -438,23 +477,34 @@ class Dmac:
         self.stats.count("dms.bytes_read", nbytes)
         self.stats.count("dms.descriptors", 1)
         load_event.succeed()
+        run.done()
 
-    def _exec_hash(self, descriptor: Descriptor, core_id: int, prep):
+    def _hash(self, run) -> None:
         """Hash/range stage: key column -> CRC memory -> CID memory."""
-        _kind, chunk, load_events = prep
-        spec = descriptor.partition or self.partition_spec
-        if spec is None:
+        chunk = run.prep[1]
+        run.spec = run.descriptor.partition or self.partition_spec
+        if run.spec is None:
             raise DescriptorError("hash descriptor without a partition spec")
-        if not chunk.crc_acquired:
-            chunk.crc_acquired = True
-            yield from self._acquire_slot(self.crc_slots, "dmac.crc")
-        yield self.engine.all_of(load_events)
+        if chunk.crc_acquired:
+            self._hash_loaded(run)
+            return
+        chunk.crc_acquired = True
+        self._acquire_slot(run, self.crc_slots, "dmac.crc", self._hash_loaded)
+
+    def _hash_loaded(self, run) -> None:
+        run.wait(self.engine.all_of(run.prep[2]), self._hash_keys)
+
+    def _hash_keys(self, run) -> None:
+        chunk = run.prep[1]
         if chunk.key is None:
             raise DescriptorError("partition chunk has no key column")
         hash_bytes = chunk.rows * chunk.key_width
-        yield self.engine.timeout(
-            -(-hash_bytes // self.config.dms_hash_bytes_per_cycle)
-        )
+        run.after(-(-hash_bytes // self.config.dms_hash_bytes_per_cycle),
+                  self._hashed)
+
+    def _hashed(self, run) -> None:
+        chunk = run.prep[1]
+        spec = run.spec
         if spec.mode is PartitionMode.HASH:
             chunk.hashes = crc32_column(chunk.key)
             window = chunk.hashes
@@ -467,18 +517,23 @@ class Dmac:
             chunk.cids = compute_cids(chunk.key, spec)
         self.stats.count("dms.descriptors", 1)
         chunk.hash_done.succeed()
+        run.done()
 
-    def _exec_partition_store(self, descriptor: Descriptor, core_id: int, prep):
+    def _store(self, run) -> None:
         """Store stage: scatter chunk rows into target DMEMs by CID."""
-        _kind, chunk, load_events = prep
-        layout = descriptor.partition_layout or self.partition_layout
-        if layout is None:
+        run.spec = run.descriptor.partition_layout or self.partition_layout
+        if run.spec is None:
             raise DescriptorError("partition store without an output layout")
-        yield self.engine.all_of(load_events)
-        yield chunk.hash_done
+        run.wait(self.engine.all_of(run.prep[2]), self._store_loaded)
+
+    def _store_loaded(self, run) -> None:
+        run.wait(run.prep[1].hash_done, self._store_hashed)
+
+    def _store_hashed(self, run) -> None:
+        chunk = run.prep[1]
+        layout = run.spec
         assert chunk.cids is not None
         records = self._build_records(chunk)
-        record_width = chunk.record_width
         # Scatter rows grouped by target core; DMAX transfers to the
         # four macros proceed in parallel.
         macro_bytes: Dict[int, int] = {}
@@ -487,7 +542,7 @@ class Dmac:
         boundaries = np.searchsorted(
             sorted_cids, np.arange(len(layout.target_cores) + 1)
         )
-        writes = []
+        writes = run.data = []
         for slot, target in enumerate(layout.target_cores):
             start, stop = boundaries[slot], boundaries[slot + 1]
             if start == stop:
@@ -503,9 +558,16 @@ class Dmac:
             for macro, nbytes in sorted(macro_bytes.items())
         ]
         if transfers:
-            yield self.engine.all_of(transfers)
+            run.wait(self.engine.all_of(transfers), self._stored)
+        else:
+            self._stored(run)
+
+    def _stored(self, run) -> None:
+        chunk = run.prep[1]
+        layout = run.spec
+        record_width = chunk.record_width
         touched_cores = set()
-        for target, offset, rows in writes:
+        for target, offset, rows in run.data:
             self.scratchpads[target].write(offset, rows.ravel())
             touched_cores.add(target)
         # Publish running row counts and notify consumers.
@@ -523,6 +585,7 @@ class Dmac:
             self.cmem_slots.release()
         if chunk.crc_acquired:
             self.crc_slots.release()
+        run.done()
 
     def _build_records(self, chunk: PartitionChunk) -> np.ndarray:
         """Row-major (rows x record_width) byte matrix of the chunk."""
@@ -533,12 +596,16 @@ class Dmac:
             parts.append(values.view(np.uint8).reshape(chunk.rows, -1))
         return np.hstack(parts)
 
-    def _exec_dms_to_ddr(self, descriptor: Descriptor, core_id: int, prep):
+    def _drain(self, run) -> None:
         """Drain CRC or CID memory to DDR (Table 1's last row)."""
-        _kind, chunk, _unused = prep
+        chunk = run.prep[1]
         if chunk is None:
             raise DescriptorError("no hashed chunk to drain to DDR")
-        yield chunk.hash_done
+        run.wait(chunk.hash_done, self._drain_hashed)
+
+    def _drain_hashed(self, run) -> None:
+        descriptor = run.descriptor
+        chunk = run.prep[1]
         if descriptor.internal_mem == "crc":
             if chunk.hashes is None:
                 raise DescriptorError("chunk has no CRC column (non-hash mode)")
@@ -549,13 +616,16 @@ class Dmac:
             raise DescriptorError(
                 f"DMS->DDR drains crc or cid memory, not {descriptor.internal_mem}"
             )
-        raw = payload.view(np.uint8).ravel()
-        yield self.ddr_channel.request(
+        raw = run.data = payload.view(np.uint8).ravel()
+        run.at(self.ddr_channel.book(
             descriptor.ddr_addr,
             len(raw),
             extra_overhead_cycles=self.config.dms_dmac_decode_cycles,
             is_write=True,
-        )
-        self.ddr_memory.write(descriptor.ddr_addr, raw)
-        self.stats.count("dms.bytes_written", len(raw))
+        ), self._drained)
+
+    def _drained(self, run) -> None:
+        self.ddr_memory.write(run.descriptor.ddr_addr, run.data)
+        self.stats.count("dms.bytes_written", len(run.data))
         self.stats.count("dms.descriptors", 1)
+        run.done()

@@ -17,6 +17,17 @@ further dpCore involvement:
 * **event descriptors** set/clear/wait events locally;
 * **config descriptors** program the DMAC's hash/range engine.
 
+**No processes.** A channel's walker is a callback state machine, not
+a service process: it runs from heap callbacks until a wait blocks it
+(it then registers its continuation on the awaited event) or the list
+drains (it then *parks*: nothing references it, and the next push
+queues its wake on the heap). Each dispatched data descriptor is a
+:class:`DescriptorRun`, a ``SimEvent`` whose stages the DMAC schedules
+as heap callbacks at the keys the transfers' timeouts would take, so
+flow-control tails can still wait on it and deadlock reports still
+name a stuck one ``dmad<core>.desc``. A finished run lets go of every
+unit, so a DPU nobody references is freed by reference counting.
+
 **Resilience.** Descriptors live in DMEM and cross an SRAM/bus path
 the real hardware guards with its CRC32 units. When the fault plan
 enables the ``dms.descriptor`` site, each data descriptor is
@@ -29,33 +40,58 @@ The data path runs only on a clean fetch, so results stay byte-exact.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from functools import partial
+from typing import Any, Dict, List, Optional
 
 from ..core.config import DPUConfig
 from ..core.crc32 import crc32_bytes
 from ..faults import FaultInjector
 from ..obs import NULL_TRACER
-from ..sim import Engine, Resource, StatsRecorder, Store, Timeout
+from ..sim import Engine, Resource, SimEvent, StatsRecorder
 from .descriptor import Descriptor, DescriptorError, DescriptorType
 from .dmac import Dmac, DmsHardwareError
 from .events import EventFile
 
-__all__ = ["Dmad", "DmadChannel"]
+__all__ = ["DescriptorRun", "Dmad", "DmadChannel"]
+
+_LOOP = DescriptorType.LOOP
+_EVENT = DescriptorType.EVENT
+_HASH_CONFIG = DescriptorType.HASH_CONFIG
+_RANGE_CONFIG = DescriptorType.RANGE_CONFIG
+
+# Where a blocked walker resumes (``DmadChannel.stage``). A data
+# descriptor passes its wait event, its notify tail and its notify
+# event's clear in that order, then the setup delay, then takes an
+# outstanding slot.
+_WAIT = 0
+_TAIL = 1
+_CLEAR = 2
+_SETUP = 3
+_ISSUE = 4
+_EVENT_WAITS = 5  # an EVENT descriptor's waits, from ``DmadChannel.held``
 
 
 @dataclass
 class DmadChannel:
-    """One active list: a growing program plus a program counter."""
+    """One active list: a growing program, a program counter and the
+    state of the walker that walks it."""
 
     index: int
-    # Woken by every push; the walker blocks on it when drained.
-    wakeup: Store
     program: List[Descriptor] = field(default_factory=list)
     pc: int = 0
     loop_remaining: Dict[int, int] = field(default_factory=dict)
     ddr_auto: Optional[int] = None
     dmem_auto: Optional[int] = None
+    # True once the walker has drained the list: the next push wakes
+    # it. A push to a walker that is running or blocked does nothing.
+    parked: bool = False
+    # Where a blocked walker resumes, and what it carries there: the
+    # (descriptor, prep) awaiting a slot, or an EVENT descriptor's
+    # next wait index.
+    stage: int = _WAIT
+    held: Any = None
 
 
 class Dmad:
@@ -87,11 +123,11 @@ class Dmad:
         # The injector's plan is frozen; whether descriptor CRC checks
         # run is fixed for the DMAD's lifetime.
         self._crc_faulty = self.faults.active("dms.descriptor")
-        # A channel's active list and walker are built at its first
-        # push (most kernels use channel 0 only); None until then.
+        self._setup_cycles = config.dms_descriptor_setup_cycles
+        # A channel's active list is built at its first push (most
+        # kernels use channel 0 only); None until then.
         self.channels: List[Optional[DmadChannel]] = [None] * self.NUM_CHANNELS
         self.outstanding = Resource(engine, config.dms_max_outstanding)
-        self._drained = engine.event()
         self._inflight = 0
         # Credit-based backpressure: cycles of stall the issuing dpCore
         # owes for pushes beyond the channel ring's occupancy limit.
@@ -100,9 +136,9 @@ class Dmad:
         self.push_stall_debt = 0.0
         # Completion of the most recent in-flight descriptor notifying
         # each event (the buffer-refill flow-control chain).
-        self._notify_tail: Dict[int, object] = {}
-        # Where the channel walkers would have started had they been
-        # built with the DMAD (see Engine.start_daemon).
+        self._notify_tail: Dict[int, DescriptorRun] = {}
+        # The heap key a walker started with the DMAD would have taken
+        # (see Engine.mark).
         self._mark = engine.mark()
 
     # -- software interface ----------------------------------------------
@@ -149,7 +185,9 @@ class Dmad:
                                dtype=descriptor.dtype.name, channel=channel)
             self.trace.counter(f"{self._unit}.ring", unit=self._unit,
                                occupancy=pending)
-        chan.wakeup.put(object())
+        if chan.parked:
+            chan.parked = False
+            self.engine._schedule(0, self._walk, chan)
 
     def occupancy(self, channel: int = 0) -> int:
         """Entries in the channel ring not yet walked past."""
@@ -163,137 +201,106 @@ class Dmad:
             for channel in self.channels
         )
 
-    # -- channel engine ------------------------------------------------------
+    # -- channel walker ------------------------------------------------------
 
     def _open_channel(self, index: int) -> DmadChannel:
-        """Build a channel and start its walker at its first push,
-        before the push wakes it (see ``Engine.start_daemon``)."""
-        channel = self.channels[index] = DmadChannel(index, Store(self.engine))
-        self.engine.start_daemon(
-            self._channel_loop(channel), f"dmad{self.core_id}.ch{index}",
-            self._mark, index / self.NUM_CHANNELS,
-        )
+        """Build a channel at its first push, with its walker where one
+        started with the DMAD would be: if the engine has not run since
+        the DMAD was built, its first walk is queued at the DMAD's
+        reserved heap key (channels ranked by index); otherwise it has
+        long since drained the empty list and is parked."""
+        channel = self.channels[index] = DmadChannel(index)
+        engine = self.engine
+        when, seq, runs = self._mark
+        if engine.now == when and engine._runs == runs:
+            heapq.heappush(engine._queue, (
+                when, seq + index / self.NUM_CHANNELS, self._walk, channel))
+        else:
+            channel.parked = True
         return channel
 
-    def _channel_loop(self, channel: DmadChannel):
-        wakeup = channel.wakeup
-        engine = self.engine
-        event_file = self.event_file
-        dmac = self.dmac
-        outstanding = self.outstanding
-        notify_tail = self._notify_tail
-        setup_cycles = self.config.dms_descriptor_setup_cycles
-        loop_type = DescriptorType.LOOP
-        event_type = DescriptorType.EVENT
-        hash_config = DescriptorType.HASH_CONFIG
-        range_config = DescriptorType.RANGE_CONFIG
-        while True:
-            while channel.pc >= len(channel.program):
-                yield wakeup.get()
-            descriptor = channel.program[channel.pc]
+    def _walk(self, chan: DmadChannel) -> None:
+        """Walk ``chan`` from its pc until a wait blocks it or it drains."""
+        program = chan.program
+        while chan.pc < len(program):
+            descriptor = program[chan.pc]
             dtype = descriptor.dtype
-            if dtype is loop_type:
-                self._handle_loop(channel, descriptor)
-                continue
-            if dtype is event_type:
-                yield from self._handle_event(descriptor)
-                channel.pc += 1
-                continue
-            if dtype is hash_config or dtype is range_config:
-                dmac.configure_partition(descriptor)
-                channel.pc += 1
-                continue
-            # -- data descriptor ------------------------------------------
-            if descriptor.wait_event is not None:
-                yield event_file.wait(descriptor.wait_event)
-            notify_event = descriptor.notify_event
-            if notify_event is not None:
-                # Flow control: do not refill a buffer whose previous
-                # fill has not completed and been consumed (event must
-                # have been set by the prior notifier, then cleared).
-                tail = notify_tail.get(notify_event)
+            if dtype is _LOOP:
+                self._handle_loop(chan, descriptor)
+            elif dtype is _EVENT:
+                if not self._handle_event(chan, descriptor, 0):
+                    return
+            elif dtype is _HASH_CONFIG or dtype is _RANGE_CONFIG:
+                self.dmac.configure_partition(descriptor)
+                chan.pc += 1
+            else:
+                self._admit(chan, descriptor, _WAIT)
+                return
+        chan.parked = True
+
+    def _block(self, chan: DmadChannel, event: SimEvent, stage: int) -> None:
+        """Park the walker on a pending ``event``; it resumes at ``stage``."""
+        chan.stage = stage
+        event.callbacks.append(partial(self._wake, chan))
+
+    def _wake(self, chan: DmadChannel, event: SimEvent) -> None:
+        if event.exception is not None:
+            # The notify tail it waited on failed: the walker stops.
+            raise event.exception
+        stage = chan.stage
+        if stage == _ISSUE:
+            descriptor, prep = chan.held
+            chan.held = None
+            self._issue(chan, descriptor, prep)
+        elif stage == _EVENT_WAITS:
+            if not self._handle_event(chan, chan.program[chan.pc], chan.held):
+                return
+        else:
+            self._admit(chan, chan.program[chan.pc], stage)
+            return
+        self._walk(chan)
+
+    def _admit(self, chan: DmadChannel, descriptor: Descriptor,
+               stage: int) -> None:
+        """Take a data descriptor from ``stage`` to its setup delay."""
+        if stage == _WAIT and descriptor.wait_event is not None:
+            flag = self.event_file.event(descriptor.wait_event)
+            if not flag.is_set:
+                self._block(chan, flag.wait(), _TAIL)
+                return
+        notify_event = descriptor.notify_event
+        if notify_event is not None and stage <= _CLEAR:
+            # Flow control: do not refill a buffer whose previous fill
+            # has not completed and been consumed (event must have been
+            # set by the prior notifier, then cleared).
+            if stage <= _TAIL:
+                tail = self._notify_tail.get(notify_event)
                 if tail is not None and tail.callbacks is not None:
-                    yield tail
-                yield event_file.event(notify_event).wait_clear()
-            yield Timeout(engine, setup_cycles)
-            effective = self._resolve_addresses(channel, descriptor)
-            prep = dmac.prepare(effective, self.core_id)
-            yield outstanding.acquire()
-            self._inflight += 1
-            runner = engine.process(
-                self._run_descriptor(effective, prep),
-                name=self._desc_name,
-            )
-            if notify_event is not None:
-                notify_tail[notify_event] = runner
-            channel.pc += 1
+                    self._block(chan, tail, _CLEAR)
+                    return
+            flag = self.event_file.event(notify_event)
+            if flag.is_set:
+                self._block(chan, flag.wait_clear(), _SETUP)
+                return
+        self.engine._schedule(self._setup_cycles, self._setup_done, chan)
 
-    def _run_descriptor(self, descriptor: Descriptor, prep):
-        began = self.engine.now
-        try:
-            if self._crc_faulty:
-                yield from self._validate_descriptor(descriptor)
-            yield from self.dmac.execute(descriptor, self.core_id, prep)
-        finally:
-            self.outstanding.release()
-            self._inflight -= 1
-            if self.trace.enabled:
-                self.trace.complete_async(
-                    "dmad.descriptor", self._unit, began,
-                    dtype=descriptor.dtype.name,
-                )
-                self.trace.counter(f"{self._unit}.ring", unit=self._unit,
-                                   occupancy=max(
-                                       self.occupancy(c)
-                                       for c in range(self.NUM_CHANNELS)
-                                   ))
+    def _setup_done(self, chan: DmadChannel) -> None:
+        descriptor = self._resolve_addresses(chan, chan.program[chan.pc])
+        prep = self.dmac.prepare(descriptor, self.core_id)
+        slot = self.outstanding.acquire()
+        if slot.callbacks is not None:
+            chan.held = (descriptor, prep)
+            self._block(chan, slot, _ISSUE)
+            return
+        self._issue(chan, descriptor, prep)
+        self._walk(chan)
+
+    def _issue(self, chan: DmadChannel, descriptor: Descriptor, prep) -> None:
+        self._inflight += 1
+        run = DescriptorRun(self, descriptor, prep)
         if descriptor.notify_event is not None:
-            self.event_file.set(descriptor.notify_event)
-        self.stats.count("dmad.completed", 1)
-
-    def _validate_descriptor(self, descriptor: Descriptor):
-        """CRC-check the descriptor fetch; replay corrupted fetches.
-
-        A hit at the ``dms.descriptor`` site corrupts one fetch. For
-        Table-2-encodable descriptors the detection is modelled for
-        real: a bit of the 16-byte image is flipped and the CRC32
-        mismatch asserted. Each replay charges another descriptor
-        setup plus a CRC SRAM lookup; after ``dms_crc_retries``
-        consecutive corrupted fetches the transfer fails.
-        """
-        label = f"core {self.core_id} {descriptor.dtype.name}"
-        replays = 0
-        while self.faults.roll("dms.descriptor", detail=label):
-            try:
-                image = descriptor.encode()
-            except DescriptorError:
-                image = None
-            if image is not None:
-                bit = int(self.faults.choose("dms.descriptor", len(image) * 8, 1)[0])
-                corrupted = bytearray(image)
-                corrupted[bit // 8] ^= 1 << (bit % 8)
-                assert crc32_bytes(bytes(corrupted)) != crc32_bytes(image)
-            replays += 1
-            self.stats.count("dmad.crc_replays", 1)
-            if replays > self.config.dms_crc_retries:
-                raise DmsHardwareError(
-                    f"descriptor CRC mismatch persisted through "
-                    f"{self.config.dms_crc_retries} replays ({label}); "
-                    f"failing the completion event",
-                    site=f"dmad[{self.core_id}].crc",
-                    sim_time=self.engine.now,
-                    retry_count=replays,
-                    occupancy={
-                        "inflight": self._inflight,
-                        "channel_pending": [
-                            self.occupancy(c) for c in range(self.NUM_CHANNELS)
-                        ],
-                    },
-                )
-            yield self.engine.timeout(
-                self.config.dms_descriptor_setup_cycles
-                + self.config.dms_crc_check_cycles
-            )
+            self._notify_tail[descriptor.notify_event] = run
+        chan.pc += 1
 
     def _handle_loop(self, channel: DmadChannel, descriptor: Descriptor) -> None:
         position = channel.pc
@@ -312,13 +319,23 @@ class Dmad:
             channel.loop_remaining.pop(position, None)
             channel.pc = position + 1
 
-    def _handle_event(self, descriptor: Descriptor):
-        for event_id in descriptor.wait_events:
-            yield self.event_file.wait(event_id)
+    def _handle_event(self, chan: DmadChannel, descriptor: Descriptor,
+                      start: int) -> bool:
+        """Wait on an EVENT descriptor's events from index ``start``,
+        then set and clear its events. False if a wait blocked."""
+        waits = descriptor.wait_events
+        for index in range(start, len(waits)):
+            flag = self.event_file.event(waits[index])
+            if not flag.is_set:
+                chan.held = index + 1
+                self._block(chan, flag.wait(), _EVENT_WAITS)
+                return False
         for event_id in descriptor.set_events:
             self.event_file.set(event_id)
         for event_id in descriptor.clear_events:
             self.event_file.clear(event_id)
+        chan.pc += 1
+        return True
 
     def _resolve_addresses(
         self, channel: DmadChannel, descriptor: Descriptor
@@ -356,3 +373,221 @@ class Dmad:
         if not changes:
             return descriptor
         return descriptor.with_updates(**changes)
+
+
+class DescriptorRun(SimEvent):
+    """One dispatched data descriptor: its CRC-checked fetch and the
+    DMAC's execution of it, as a chain of heap callbacks.
+
+    The event triggers when the descriptor retires (after its notify
+    event is set), or fails with the error that stopped it. A stage is
+    a callable taking the run; it ends by scheduling the next one with
+    :meth:`at` (the completion time of a transfer it booked),
+    :meth:`after` (a fixed delay) or :meth:`wait` (an event), or by
+    calling :meth:`done`. :meth:`at` and :meth:`after` push the next
+    stage at exactly the heap key a ``Timeout`` for that delay would
+    take, so a run interleaves with processes as a process waiting on
+    those timeouts would.
+
+    Like a process, a run registers with the engine under
+    ``dmad<core>.desc`` and keeps ``_waiting_on``, so deadlock reports
+    name a stuck one, and it emits the ``proc.dmad<core>.desc`` trace
+    span. Once finished it holds no unit.
+    """
+
+    __slots__ = (
+        "name", "_waiting_on", "dmad", "dmac", "descriptor", "core", "prep",
+        "dmem", "data", "rows", "spec", "gather_began", "gathering",
+        "_stage", "_began", "_exec_began", "_exec_trace", "_replays",
+    )
+
+    daemon = False
+
+    def __init__(self, dmad: Dmad, descriptor: Descriptor, prep) -> None:
+        engine = dmad.engine
+        self.engine = engine
+        self.callbacks = []
+        self.value = None
+        self.exception = None
+        self.name = dmad._desc_name
+        self._waiting_on: Optional[SimEvent] = None
+        self.dmad = dmad
+        self.dmac = dmad.dmac
+        self.descriptor = descriptor
+        self.core = dmad.core_id
+        self.prep = prep
+        # Per-kind working state of the DMAC's stages.
+        self.dmem = self.data = self.rows = self.spec = None
+        self.gather_began = 0.0
+        self.gathering = False
+        self._stage = DescriptorRun._start
+        self._exec_trace = None
+        self._replays = 0
+        engine._register_process(self)
+        if engine.tracer is not None:
+            engine.tracer.process_started(self)
+        engine._schedule(0, self._resume, None)
+
+    # -- scheduling the next stage ----------------------------------------
+
+    def after(self, delay: float, stage) -> None:
+        """Run ``stage`` ``delay`` cycles from now."""
+        self._stage = stage
+        self.engine._schedule(delay, self._resume, None)
+
+    def at(self, finish: float, stage) -> None:
+        """Run ``stage`` when a transfer booked to end at ``finish``
+        completes (at the key ``Timeout(finish - now)`` takes)."""
+        self.after(finish - self.engine.now, stage)
+
+    def wait(self, event: SimEvent, stage) -> None:
+        """Run ``stage`` once ``event`` has triggered: at once if it
+        already has, else as its callback."""
+        callbacks = event.callbacks
+        if callbacks is not None:
+            self._stage = stage
+            self._waiting_on = event
+            callbacks.append(self._resume)
+            return
+        if event.exception is not None:
+            self.engine._forget_unobserved_failure(event)
+            raise event.exception
+        stage(self)
+
+    def _resume(self, event: Optional[SimEvent]) -> None:
+        self._waiting_on = None
+        try:
+            if event is not None and event.exception is not None:
+                raise event.exception
+            self._stage(self)
+        except BaseException as error:
+            self._abort(error)
+
+    # -- lifecycle ------------------------------------------------------------
+
+    def _start(self) -> None:
+        self._began = self.engine.now
+        if self.dmad._crc_faulty:
+            self._fetch()
+        else:
+            self._execute()
+
+    def _fetch(self) -> None:
+        """CRC-check one fetch of the descriptor; replay a corrupted one.
+
+        A hit at the ``dms.descriptor`` site corrupts one fetch. For
+        Table-2-encodable descriptors the detection is modelled for
+        real: a bit of the 16-byte image is flipped and the CRC32
+        mismatch asserted. Each replay charges another descriptor
+        setup plus a CRC SRAM lookup; after ``dms_crc_retries``
+        consecutive corrupted fetches the transfer fails.
+        """
+        dmad = self.dmad
+        descriptor = self.descriptor
+        label = f"core {self.core} {descriptor.dtype.name}"
+        if not dmad.faults.roll("dms.descriptor", detail=label):
+            self._execute()
+            return
+        try:
+            image = descriptor.encode()
+        except DescriptorError:
+            image = None
+        if image is not None:
+            bit = int(dmad.faults.choose("dms.descriptor", len(image) * 8, 1)[0])
+            corrupted = bytearray(image)
+            corrupted[bit // 8] ^= 1 << (bit % 8)
+            assert crc32_bytes(bytes(corrupted)) != crc32_bytes(image)
+        self._replays += 1
+        dmad.stats.count("dmad.crc_replays", 1)
+        config = dmad.config
+        if self._replays > config.dms_crc_retries:
+            raise DmsHardwareError(
+                f"descriptor CRC mismatch persisted through "
+                f"{config.dms_crc_retries} replays ({label}); "
+                f"failing the completion event",
+                site=f"dmad[{self.core}].crc",
+                sim_time=self.engine.now,
+                retry_count=self._replays,
+                occupancy={
+                    "inflight": dmad._inflight,
+                    "channel_pending": [
+                        dmad.occupancy(c) for c in range(dmad.NUM_CHANNELS)
+                    ],
+                },
+            )
+        self.after(
+            config.dms_descriptor_setup_cycles + config.dms_crc_check_cycles,
+            DescriptorRun._fetch,
+        )
+
+    def _execute(self) -> None:
+        dmac = self.dmac
+        self._exec_trace = dmac.trace
+        self._exec_began = self.engine.now
+        dmac.start(self)
+
+    def done(self) -> None:
+        """The DMAC finished the transfer: retire the descriptor."""
+        descriptor = self.descriptor
+        dmad = self.dmad
+        self._retire(None)
+        if descriptor.notify_event is not None:
+            dmad.event_file.set(descriptor.notify_event)
+        dmad.stats.count("dmad.completed", 1)
+        self._drop()
+        self.succeed()
+        engine = self.engine
+        if engine.tracer is not None:
+            engine.tracer.process_finished(self)
+
+    def _abort(self, error: BaseException) -> None:
+        """Release the gather, the slot and the spans, then fail (or
+        raise, with nobody waiting) as a failing ``Process`` does."""
+        if self.gathering:
+            self.gathering = False
+            self.dmac._active_gathers -= 1
+        self._retire(error)
+        self._drop()
+        if isinstance(error, (KeyboardInterrupt, SystemExit)):
+            raise error
+        has_waiters = bool(self.callbacks)
+        self.fail(error)
+        engine = self.engine
+        if engine.tracer is not None:
+            engine.tracer.process_finished(self)
+        if not has_waiters:
+            # Surfacing immediately: no need to re-report at run() end.
+            engine._forget_unobserved_failure(self)
+            raise error
+
+    def _retire(self, error: Optional[BaseException]) -> None:
+        """Close the DMAC's span (if the DMAC started), free the
+        outstanding slot and close the descriptor's span."""
+        descriptor = self.descriptor
+        trace = self._exec_trace
+        if trace is not None and trace.enabled:
+            outcome = ({"bytes": int(descriptor.transfer_bytes)}
+                       if error is None else {"error": type(error).__name__})
+            trace.complete_async(
+                f"dms.{descriptor.dtype.name.lower()}", "dmac",
+                self._exec_began, core=self.core, **outcome)
+        dmad = self.dmad
+        dmad.outstanding.release()
+        dmad._inflight -= 1
+        trace = dmad.trace
+        if trace.enabled:
+            trace.complete_async(
+                "dmad.descriptor", dmad._unit, self._began,
+                dtype=descriptor.dtype.name,
+            )
+            trace.counter(f"{dmad._unit}.ring", unit=dmad._unit,
+                          occupancy=max(
+                              dmad.occupancy(c)
+                              for c in range(dmad.NUM_CHANNELS)
+                          ))
+
+    def _drop(self) -> None:
+        """Let go of the hardware: a finished run keeps no unit alive."""
+        self.dmad = self.dmac = self.descriptor = self.prep = None
+        self.dmem = self.data = self.rows = self.spec = None
+        self._stage = self._exec_trace = None

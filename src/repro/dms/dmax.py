@@ -42,6 +42,12 @@ class Dmax:
             return self.engine.timeout(0)
         return self.server.transfer(nbytes)
 
+    def book(self, nbytes: int) -> float:
+        """Book a crossbar transfer; returns the time it completes."""
+        if nbytes <= 0:
+            return self.engine.now
+        return self.server.book(nbytes)
+
     def utilization(self) -> float:
         return self.server.utilization()
 

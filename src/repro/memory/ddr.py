@@ -135,8 +135,21 @@ class DDRChannel:
         ``extra_overhead_cycles`` lets callers charge controller-side
         work (e.g. DMAC descriptor decode) that occupies the channel.
         """
+        now = self.engine.now
+        return Timeout(self.engine, self.book(
+            address, nbytes, extra_overhead_cycles, is_write) - now)
+
+    def book(
+        self,
+        address: int,
+        nbytes: int,
+        extra_overhead_cycles: float = 0.0,
+        is_write: bool = False,
+    ) -> float:
+        """Book a transfer as :meth:`request` does; return the time it
+        completes instead of an event."""
         if nbytes <= 0:
-            return Timeout(self.engine, 0)
+            return self.engine.now
         overhead = float(extra_overhead_cycles)
         if self._ecc_active:
             # SECDED: correctable flips charge a scrub; a double flip
@@ -175,7 +188,7 @@ class DDRChannel:
         transactions = -(-nbytes // AXI_MAX_TRANSFER)
         overhead += transactions * self.transaction_overhead_cycles
         total = nbytes + int(overhead * self.server.bytes_per_cycle)
-        event = self.server.transfer(total)
+        finish = self.server.book(total)
         if self.trace.enabled:
             # Queue backlog (cycles until the channel frees) and
             # cumulative bytes, sampled at each request: the DDR
@@ -186,7 +199,7 @@ class DDRChannel:
                                    - self.engine.now),
                 bytes_served=float(self.server.bytes_served),
             )
-        return event
+        return finish
 
     def utilization(self) -> float:
         return self.server.utilization()

@@ -1,11 +1,11 @@
 """Discrete-event simulation kernel.
 
-Everything in the reproduction — dpCores, the DMS pipeline, the ATE
-crossbar, DDR channels, and software tasks — is a *process*: a Python
-generator driven by an :class:`Engine`. Processes yield events
+dpCores, the ATE crossbar and software tasks are *processes*: Python
+generators driven by an :class:`Engine`. Processes yield events
 (:class:`SimEvent`, timeouts, or other processes) and are resumed when
-those events trigger. One simulated time unit is one dpCore clock cycle
-(800 MHz on the 40 nm DPU).
+those events trigger. The DMS pipeline pushes plain callbacks on the
+same heap instead (see the host-speed notes). One simulated time unit
+is one dpCore clock cycle (800 MHz on the 40 nm DPU).
 
 The kernel is deliberately small (events, processes, a binary heap) so
 that its behaviour is easy to audit; richer constructs (FIFO resources,
@@ -32,15 +32,21 @@ system (pinned bit-exact by ``tests/test_equivalence.py``):
 * cancelled timers (:meth:`Timeout.cancel`) use lazy deletion: the heap
   entry stays (so simulated time still advances through it exactly as
   before) but fires as a no-op instead of scheduling stale callbacks;
-* per-core service loops (DMAD walkers, ATE engines) are started at
-  their first use (:meth:`Engine.start_daemon`), so a DPU costs host
-  memory and time only for the units a run touches. A loop started
-  late is *parked*: stepped inline, with no heap entry, to its first
-  blocking ``get`` on a still-empty store, so the item that follows
-  resumes it through the heap exactly where it would have resumed a
-  loop started with its unit. Before the engine has run since the unit
-  was built, the first step is queued at the heap key the unit
-  reserved (:meth:`Engine.mark`) instead;
+* per-core service loops (ATE engines) are started at their first use
+  (:meth:`Engine.start_daemon`), so a DPU costs host memory and time
+  only for the units a run touches. A loop started late is *parked*:
+  stepped inline, with no heap entry, to its first blocking ``get`` on
+  a still-empty store, so the item that follows resumes it through the
+  heap exactly where it would have resumed a loop started with its
+  unit. Before the engine has run since the unit was built, the first
+  step is queued at the heap key the unit reserved
+  (:meth:`Engine.mark`) instead;
+* the DMS, the source of most heap entries in a DMS-bound run, uses
+  no processes: DMAD channel walkers and in-flight data descriptors
+  (:mod:`repro.dms.dmad`) push plain callbacks at the heap keys the
+  generator code's timeouts, wakes and starts took, so a dispatch
+  costs a call instead of resuming a generator frame, and a finished
+  descriptor references no unit;
 * :meth:`Engine.advance` moves the clock without a sleeper process
   when nothing is queued at or before the target instant, where the
   sleeper would have popped only its own two entries.
@@ -665,8 +671,14 @@ class Engine:
     def run(self, until: Optional[float] = None) -> float:
         """Run until the queue drains or ``until`` cycles have elapsed.
 
-        Returns the simulation time at which the run stopped.
+        Returns the simulation time at which the run stopped. Raises
+        :class:`SimulationError` if ``until`` lies before the clock,
+        which cannot run backwards.
         """
+        if until is not None and until < self.now:
+            raise SimulationError(
+                f"run(until={until!r}) is before the clock at t={self.now!r}"
+            )
         self._runs += 1
         queue = self._queue
         pop = _heappop

@@ -194,7 +194,12 @@ class BandwidthServer:
         return self.overhead_cycles + math.ceil(nbytes / self.bytes_per_cycle)
 
     def transfer(self, nbytes: int) -> SimEvent:
-        """Request a transfer; the event succeeds when it completes.
+        """Request a transfer; the event succeeds when it completes."""
+        now = self.engine.now
+        return Timeout(self.engine, self.book(nbytes) - now, nbytes)
+
+    def book(self, nbytes: int) -> float:
+        """Book a transfer and return the time it completes.
 
         Because the server is work-conserving and FIFO, completion time
         is ``max(now, free_at) + service``.
@@ -210,7 +215,7 @@ class BandwidthServer:
         self.busy_cycles += service
         self.bytes_served += nbytes
         self.transfers_served += 1
-        return Timeout(self.engine, finish - now, nbytes)
+        return finish
 
     def utilization(self) -> float:
         """Fraction of elapsed time the channel spent serving."""

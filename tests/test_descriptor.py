@@ -157,6 +157,66 @@ class TestValidation:
             Descriptor(dtype=DescriptorType.DMEM_TO_DMS, rows=1, col_width=4,
                        internal_mem="nonsense")
 
+    @pytest.mark.parametrize("dtype", list(DescriptorType), ids=lambda t: t.name)
+    def test_every_capability_error_message(self, dtype):
+        """Each Table 1 check names the type and the refused operation,
+        and control descriptors take none of those checks."""
+        spec = PartitionSpec(mode=PartitionMode.HASH)
+        fields = {"ddr_stride": ("stride", 8), "gather_src": ("gather", True),
+                  "scatter_dst": ("scatter", True),
+                  "partition": ("partition", spec),
+                  "is_key_column": ("key", True)}
+        messages = {"stride": "does not support stride",
+                    "gather": "does not support gather",
+                    "scatter": "does not support scatter",
+                    "partition": "does not support partitioning",
+                    "key": "has no key column role"}
+        for name, (operation, value) in fields.items():
+            kwargs = {"dtype": dtype, "rows": 1, "col_width": 4, name: value}
+            if dtype.is_control:
+                if dtype is DescriptorType.LOOP:
+                    kwargs.update(loop_back=1)
+                assert Descriptor(**kwargs).transfer_bytes == 0
+            elif operation in DESCRIPTOR_CAPABILITIES[dtype]:
+                assert Descriptor(**kwargs).transfer_bytes == 4
+            else:
+                with pytest.raises(DescriptorError) as caught:
+                    Descriptor(**kwargs)
+                assert str(caught.value) == (
+                    f"{dtype.name} {messages[operation]}")
+
+    def test_descriptor_path_hashes_no_enum(self, monkeypatch):
+        """Validation, sizing and a streamed launch never run the
+        Python-level ``Enum.__hash__`` (four calls per descriptor
+        when the checks used a frozenset and a dict keyed by type)."""
+        import numpy as np
+
+        from repro.core import DPU
+
+        calls = []
+
+        def counting_hash(member):
+            calls.append(member)
+            return hash(member._name_)
+
+        dpu = DPU()
+        address = dpu.store_array(np.arange(4096, dtype=np.uint32))
+
+        def kernel(ctx):
+            ctx.push(ddr_to_dmem(512, 4, address, 0, notify_event=0,
+                                 src_addr_inc=True))
+            ctx.push(loop(1, 7))
+            for _ in range(8):
+                yield from ctx.wfe(0)
+                ctx.clear_event(0)
+
+        monkeypatch.setattr(DescriptorType, "__hash__", counting_hash)
+        descriptor = dmem_to_ddr(64, 8, 0x40, 0x80, scatter_dst=True)
+        assert descriptor.transfer_bytes == 512
+        dpu.launch(kernel, cores=[0, 5])
+        assert dpu.stats.counters["dms.descriptors"] == 16
+        assert calls == []
+
 
 class TestPartitionSpec:
     def test_hash_fanout(self):

@@ -94,7 +94,7 @@ class TestFirstUseBuildsExactlyThatUnit:
         assert channels[0] is None and channels[1] is not None
         assert dpu.dmads[2].occupancy(0) == 0
         assert dpu.dmads[2].idle()
-        assert _daemons(dpu.engine) == ["dmad2.ch1"]
+        assert _daemons(dpu.engine) == []
         assert sorted(dpu.event_files[2].events) == [4]
         assert all(d.channels == [None, None] for core, d
                    in dpu.dmads.items() if core != 2)
@@ -367,7 +367,7 @@ class TestDifferentialAgainstEagerConstruction:
             "events remain [blocked: core5 waiting on <SimEvent pending "
             "at t=54.0>]"
         )
-        assert _daemons(dpu.engine) == ["dmad4.ch0"]
+        assert _daemons(dpu.engine) == []
 
 
 class TestLaunchCoreIds:

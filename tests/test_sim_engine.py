@@ -176,6 +176,25 @@ def test_run_until_limit_stops_clock():
     assert engine.now == 30
 
 
+def test_run_until_before_now_is_rejected():
+    """The clock never runs backwards: it used to be set to ``until``,
+    leaving the timer at 150 queued in the past of a clock at 10."""
+    engine = Engine()
+
+    def sleeper():
+        yield engine.timeout(50)
+        yield engine.timeout(100)
+
+    engine.process(sleeper())
+    assert engine.run(until=60) == 60
+    with pytest.raises(SimulationError,
+                       match=r"run\(until=10\) is before the clock at t=60"):
+        engine.run(until=10)
+    assert engine.now == 60
+    assert engine.run(until=60) == 60
+    assert engine.run() == 150
+
+
 def test_deadlock_detection():
     engine = Engine()
     never = engine.event()

@@ -18,6 +18,10 @@ much host wall-clock the simulation itself burns. Two subcommands:
     * ``fig11_body_s``    — DMS bandwidth sweep body, in-process
     * ``engine_1m_events_s`` — one million timer events through the
       raw event engine, in-process (events/s also recorded)
+    * ``dms_descriptors_per_s`` — data descriptors retired per host
+      second in the Fig. 11 8-column launch (8,192 descriptors through
+      the DMAD walkers and the DMAC), in-process; a rate, higher is
+      better
     * ``metrics_sweep_s``  — repeated DMS streaming launches with
       continuous metrics sampling enabled at a fine cadence,
       in-process (records the sampling path's host cost; the
@@ -139,6 +143,33 @@ def measure_engine_1m() -> float:
     return run_engine_events(1_000_000)
 
 
+def measure_dms_descriptor_rate() -> float:
+    """Descriptors retired per host second on the Fig. 11 8-column
+    point: 32 cores each stream eight 4 B columns of 8,192 rows in
+    256-row tiles. Only the launch is timed, not building the DPU or
+    storing its columns."""
+    import numpy as np
+    from repro.apps.streaming import stream_columns
+    from repro.core import DPU
+
+    rows, tile_rows, num_columns = 8192, 256, 8
+    dpu = DPU()
+    columns = {
+        core: [dpu.store_array(np.zeros(rows, dtype=np.uint32))
+               for _ in range(num_columns)]
+        for core in range(32)
+    }
+
+    def kernel(ctx):
+        refs = [(address, 4) for address in columns[ctx.core_id]]
+        yield from stream_columns(ctx, refs, rows, tile_rows, lambda *a: 8)
+
+    began = time.perf_counter()
+    dpu.launch(kernel)
+    elapsed = time.perf_counter() - began
+    return dpu.stats.counters["dmad.completed"] / elapsed
+
+
 def measure_metrics_sweep() -> float:
     """Repeated DMS streaming launches with the continuous-metrics
     sampler on at a fine cadence: full-registry snapshots every 500
@@ -181,6 +212,7 @@ WORKLOADS = {
     "fig16_body_s": measure_fig16_body,
     "fig11_body_s": measure_fig11_body,
     "engine_1m_events_s": measure_engine_1m,
+    "dms_descriptors_per_s": measure_dms_descriptor_rate,
     "metrics_sweep_s": measure_metrics_sweep,
     "cluster_build_s": measure_cluster_build,
 }
@@ -207,9 +239,13 @@ def cmd_measure(options) -> int:
     }
     for name in selected:
         print(f"measuring {name} ...", flush=True)
-        seconds = WORKLOADS[name]()
-        report["workloads"][name] = round(seconds, 4)
-        print(f"  {name}: {seconds:.3f}s", flush=True)
+        value = WORKLOADS[name]()
+        if name.endswith("_per_s"):
+            report["workloads"][name] = round(value)
+            print(f"  {name}: {value:,.0f}/s", flush=True)
+        else:
+            report["workloads"][name] = round(value, 4)
+            print(f"  {name}: {value:.3f}s", flush=True)
     if "engine_1m_events_s" in report["workloads"]:
         seconds = report["workloads"]["engine_1m_events_s"]
         report["workloads"]["engine_events_per_s"] = round(1_000_000 / seconds)
