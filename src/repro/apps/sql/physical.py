@@ -361,8 +361,9 @@ class CompiledQuery:
     Runs three ways: :meth:`run_xeon` (baseline cost model +
     functional numpy), :meth:`run_dpu` (single simulated DPU), and —
     through :func:`repro.cluster.scaleout.cluster_compiled_query` —
-    on a 2/4/8-DPU cluster via :meth:`run_local` per shard or shuffle
-    slot. All three produce byte-equal ``finish`` output.
+    on a 2/4/8-DPU cluster, each shard or shuffle slot computing what
+    :meth:`run_local` computes. All three produce byte-equal
+    ``finish`` output.
     """
 
     name: str
@@ -459,8 +460,10 @@ class CompiledQuery:
 
     def run_local(self, dpu, columns: Dict[str, np.ndarray],
                   shard_name: str = "shard") -> Tuple[GroupTable, float]:
-        """One shard / shuffle slot of the cluster run: raw partial
-        groups + cycles (the coordinator merges and finishes)."""
+        """One shard / shuffle slot of a cluster run, standalone: raw
+        partial groups + cycles (the coordinator merges and finishes).
+        The cluster jobs run it as the one-query case of their shared
+        scan, with equal partials and cycles."""
         if not columns or len(next(iter(columns.values()))) == 0:
             return {}, 0.0
         table = Table(

@@ -760,9 +760,10 @@ class RecoveryManager:
         merge: Callable[[Any, Any], Any],
         nbytes_of: Callable[[Any], int],
         owners: Optional[Dict[int, int]] = None,
-        num_shards: Optional[int] = None,
     ) -> Tuple[Any, float]:
-        """Run a merge-family job to completion under faults.
+        """Run a merge-family job to completion under faults: one
+        shard per DPU, or per exchange slot when ``owners`` maps the
+        slots of a preceding :meth:`run_exchange` to their owners.
 
         ``compute(shard, dpu, dpu_index)`` is host-side (it may call
         ``dpu.launch``) and must be deterministic — re-execution on a
@@ -777,7 +778,7 @@ class RecoveryManager:
         cluster = self.cluster
         engine = cluster.engine
         config = self.config
-        count = num_shards if num_shards is not None else cluster.num_dpus
+        count = cluster.num_dpus
         shard_owner: Dict[int, int] = (
             dict(owners) if owners else {k: k for k in range(count)}
         )

@@ -7,40 +7,46 @@ designated core mailboxes its partial result (a pointer-sized
 message; bulk stays in DRAM) to the local **A9**, which runs the
 Infiniband stack and ships it to the coordinator DPU's A9.
 
-Two job families:
+Every job is a :class:`_JobSpec` — a per-shard ``local`` phase, a
+``merge`` of partials, their wire size, a ``finish`` on the merged
+value, and zero or more hash exchanges — and one driver,
+:func:`_run_job`, runs every spec. The **merge-only** jobs
+(:func:`cluster_hll`, :func:`cluster_filter_count`,
+:func:`cluster_topk`, :func:`cluster_tpch_q1`, the ``pre_aggregate``
+strategy of :func:`cluster_compiled_query` and
+:func:`cluster_batched_queries`) work on each shard in place and ship
+only small partials — with NDV ~4, a Q1 group table (a few hundred
+bytes) beats shuffling the whole lineitem, the classic
+aggregate-pushdown tradeoff. The **exchange-based** jobs
+(:func:`cluster_groupby`, :func:`cluster_partitioned_join_count` and
+the ``all_to_all`` strategy) first redistribute rows with the
+:mod:`~repro.cluster.shuffle` partitioned exchange so each DPU owns a
+disjoint key range.
 
-* **merge-only** — :func:`cluster_hll` (lossless register-file merge)
-  and :func:`cluster_filter_count` (sum of per-shard counts): each
-  DPU works on its shard in place; only tiny partials cross the
-  fabric.
+The driver alone picks the path, by three rules:
 
-* **exchange-based** — :func:`cluster_groupby`,
-  :func:`cluster_partitioned_join_count` and :func:`cluster_topk`
-  redistribute (or rank) rows with the
-  :mod:`~repro.cluster.shuffle` partitioned exchange so each DPU owns
-  a disjoint key range; :func:`cluster_tpch_q1` instead pre-aggregates
-  per shard and merges 4-group partials — with NDV ~4, shipping the
-  group table (a few hundred bytes) beats shuffling the whole
-  lineitem, the classic aggregate-pushdown tradeoff.
+1. **One DPU:** ``local`` runs for shard 0 on DPU 0 and the lone
+   partial is finished; no exchange, no gather, no fabric traffic.
+2. **Fault-free cluster:** every exchange's tables are stored, then
+   shuffled; ``local`` runs for every DPU in order; the partials are
+   gathered to the coordinator, DPU 0.
+3. **Chaos plan armed:** the exchanges and the gather run through the
+   :class:`~repro.cluster.recovery.RecoveryManager` retry loops
+   instead, which address partials to the *current elected leader* —
+   DPU 0 until it dies, the lowest surviving index afterwards — and
+   still hand back exactly one :class:`ScaleOutResult` per job (merge
+   happens once, on the final leader, after every shard arrived).
 
 Every job reports **per-job** fabric accounting: ``network_bytes``
 and ``retransmissions`` are deltas from the job's start, so
 back-to-back jobs on one long-lived cluster don't absorb each other's
-traffic.
-
-On the fault-free path the coordinator is pinned to DPU 0. Under a
-chaos plan every job runs through the
-:class:`~repro.cluster.recovery.RecoveryManager` retry loops instead,
-which address partials to the *current elected leader* — DPU 0 until
-it dies, the lowest surviving index afterwards — and still hand back
-exactly one :class:`ScaleOutResult` per job (merge happens once, on
-the final leader, after every shard arrived).
+traffic. Every job also reports its phase breakdown in ``detail``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,6 +69,7 @@ from .shuffle import shuffle_exchange
 __all__ = [
     "ScaleOutResult",
     "cluster_batched_queries",
+    "cluster_compiled_query",
     "cluster_filter_count",
     "cluster_groupby",
     "cluster_hll",
@@ -86,11 +93,14 @@ class ScaleOutResult:
     network_bytes: int
     # Admission outcome (see repro.runtime.admission): True when the
     # coordinator admitted this job at reduced per-DPU core fanout.
+    # Only cluster_hll's and cluster_filter_count's operators take a
+    # core list, so only they run narrower; the other jobs report the
+    # flag and run every core.
     degraded: bool = False
     retransmissions: int = 0
-    # Phase breakdown for exchange-based jobs (partition_cycles,
-    # exchange_cycles, local_cycles, gather_cycles, parallel_cycles,
-    # rows_moved) — feeds ShuffleRackModel calibration.
+    # Phase breakdown of every job (partition_cycles, exchange_cycles,
+    # local_cycles, gather_cycles, parallel_cycles, rows_moved; plus
+    # batch for a shared scan) — feeds ShuffleRackModel calibration.
     detail: Optional[Dict[str, float]] = None
     # Recovery outcome when the cluster ran this job under a chaos
     # plan (declared deaths, re-executed shards, speculative wins...);
@@ -102,49 +112,30 @@ class ScaleOutResult:
         return self.cycles / self.clock_hz
 
 
-class _JobAccounting:
-    """Snapshot fabric counters at job start; build per-job results."""
+@dataclass
+class _JobSpec:
+    """One cluster job, as :func:`_run_job` runs it.
 
-    def __init__(self, cluster: Cluster, site: str) -> None:
-        self.cluster = cluster
-        self.site = site
-        self.start = cluster.engine.now
-        self.start_bytes = cluster.fabric.bytes_sent
-        self.start_retransmissions = cluster.fabric.retransmissions
+    ``local(index, dpu, cores, inputs)`` computes shard (or exchange
+    slot) ``index`` on ``dpu`` and returns ``(partial, cycles)``. It
+    must be deterministic: recovery may re-run it on a survivor.
+    ``cores`` is the admission ticket's core fanout (``None`` without
+    an admission controller); ``inputs`` holds, per exchange, the
+    slot's columns — the host table's own columns on one DPU. ``merge``
+    folds partials one at a time starting from ``None``, in arrival
+    order on the fault-free gather and in index order under recovery,
+    so its result must not depend on the order. ``nbytes_of`` is a
+    partial's wire size, and ``finish`` turns the merged value (or the
+    lone partial on one DPU) into the job's value. Each exchange is
+    ``(label, one host table per DPU, key, column names)``.
+    """
 
-    def result(self, value, ticket, detail=None,
-               recovery=None) -> ScaleOutResult:
-        cluster = self.cluster
-        fabric = cluster.fabric
-        if fabric.trace.enabled:
-            fabric.trace.complete_async(
-                f"cluster.{self.site}", "cluster", self.start,
-                num_dpus=cluster.num_dpus,
-                network_bytes=fabric.bytes_sent - self.start_bytes,
-            )
-        return ScaleOutResult(
-            value=value,
-            cycles=cluster.engine.now - self.start,
-            num_dpus=cluster.num_dpus,
-            clock_hz=cluster.config.clock_hz,
-            network_bytes=fabric.bytes_sent - self.start_bytes,
-            retransmissions=(fabric.retransmissions
-                             - self.start_retransmissions),
-            degraded=bool(ticket.degraded) if ticket is not None else False,
-            detail=detail,
-            recovery=recovery,
-        )
-
-
-def _a9_uplink(dpu, fabric, dpu_index, coordinator, nbytes):
-    """A9 process: wait for the local result pointer on the A9
-    mailbox, then ship the buffer to the coordinator's A9."""
-
-    def process():
-        _src, payload = yield from dpu.mailbox.receive(A9_ID)
-        yield from fabric.send(dpu_index, coordinator, payload, nbytes)
-
-    return process()
+    site: str
+    local: Callable[[int, Any, Optional[list], list], Tuple[Any, float]]
+    merge: Callable[[Any, Any], Any]
+    nbytes_of: Callable[[Any], int]
+    finish: Callable[[Any], Any]
+    exchanges: Sequence[Tuple[str, Sequence[Table], str, Sequence[str]]] = ()
 
 
 def _a9_collector(cluster, coordinator, expected, merge, site="gather"):
@@ -177,8 +168,7 @@ def _a9_collector(cluster, coordinator, expected, merge, site="gather"):
                     )
                 raise ClusterError(
                     site, engine.now,
-                    missing=sorted(set(range(cluster.num_dpus))
-                                   - set(received)),
+                    missing=sorted(set(range(expected)) - set(received)),
                     fabric=fabric.counters(),
                     reason=reason,
                     # The fault-free gather never changes leadership:
@@ -197,9 +187,9 @@ def _a9_collector(cluster, coordinator, expected, merge, site="gather"):
 def _gather_partials(cluster, partials, nbytes_of, merge, site="gather"):
     """Ship one partial result per DPU to coordinator 0 and merge.
 
-    Returns (merged value, gather-phase cycles). Follows the paper's
-    path on every DPU including the coordinator (its A9 loops back
-    through the fabric model, like the merge-only jobs)."""
+    Returns (merged value, gather-phase cycles). Every DPU, the
+    coordinator included, follows the paper's path: core 0 mailboxes
+    the partial to its A9, which ships it over the fabric model."""
     engine = cluster.engine
     coordinator = 0
     began = engine.now
@@ -210,25 +200,96 @@ def _gather_partials(cluster, partials, nbytes_of, merge, site="gather"):
             core = dpu.context(0)
             yield from core.mbox_send(A9_ID, partial)
 
+        def uplink(dpu=dpu, index=index, nbytes=nbytes_of(partial)):
+            # The A9 waits for the result pointer on its mailbox, then
+            # ships the buffer to the coordinator's A9.
+            _src, payload = yield from dpu.mailbox.receive(A9_ID)
+            yield from cluster.fabric.send(index, coordinator, payload,
+                                           nbytes)
+
         processes.append(engine.process(sender()))
-        processes.append(
-            engine.process(
-                _a9_uplink(dpu, cluster.fabric, index, coordinator,
-                           nbytes_of(partial))
-            )
-        )
+        processes.append(engine.process(uplink()))
     collector = engine.process(
-        _a9_collector(cluster, coordinator, cluster.num_dpus, merge,
-                      site=site)
+        _a9_collector(cluster, coordinator, len(partials), merge, site=site)
     )
     processes.append(collector)
     cluster.run(processes)
     return collector.value, engine.now - began
 
 
-def _exchange_detail(partition_cycles, exchange_cycles, local_cycles,
-                     gather_cycles, rows_moved) -> Dict[str, float]:
-    return {
+def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
+    """Run one job spec: the only place that picks a path (one DPU,
+    fault-free, or under recovery), admits and releases the job, and
+    builds its :class:`ScaleOutResult`. Each local phase runs on the
+    shared clock in turn; the exchanges and the gather are concurrent.
+    """
+    engine = cluster.engine
+    fabric = cluster.fabric
+    start = engine.now
+    start_bytes = fabric.bytes_sent
+    start_retransmissions = fabric.retransmissions
+    # Admission gate (queue time counts toward the job's latency; a
+    # shed raises OverloadError before any DPU does work).
+    ticket = cluster.admit_job(f"cluster.{spec.site}")
+    local_cycles = 0.0
+    shuffled = []
+    # Per exchange, the columns of every slot (of the host table on
+    # one DPU, where nothing is shuffled).
+    slots = [[tables[0].columns] for _label, tables, _key, _names
+             in spec.exchanges]
+
+    def compute(index, dpu, _owner=None):
+        nonlocal local_cycles
+        cores = (ticket.fanout(list(dpu.config.core_ids))
+                 if ticket is not None else None)
+        partial, cycles = spec.local(index, dpu, cores,
+                                     [columns[index] for columns in slots])
+        local_cycles = max(local_cycles, cycles)
+        return partial
+
+    recovery = None
+    try:
+        if cluster.num_dpus == 1:
+            value = compute(0, cluster.dpus[0])
+            gather_cycles = 0.0
+        elif cluster.recovery is None:
+            stored = [[table.to_dpu(dpu)
+                       for table, dpu in zip(tables, cluster.dpus)]
+                      for _label, tables, _key, _names in spec.exchanges]
+            shuffled = [
+                shuffle_exchange(cluster, dtables, key, names)
+                for dtables, (_label, _tables, key, names)
+                in zip(stored, spec.exchanges)
+            ]
+            slots = [result.columns for result in shuffled]
+            partials = [compute(index, dpu)
+                        for index, dpu in enumerate(cluster.dpus)]
+            value, gather_cycles = _gather_partials(
+                cluster, partials, spec.nbytes_of, spec.merge,
+                site=spec.site,
+            )
+        else:
+            manager = cluster.recovery
+            manager.begin_job(spec.site)
+            try:
+                shuffled = [manager.run_exchange(*exchange)
+                            for exchange in spec.exchanges]
+                slots = [result.columns for result in shuffled]
+                value, gather_cycles = manager.run_job(
+                    spec.site, compute, spec.merge, spec.nbytes_of,
+                    owners=(dict(manager.last_slot_owner)
+                            if shuffled else None),
+                )
+            finally:
+                manager.end_job()
+            recovery = manager.stats
+    finally:
+        cluster.release_job()
+
+    network_bytes = fabric.bytes_sent - start_bytes
+    partition_cycles = sum(s.partition_cycles for s in shuffled)
+    exchange_cycles = sum(s.exchange_cycles for s in shuffled)
+    detail = {
         "partition_cycles": float(partition_cycles),
         "exchange_cycles": float(exchange_cycles),
         "local_cycles": float(local_cycles),
@@ -239,8 +300,58 @@ def _exchange_detail(partition_cycles, exchange_cycles, local_cycles,
         # every DPU's launch.
         "parallel_cycles": float(partition_cycles + exchange_cycles
                                  + local_cycles + gather_cycles),
-        "rows_moved": float(rows_moved),
+        "rows_moved": float(sum(s.rows_moved for s in shuffled)),
     }
+    if fabric.trace.enabled:
+        fabric.trace.complete_async(
+            f"cluster.{spec.site}", "cluster", start,
+            num_dpus=cluster.num_dpus, network_bytes=network_bytes,
+        )
+    return ScaleOutResult(
+        value=spec.finish(value),
+        cycles=engine.now - start,
+        num_dpus=cluster.num_dpus,
+        clock_hz=cluster.config.clock_hz,
+        network_bytes=network_bytes,
+        retransmissions=fabric.retransmissions - start_retransmissions,
+        degraded=bool(ticket.degraded) if ticket is not None else False,
+        detail=detail,
+        recovery=recovery,
+    )
+
+
+# -- shared merges ------------------------------------------------------------
+
+
+def _add(accumulator, count):
+    return (accumulator or 0) + count
+
+
+def _union(accumulator, partial):
+    merged = accumulator if accumulator is not None else {}
+    merged.update(partial)  # disjoint key sets: plain union
+    return merged
+
+
+def _merge_groups(aggs):
+    """Pre-aggregated group tables, combined with the paper's merge
+    operator (:func:`~repro.apps.sql.aggregate.merge_groups`)."""
+    return lambda accumulator, partial: merge_groups(
+        [partial] if accumulator is None else [accumulator, partial], aggs)
+
+
+def _group_bytes(record_bytes):
+    return lambda groups: max(record_bytes * len(groups), 8)
+
+
+def _validate_shards(cluster: Cluster, shards, what="shards") -> None:
+    if len(shards) != cluster.num_dpus:
+        raise ValueError(
+            f"{len(shards)} {what} for {cluster.num_dpus} DPUs"
+        )
+
+
+# -- merge-only jobs ----------------------------------------------------------
 
 
 def cluster_hll(
@@ -250,95 +361,26 @@ def cluster_hll(
     hash_fn: str = "crc32",
 ) -> ScaleOutResult:
     """Distributed HyperLogLog over one u64 shard per DPU."""
-    if len(shards) != cluster.num_dpus:
-        raise ValueError(
-            f"{len(shards)} shards for {cluster.num_dpus} DPUs"
-        )
-    engine = cluster.engine
-    accounting = _JobAccounting(cluster, "hll")
-    # Admission gate (queue time counts toward the job's latency; a
-    # shed raises OverloadError before any DPU does work).
-    ticket = cluster.admit_job("cluster.hll")
-    coordinator = 0
-    register_bytes = (1 << precision)
+    _validate_shards(cluster, shards)
 
-    try:
-        if cluster.recovery is not None and cluster.num_dpus > 1:
-            manager = cluster.recovery
-            manager.begin_job("hll")
-            try:
-                def compute(shard_index, dpu, dpu_index):
-                    cores = (ticket.fanout(list(dpu.config.core_ids))
-                             if ticket is not None else None)
-                    shard = shards[shard_index]
-                    address = dpu.store_array(shard)
-                    local = dpu_hll(
-                        dpu, address, len(shard), precision=precision,
-                        hash_fn=hash_fn, cores=cores,
-                    )
-                    return local.detail["registers"]
+    def local(index, dpu, cores, inputs):
+        shard = shards[index]
+        result = dpu_hll(dpu, dpu.store_array(shard), len(shard),
+                         precision=precision, hash_fn=hash_fn, cores=cores)
+        return result.detail["registers"], result.cycles
 
-                def merge_registers(accumulator, registers):
-                    if accumulator is None:
-                        return registers.copy()
-                    np.maximum(accumulator, registers, out=accumulator)
-                    return accumulator
+    def merge(accumulator, registers):
+        if accumulator is None:
+            return registers.copy()
+        np.maximum(accumulator, registers, out=accumulator)
+        return accumulator
 
-                merged, _cycles = manager.run_job(
-                    "hll", compute, merge_registers,
-                    nbytes_of=lambda registers: register_bytes,
-                )
-            finally:
-                manager.end_job()
-            sketch = HllSketch(precision, merged)
-            return accounting.result(hll_estimate(sketch), ticket,
-                                     recovery=manager.stats)
-
-        processes = []
-        for index, (dpu, shard) in enumerate(zip(cluster.dpus, shards)):
-            cores = (ticket.fanout(list(dpu.config.core_ids))
-                     if ticket is not None else None)
-            address = dpu.store_array(shard)
-            # The sketch phase is embarrassingly parallel; running each
-            # DPU's launch on the shared clock in turn only costs
-            # fidelity on overlap the phase does not have. The exchange
-            # phase below (mailbox -> A9 -> fabric -> coordinator) is
-            # fully concurrent.
-            local_result = dpu_hll(
-                dpu, address, len(shard), precision=precision,
-                hash_fn=hash_fn, cores=cores,
-            )
-            registers = local_result.detail["registers"]
-
-            def sender(dpu=dpu, index=index, registers=registers):
-                core = dpu.context(0)
-                yield from core.mbox_send(A9_ID, registers)
-
-            processes.append(engine.process(sender()))
-            processes.append(
-                engine.process(
-                    _a9_uplink(dpu, cluster.fabric, index, coordinator,
-                               register_bytes)
-                )
-            )
-
-        def merge(accumulator, registers):
-            if accumulator is None:
-                return registers.copy()
-            np.maximum(accumulator, registers, out=accumulator)
-            return accumulator
-
-        collector = engine.process(
-            _a9_collector(cluster, coordinator, cluster.num_dpus, merge,
-                          site="hll")
-        )
-        processes.append(collector)
-        cluster.run(processes)
-    finally:
-        cluster.release_job()
-    merged = collector.value
-    sketch = HllSketch(precision, merged)
-    return accounting.result(hll_estimate(sketch), ticket)
+    return _run_job(cluster, _JobSpec(
+        "hll", local, merge,
+        nbytes_of=lambda registers: 1 << precision,
+        finish=lambda registers: hll_estimate(
+            HllSketch(precision, registers)),
+    ))
 
 
 def cluster_filter_count(
@@ -348,82 +390,84 @@ def cluster_filter_count(
     hi: int,
 ) -> ScaleOutResult:
     """Distributed selective count: FILT each shard, ship counts."""
-    if len(shards) != cluster.num_dpus:
-        raise ValueError(
-            f"{len(shards)} shards for {cluster.num_dpus} DPUs"
-        )
-    engine = cluster.engine
-    accounting = _JobAccounting(cluster, "filter_count")
-    ticket = cluster.admit_job("cluster.filter_count")
-    coordinator = 0
+    _validate_shards(cluster, shards)
     predicate = Between("v", lo, hi)
 
-    try:
-        if cluster.recovery is not None and cluster.num_dpus > 1:
-            manager = cluster.recovery
-            manager.begin_job("filter_count")
-            try:
-                def compute(shard_index, dpu, dpu_index):
-                    cores = (ticket.fanout(list(dpu.config.core_ids))
-                             if ticket is not None else None)
-                    table = Table(f"shard{shard_index}",
-                                  {"v": shards[shard_index]})
-                    result = dpu_filter(dpu, table.to_dpu(dpu), predicate,
-                                        cores=cores)
-                    return int(result.detail["selected"])
+    def local(index, dpu, cores, inputs):
+        table = Table(f"shard{index}", {"v": shards[index]})
+        result = dpu_filter(dpu, table.to_dpu(dpu), predicate, cores=cores)
+        return int(result.detail["selected"]), result.cycles
 
-                value, _cycles = manager.run_job(
-                    "filter_count", compute,
-                    merge=lambda acc, count: (acc or 0) + count,
-                    nbytes_of=lambda partial: 8,
-                )
-            finally:
-                manager.end_job()
-            return accounting.result(value, ticket,
-                                     recovery=manager.stats)
-
-        processes = []
-        for index, (dpu, shard) in enumerate(zip(cluster.dpus, shards)):
-            cores = (ticket.fanout(list(dpu.config.core_ids))
-                     if ticket is not None else None)
-            table = Table(f"shard{index}", {"v": shard})
-            result = dpu_filter(dpu, table.to_dpu(dpu), predicate,
-                                cores=cores)
-            count = int(result.detail["selected"])
-
-            def sender(dpu=dpu, count=count):
-                core = dpu.context(0)
-                yield from core.mbox_send(A9_ID, count)
-
-            processes.append(engine.process(sender()))
-            processes.append(
-                engine.process(
-                    _a9_uplink(dpu, cluster.fabric, index, coordinator, 8)
-                )
-            )
-
-        collector = engine.process(
-            _a9_collector(
-                cluster, coordinator, cluster.num_dpus,
-                lambda acc, count: (acc or 0) + count,
-                site="filter_count",
-            )
-        )
-        processes.append(collector)
-        cluster.run(processes)
-    finally:
-        cluster.release_job()
-    return accounting.result(collector.value, ticket)
+    return _run_job(cluster, _JobSpec(
+        "filter_count", local, _add,
+        nbytes_of=lambda count: 8, finish=lambda count: count,
+    ))
 
 
-# -- exchange-based SQL jobs --------------------------------------------------
+def cluster_topk(
+    cluster: Cluster,
+    shards: Sequence[Table],
+    column: str,
+    k: int,
+) -> ScaleOutResult:
+    """Distributed top-k: local top-k per shard (row ids offset to the
+    global row space), candidates gathered and re-ranked at the
+    coordinator — no repartition needed, the two-phase scheme of
+    :func:`~repro.apps.sql.topk.dpu_topk` lifted to the cluster.
+    Byte-equal to the single-DPU result when values are distinct (with
+    duplicates at the k-boundary, which tied rows survive depends on
+    the sharding — same caveat as the per-core merge)."""
+    _validate_shards(cluster, shards)
+    offsets = np.cumsum([0] + [shard.num_rows for shard in shards])
+
+    def local(index, dpu, cores, inputs):
+        result = dpu_topk(dpu, shards[index].to_dpu(dpu), column, k)
+        base = int(offsets[index])
+        return ([(value, row + base) for value, row in result.value],
+                result.cycles)
+
+    def merge(accumulator, candidates):
+        merged = accumulator if accumulator is not None else []
+        merged.extend(candidates)
+        return merged
+
+    return _run_job(cluster, _JobSpec(
+        "topk", local, merge,
+        nbytes_of=lambda candidates: max(16 * len(candidates), 8),
+        finish=lambda candidates: sorted(candidates or [],
+                                         reverse=True)[:k],
+    ))
 
 
-def _validate_shards(cluster: Cluster, shards, what="shards") -> None:
-    if len(shards) != cluster.num_dpus:
-        raise ValueError(
-            f"{len(shards)} {what} for {cluster.num_dpus} DPUs"
-        )
+def cluster_tpch_q1(
+    cluster: Cluster,
+    lineitem_shards: Sequence[Table],
+) -> ScaleOutResult:
+    """Distributed TPC-H Q1 over row-sharded lineitem.
+
+    Q1 groups into ~4 buckets, so each DPU runs the full local Q1 plan
+    on its shard and only the tiny partial group tables cross the
+    fabric, combined with the paper's merge operator
+    (:func:`~repro.apps.sql.aggregate.merge_groups`) — shuffling the
+    shards would move ~6 columns of lineitem to save a 4-row merge.
+    All Q1 aggregates are integer sums/counts, so the distributed
+    result is byte-equal to the single-DPU plan."""
+    _validate_shards(cluster, lineitem_shards, "lineitem shards")
+    key, aggs, row_filter = q1_plan()
+
+    def local(index, dpu, cores, inputs):
+        result = dpu_groupby(dpu, lineitem_shards[index].to_dpu(dpu), key,
+                             aggs, row_filter=row_filter)
+        return result.value, result.cycles
+
+    return _run_job(cluster, _JobSpec(
+        "tpch_q1", local, _merge_groups(aggs),
+        nbytes_of=_group_bytes(8 + 8 * len(aggs)),
+        finish=lambda groups: groups or {},
+    ))
+
+
+# -- exchange-based jobs ------------------------------------------------------
 
 
 def cluster_groupby(
@@ -445,96 +489,22 @@ def cluster_groupby(
             "cluster_groupby shuffles on a single key column; composite "
             "GroupKeys belong in pre-aggregating jobs (see cluster_tpch_q1)"
         )
-    accounting = _JobAccounting(cluster, "groupby")
-    ticket = cluster.admit_job("cluster.groupby")
-    engine = cluster.engine
-    try:
-        if cluster.num_dpus == 1:
-            dpu = cluster.dpus[0]
-            local = dpu_groupby(dpu, shards[0].to_dpu(dpu), key, aggs,
-                                row_filter=row_filter)
-            detail = _exchange_detail(0.0, 0.0, local.cycles, 0.0, 0)
-            return accounting.result(local.value, ticket, detail)
+    names = _needed_columns(key, aggs, _as_row_filter(row_filter))
 
-        names = _needed_columns(key, aggs, _as_row_filter(row_filter))
-        record_bytes = 8 + 8 * len(aggs)
+    def local(index, dpu, cores, inputs):
+        (columns,) = inputs
+        if len(columns[key]) == 0:
+            return {}, 0.0
+        dtable = Table(f"shuffle{index}", columns).to_dpu(dpu)
+        result = dpu_groupby(dpu, dtable, key, aggs, row_filter=row_filter)
+        return result.value, result.cycles
 
-        if cluster.recovery is not None:
-            manager = cluster.recovery
-            manager.begin_job("groupby")
-            try:
-                shuffled = manager.run_exchange("groupby", shards, key,
-                                                names)
-                owners = dict(manager.last_slot_owner)
-                local_cycles = 0.0
-
-                def compute(slot, dpu, dpu_index):
-                    nonlocal local_cycles
-                    columns = shuffled.columns[slot]
-                    if len(columns[key]) == 0:
-                        return {}
-                    local_table = Table(f"shuffle{slot}",
-                                        columns).to_dpu(dpu)
-                    local = dpu_groupby(dpu, local_table, key, aggs,
-                                        row_filter=row_filter)
-                    local_cycles = max(local_cycles, local.cycles)
-                    return local.value
-
-                def merge(accumulator, partial):
-                    merged = accumulator if accumulator is not None else {}
-                    merged.update(partial)  # disjoint key sets
-                    return merged
-
-                value, gather_cycles = manager.run_job(
-                    "groupby", compute, merge,
-                    nbytes_of=lambda partial: max(
-                        record_bytes * len(partial), 8),
-                    owners=owners,
-                )
-            finally:
-                manager.end_job()
-            detail = _exchange_detail(
-                shuffled.partition_cycles, shuffled.exchange_cycles,
-                local_cycles, gather_cycles, shuffled.rows_moved,
-            )
-            return accounting.result(value or {}, ticket, detail,
-                                     recovery=manager.stats)
-
-        dtables = [shard.to_dpu(dpu)
-                   for shard, dpu in zip(shards, cluster.dpus)]
-        shuffled = shuffle_exchange(cluster, dtables, key, names)
-
-        partials: List[Dict] = []
-        local_cycles = 0.0
-        for index, (dpu, columns) in enumerate(
-            zip(cluster.dpus, shuffled.columns)
-        ):
-            if len(columns[key]) == 0:
-                partials.append({})
-                continue
-            local_table = Table(f"shuffle{index}", columns).to_dpu(dpu)
-            local = dpu_groupby(dpu, local_table, key, aggs,
-                                row_filter=row_filter)
-            local_cycles = max(local_cycles, local.cycles)
-            partials.append(local.value)
-
-        def merge(accumulator, partial):
-            merged = accumulator if accumulator is not None else {}
-            merged.update(partial)  # disjoint key sets: plain union
-            return merged
-
-        value, gather_cycles = _gather_partials(
-            cluster, partials,
-            nbytes_of=lambda partial: max(record_bytes * len(partial), 8),
-            merge=merge, site="groupby",
-        )
-        detail = _exchange_detail(
-            shuffled.partition_cycles, shuffled.exchange_cycles,
-            local_cycles, gather_cycles, shuffled.rows_moved,
-        )
-        return accounting.result(value or {}, ticket, detail)
-    finally:
-        cluster.release_job()
+    return _run_job(cluster, _JobSpec(
+        "groupby", local, _union,
+        nbytes_of=_group_bytes(8 + 8 * len(aggs)),
+        finish=lambda groups: groups or {},
+        exchanges=[("groupby", shards, key, names)],
+    ))
 
 
 def cluster_partitioned_join_count(
@@ -549,260 +519,84 @@ def cluster_partitioned_join_count(
     intra-DPU partitioned join, sum the match counts."""
     _validate_shards(cluster, build_shards, "build shards")
     _validate_shards(cluster, probe_shards, "probe shards")
-    accounting = _JobAccounting(cluster, "join")
-    ticket = cluster.admit_job("cluster.join")
-    try:
-        if cluster.num_dpus == 1:
-            dpu = cluster.dpus[0]
-            local = dpu_partitioned_join_count(
-                dpu, build_shards[0].to_dpu(dpu), build_key,
-                probe_shards[0].to_dpu(dpu), probe_key,
+
+    def local(index, dpu, cores, inputs):
+        build_columns, probe_columns = inputs
+        if (len(build_columns[build_key]) == 0
+                or len(probe_columns[probe_key]) == 0):
+            return 0, 0.0
+        build = Table(f"build{index}", build_columns).to_dpu(dpu)
+        probe = Table(f"probe{index}", probe_columns).to_dpu(dpu)
+        result = dpu_partitioned_join_count(dpu, build, build_key,
+                                            probe, probe_key)
+        return int(result.value), result.cycles
+
+    return _run_job(cluster, _JobSpec(
+        "join", local, _add,
+        nbytes_of=lambda count: 8, finish=lambda count: int(count or 0),
+        exchanges=[("join.build", build_shards, build_key, [build_key]),
+                   ("join.probe", probe_shards, probe_key, [probe_key])],
+    ))
+
+
+# -- compiled SQL jobs --------------------------------------------------------
+
+
+def _shared_scan(site: str, batch: Sequence, shards: Sequence[Table],
+                 shuffle_key: Optional[str] = None) -> _JobSpec:
+    """The shared-scan spec: one union table stored per DPU; each
+    query's group-by streams only its own needed columns from the
+    resident copy, so per-query results and cycles match the
+    standalone plan exactly. Partials are one group table per query,
+    merged per query with
+    :func:`~repro.apps.sql.aggregate.merge_groups`. A ``shuffle_key``
+    first repartitions the needed columns by that key."""
+    fact = batch[0].fact
+    union_names = list(dict.fromkeys(
+        name for compiled in batch for name in compiled.needed_columns
+    ))
+    merges = [_merge_groups(compiled.aggs) for compiled in batch]
+    exchanges = []
+    if shuffle_key is not None:
+        projected = [Table(shard.name, {name: shard.columns[name]
+                                        for name in union_names})
+                     for shard in shards]
+        exchanges = [(site, projected, shuffle_key, union_names)]
+
+    def local(index, dpu, cores, inputs):
+        columns = inputs[0] if inputs else shards[index].columns
+        if not columns or len(next(iter(columns.values()))) == 0:
+            return [{} for _ in batch], 0.0
+        dtable = Table(f"{fact}_shard{index}",
+                       {name: columns[name] for name in union_names}
+                       ).to_dpu(dpu)
+        partials = []
+        cycles = 0.0
+        for compiled in batch:
+            result = dpu_groupby(
+                dpu, dtable, compiled.key, compiled.aggs,
+                row_filter=compiled.row_filter,
+                broadcasts=compiled._dpu_broadcasts(dpu),
             )
-            detail = _exchange_detail(0.0, 0.0, local.cycles, 0.0, 0)
-            return accounting.result(int(local.value), ticket, detail)
+            partials.append(result.value)
+            cycles += result.cycles
+        return partials, cycles
 
-        if cluster.recovery is not None:
-            manager = cluster.recovery
-            manager.begin_job("join")
-            try:
-                build_shuffled = manager.run_exchange(
-                    "join.build", build_shards, build_key, [build_key]
-                )
-                probe_shuffled = manager.run_exchange(
-                    "join.probe", probe_shards, probe_key, [probe_key]
-                )
-                owners = dict(manager.last_slot_owner)
-                local_cycles = 0.0
-
-                def compute(slot, dpu, dpu_index):
-                    nonlocal local_cycles
-                    build_columns = build_shuffled.columns[slot]
-                    probe_columns = probe_shuffled.columns[slot]
-                    if (len(build_columns[build_key]) == 0
-                            or len(probe_columns[probe_key]) == 0):
-                        return 0
-                    build_local = Table(f"build{slot}",
-                                        build_columns).to_dpu(dpu)
-                    probe_local = Table(f"probe{slot}",
-                                        probe_columns).to_dpu(dpu)
-                    local = dpu_partitioned_join_count(
-                        dpu, build_local, build_key,
-                        probe_local, probe_key,
-                    )
-                    local_cycles = max(local_cycles, local.cycles)
-                    return int(local.value)
-
-                value, gather_cycles = manager.run_job(
-                    "join", compute,
-                    merge=lambda acc, count: (acc or 0) + count,
-                    nbytes_of=lambda partial: 8,
-                    owners=owners,
-                )
-            finally:
-                manager.end_job()
-            detail = _exchange_detail(
-                build_shuffled.partition_cycles
-                + probe_shuffled.partition_cycles,
-                build_shuffled.exchange_cycles
-                + probe_shuffled.exchange_cycles,
-                local_cycles, gather_cycles,
-                build_shuffled.rows_moved + probe_shuffled.rows_moved,
-            )
-            return accounting.result(int(value or 0), ticket, detail,
-                                     recovery=manager.stats)
-
-        build_tables = [shard.to_dpu(dpu)
-                        for shard, dpu in zip(build_shards, cluster.dpus)]
-        probe_tables = [shard.to_dpu(dpu)
-                        for shard, dpu in zip(probe_shards, cluster.dpus)]
-        build_shuffled = shuffle_exchange(
-            cluster, build_tables, build_key, [build_key]
-        )
-        probe_shuffled = shuffle_exchange(
-            cluster, probe_tables, probe_key, [probe_key]
-        )
-
-        partials: List[int] = []
-        local_cycles = 0.0
-        for index, dpu in enumerate(cluster.dpus):
-            build_columns = build_shuffled.columns[index]
-            probe_columns = probe_shuffled.columns[index]
-            if (len(build_columns[build_key]) == 0
-                    or len(probe_columns[probe_key]) == 0):
-                partials.append(0)
-                continue
-            build_local = Table(f"build{index}", build_columns).to_dpu(dpu)
-            probe_local = Table(f"probe{index}", probe_columns).to_dpu(dpu)
-            local = dpu_partitioned_join_count(
-                dpu, build_local, build_key, probe_local, probe_key,
-            )
-            local_cycles = max(local_cycles, local.cycles)
-            partials.append(int(local.value))
-
-        value, gather_cycles = _gather_partials(
-            cluster, partials,
-            nbytes_of=lambda partial: 8,
-            merge=lambda acc, count: (acc or 0) + count,
-            site="join",
-        )
-        detail = _exchange_detail(
-            build_shuffled.partition_cycles + probe_shuffled.partition_cycles,
-            build_shuffled.exchange_cycles + probe_shuffled.exchange_cycles,
-            local_cycles, gather_cycles,
-            build_shuffled.rows_moved + probe_shuffled.rows_moved,
-        )
-        return accounting.result(int(value or 0), ticket, detail)
-    finally:
-        cluster.release_job()
-
-
-def cluster_topk(
-    cluster: Cluster,
-    shards: Sequence[Table],
-    column: str,
-    k: int,
-) -> ScaleOutResult:
-    """Distributed top-k: local top-k per shard (row ids offset to the
-    global row space), candidates gathered and re-ranked at the
-    coordinator — no repartition needed, the two-phase scheme of
-    :func:`~repro.apps.sql.topk.dpu_topk` lifted to the cluster.
-    Byte-equal to the single-DPU result when values are distinct (with
-    duplicates at the k-boundary, which tied rows survive depends on
-    the sharding — same caveat as the per-core merge)."""
-    _validate_shards(cluster, shards)
-    accounting = _JobAccounting(cluster, "topk")
-    ticket = cluster.admit_job("cluster.topk")
-    try:
-        offsets = np.cumsum([0] + [shard.num_rows for shard in shards])
-
-        def merge(accumulator, candidates):
-            merged = accumulator if accumulator is not None else []
-            merged.extend(candidates)
-            return merged
-
-        if cluster.recovery is not None and cluster.num_dpus > 1:
-            manager = cluster.recovery
-            manager.begin_job("topk")
-            try:
-                local_cycles = 0.0
-
-                def compute(shard_index, dpu, dpu_index):
-                    nonlocal local_cycles
-                    local = dpu_topk(
-                        dpu, shards[shard_index].to_dpu(dpu), column, k
-                    )
-                    local_cycles = max(local_cycles, local.cycles)
-                    base = int(offsets[shard_index])
-                    return [(value, row + base)
-                            for value, row in local.value]
-
-                candidates, gather_cycles = manager.run_job(
-                    "topk", compute, merge,
-                    nbytes_of=lambda partial: max(16 * len(partial), 8),
-                )
-            finally:
-                manager.end_job()
-            merged = list(candidates or [])
-            merged.sort(reverse=True)
-            detail = _exchange_detail(0.0, 0.0, local_cycles,
-                                      gather_cycles, 0)
-            return accounting.result(merged[:k], ticket, detail,
-                                     recovery=manager.stats)
-
-        partials: List[List] = []
-        local_cycles = 0.0
-        for index, (dpu, shard) in enumerate(zip(cluster.dpus, shards)):
-            local = dpu_topk(dpu, shard.to_dpu(dpu), column, k)
-            local_cycles = max(local_cycles, local.cycles)
-            base = int(offsets[index])
-            partials.append(
-                [(value, row + base) for value, row in local.value]
-            )
-
-        candidates, gather_cycles = _gather_partials(
-            cluster, partials,
-            nbytes_of=lambda partial: max(16 * len(partial), 8),
-            merge=merge, site="topk",
-        )
-        merged = list(candidates or [])
-        merged.sort(reverse=True)
-        detail = _exchange_detail(0.0, 0.0, local_cycles, gather_cycles, 0)
-        return accounting.result(merged[:k], ticket, detail)
-    finally:
-        cluster.release_job()
-
-
-def cluster_tpch_q1(
-    cluster: Cluster,
-    lineitem_shards: Sequence[Table],
-) -> ScaleOutResult:
-    """Distributed TPC-H Q1 over row-sharded lineitem.
-
-    Q1 groups into ~4 buckets, so each DPU runs the full local Q1 plan
-    on its shard and only the tiny partial group tables cross the
-    fabric, combined with the paper's merge operator
-    (:func:`~repro.apps.sql.aggregate.merge_groups`) — shuffling the
-    shards would move ~6 columns of lineitem to save a 4-row merge.
-    All Q1 aggregates are integer sums/counts, so the distributed
-    result is byte-equal to the single-DPU plan."""
-    _validate_shards(cluster, lineitem_shards, "lineitem shards")
-    accounting = _JobAccounting(cluster, "tpch_q1")
-    ticket = cluster.admit_job("cluster.tpch_q1")
-    key, aggs, row_filter = q1_plan()
-    record_bytes = 8 + 8 * len(aggs)
-
-    def merge(accumulator, partial):
+    def merge(accumulator, partials):
         if accumulator is None:
-            return merge_groups([partial], aggs)
-        return merge_groups([accumulator, partial], aggs)
+            accumulator = [None] * len(batch)
+        return [merge_one(merged, partial) for merge_one, merged, partial
+                in zip(merges, accumulator, partials)]
 
-    try:
-        if cluster.recovery is not None and cluster.num_dpus > 1:
-            manager = cluster.recovery
-            manager.begin_job("tpch_q1")
-            try:
-                local_cycles = 0.0
+    def nbytes_of(partials):
+        return max(8, sum(compiled.record_bytes * len(partial)
+                          for compiled, partial in zip(batch, partials)))
 
-                def compute(shard_index, dpu, dpu_index):
-                    nonlocal local_cycles
-                    local = dpu_groupby(
-                        dpu, lineitem_shards[shard_index].to_dpu(dpu),
-                        key, aggs, row_filter=row_filter,
-                    )
-                    local_cycles = max(local_cycles, local.cycles)
-                    return local.value
+    def finish(merged):
+        return tuple(compiled.finish(groups or {})
+                     for compiled, groups in zip(batch, merged))
 
-                value, gather_cycles = manager.run_job(
-                    "tpch_q1", compute, merge,
-                    nbytes_of=lambda partial: max(
-                        record_bytes * len(partial), 8),
-                )
-            finally:
-                manager.end_job()
-            detail = _exchange_detail(0.0, 0.0, local_cycles,
-                                      gather_cycles, 0)
-            return accounting.result(value or {}, ticket, detail,
-                                     recovery=manager.stats)
-
-        partials: List[Dict] = []
-        local_cycles = 0.0
-        for index, (dpu, shard) in enumerate(
-            zip(cluster.dpus, lineitem_shards)
-        ):
-            local = dpu_groupby(dpu, shard.to_dpu(dpu), key, aggs,
-                                row_filter=row_filter)
-            local_cycles = max(local_cycles, local.cycles)
-            partials.append(local.value)
-
-        value, gather_cycles = _gather_partials(
-            cluster, partials,
-            nbytes_of=lambda partial: max(record_bytes * len(partial), 8),
-            merge=merge, site="tpch_q1",
-        )
-        detail = _exchange_detail(0.0, 0.0, local_cycles, gather_cycles, 0)
-        return accounting.result(value or {}, ticket, detail)
-    finally:
-        cluster.release_job()
+    return _JobSpec(site, local, merge, nbytes_of, finish, exchanges)
 
 
 def cluster_compiled_query(
@@ -821,9 +615,10 @@ def cluster_compiled_query(
     - ``pre_aggregate``: each DPU runs the full local plan on its
       shard and only partial group tables cross the fabric, merged
       with :func:`~repro.apps.sql.aggregate.merge_groups` (the only
-      legal strategy for computed group keys).
+      legal strategy for computed group keys) — the one-query case of
+      :func:`cluster_batched_queries`.
     - ``all_to_all``: shuffle the fact rows by the single-column group
-      key so each DPU owns a disjoint key set, group locally, union
+      key so each DPU owns a disjoint key set, group locally, merge
       the disjoint partials.
 
     The coordinator applies ``compiled.finish`` (decode / gather /
@@ -841,121 +636,12 @@ def cluster_compiled_query(
             f"{compiled.name}: all_to_all shuffles on a single key column; "
             "computed group keys only support pre_aggregate"
         )
-    site = f"sql.{compiled.name}"
-    accounting = _JobAccounting(cluster, site)
-    ticket = cluster.admit_job(f"cluster.{site}")
-    record_bytes = compiled.record_bytes
-
-    def merge_partials(accumulator, partial):
-        if accumulator is None:
-            return merge_groups([partial], compiled.aggs)
-        return merge_groups([accumulator, partial], compiled.aggs)
-
-    def merge_disjoint(accumulator, partial):
-        merged = accumulator if accumulator is not None else {}
-        merged.update(partial)  # disjoint key sets: plain union
-        return merged
-
-    nbytes_of = lambda partial: max(record_bytes * len(partial), 8)  # noqa: E731
-
-    try:
-        if cluster.num_dpus == 1:
-            groups, cycles = compiled.run_local(
-                cluster.dpus[0], shards[0].columns, "shard0")
-            detail = _exchange_detail(0.0, 0.0, cycles, 0.0, 0)
-            return accounting.result(compiled.finish(groups), ticket, detail)
-
-        if cluster.recovery is not None:
-            manager = cluster.recovery
-            manager.begin_job(site)
-            try:
-                local_cycles = 0.0
-                if strategy == "all_to_all":
-                    shuffled = manager.run_exchange(
-                        site, shards, compiled.key_column,
-                        compiled.needed_columns,
-                    )
-                    owners = dict(manager.last_slot_owner)
-
-                    def compute(slot, dpu, dpu_index):
-                        nonlocal local_cycles
-                        groups, cycles = compiled.run_local(
-                            dpu, shuffled.columns[slot], f"slot{slot}")
-                        local_cycles = max(local_cycles, cycles)
-                        return groups
-
-                    value, gather_cycles = manager.run_job(
-                        site, compute, merge_disjoint,
-                        nbytes_of=nbytes_of, owners=owners,
-                    )
-                    detail = _exchange_detail(
-                        shuffled.partition_cycles,
-                        shuffled.exchange_cycles,
-                        local_cycles, gather_cycles, shuffled.rows_moved,
-                    )
-                else:
-                    def compute(shard_index, dpu, dpu_index):
-                        nonlocal local_cycles
-                        groups, cycles = compiled.run_local(
-                            dpu, shards[shard_index].columns,
-                            f"shard{shard_index}")
-                        local_cycles = max(local_cycles, cycles)
-                        return groups
-
-                    value, gather_cycles = manager.run_job(
-                        site, compute, merge_partials,
-                        nbytes_of=nbytes_of,
-                    )
-                    detail = _exchange_detail(0.0, 0.0, local_cycles,
-                                              gather_cycles, 0)
-            finally:
-                manager.end_job()
-            return accounting.result(compiled.finish(value or {}), ticket,
-                                     detail, recovery=manager.stats)
-
-        partials: List[Dict] = []
-        local_cycles = 0.0
-        if strategy == "all_to_all":
-            dtables = [
-                Table(shard.name, {
-                    name: shard.columns[name]
-                    for name in compiled.needed_columns
-                }).to_dpu(dpu)
-                for shard, dpu in zip(shards, cluster.dpus)
-            ]
-            shuffled = shuffle_exchange(
-                cluster, dtables, compiled.key_column,
-                compiled.needed_columns,
-            )
-            for index, (dpu, columns) in enumerate(
-                zip(cluster.dpus, shuffled.columns)
-            ):
-                groups, cycles = compiled.run_local(dpu, columns,
-                                                    f"slot{index}")
-                local_cycles = max(local_cycles, cycles)
-                partials.append(groups)
-            merge = merge_disjoint
-            exchange = (shuffled.partition_cycles, shuffled.exchange_cycles,
-                        shuffled.rows_moved)
-        else:
-            for index, (dpu, shard) in enumerate(
-                zip(cluster.dpus, shards)
-            ):
-                groups, cycles = compiled.run_local(dpu, shard.columns,
-                                                    f"shard{index}")
-                local_cycles = max(local_cycles, cycles)
-                partials.append(groups)
-            merge = merge_partials
-            exchange = (0.0, 0.0, 0)
-
-        value, gather_cycles = _gather_partials(
-            cluster, partials, nbytes_of=nbytes_of, merge=merge, site=site,
-        )
-        detail = _exchange_detail(exchange[0], exchange[1], local_cycles,
-                                  gather_cycles, exchange[2])
-        return accounting.result(compiled.finish(value or {}), ticket, detail)
-    finally:
-        cluster.release_job()
+    spec = _shared_scan(
+        f"sql.{compiled.name}", [compiled], shards,
+        compiled.key_column if strategy == "all_to_all" else None,
+    )
+    return _run_job(cluster, replace(
+        spec, finish=lambda merged: spec.finish(merged)[0]))
 
 
 def cluster_batched_queries(
@@ -1004,102 +690,7 @@ def cluster_batched_queries(
                     f"v{version}) cannot share a scan with {other} (read "
                     f"it at v{other_version})")
     _validate_shards(cluster, shards, "fact shards")
-    union_names = list(dict.fromkeys(
-        name for compiled in batch for name in compiled.needed_columns
-    ))
     site = "sql.batch[" + "+".join(c.name for c in batch) + "]"
-    accounting = _JobAccounting(cluster, site)
-    ticket = cluster.admit_job(f"cluster.{site}")
-
-    def shard_partials(dpu, columns, label):
-        """The shared scan: one union table stored per DPU; each
-        query's group-by streams only its own needed columns from the
-        resident copy, so per-query results and cycles match the
-        standalone plan exactly."""
-        if not columns or len(next(iter(columns.values()))) == 0:
-            return [{} for _ in batch], 0.0
-        table = Table(f"{fact}_{label}",
-                      {name: columns[name] for name in union_names})
-        dtable = table.to_dpu(dpu)
-        partials = []
-        cycles = 0.0
-        for compiled in batch:
-            local = dpu_groupby(
-                dpu, dtable, compiled.key, compiled.aggs,
-                row_filter=compiled.row_filter,
-                broadcasts=compiled._dpu_broadcasts(dpu),
-            )
-            partials.append(local.value)
-            cycles += local.cycles
-        return partials, cycles
-
-    def merge(accumulator, partials):
-        if accumulator is None:
-            return [merge_groups([partial], compiled.aggs)
-                    for partial, compiled in zip(partials, batch)]
-        return [merge_groups([merged, partial], compiled.aggs)
-                for merged, partial, compiled
-                in zip(accumulator, partials, batch)]
-
-    def nbytes_of(partials):
-        return max(8, sum(compiled.record_bytes * len(partial)
-                          for compiled, partial in zip(batch, partials)))
-
-    def finish(merged):
-        if merged is None:
-            merged = [{} for _ in batch]
-        return tuple(compiled.finish(groups or {})
-                     for compiled, groups in zip(batch, merged))
-
-    try:
-        if cluster.num_dpus == 1:
-            partials, cycles = shard_partials(
-                cluster.dpus[0], shards[0].columns, "shard0")
-            detail = _exchange_detail(0.0, 0.0, cycles, 0.0, 0)
-            detail["batch"] = float(len(batch))
-            return accounting.result(
-                tuple(compiled.finish(partial or {})
-                      for compiled, partial in zip(batch, partials)),
-                ticket, detail)
-
-        if cluster.recovery is not None:
-            manager = cluster.recovery
-            manager.begin_job(site)
-            try:
-                local_cycles = 0.0
-
-                def compute(shard_index, dpu, dpu_index):
-                    nonlocal local_cycles
-                    partials, cycles = shard_partials(
-                        dpu, shards[shard_index].columns,
-                        f"shard{shard_index}")
-                    local_cycles = max(local_cycles, cycles)
-                    return partials
-
-                value, gather_cycles = manager.run_job(
-                    site, compute, merge, nbytes_of=nbytes_of,
-                )
-            finally:
-                manager.end_job()
-            detail = _exchange_detail(0.0, 0.0, local_cycles,
-                                      gather_cycles, 0)
-            detail["batch"] = float(len(batch))
-            return accounting.result(finish(value), ticket, detail,
-                                     recovery=manager.stats)
-
-        per_dpu: List[List[Dict]] = []
-        local_cycles = 0.0
-        for index, (dpu, shard) in enumerate(zip(cluster.dpus, shards)):
-            partials, cycles = shard_partials(dpu, shard.columns,
-                                              f"shard{index}")
-            local_cycles = max(local_cycles, cycles)
-            per_dpu.append(partials)
-
-        value, gather_cycles = _gather_partials(
-            cluster, per_dpu, nbytes_of=nbytes_of, merge=merge, site=site,
-        )
-        detail = _exchange_detail(0.0, 0.0, local_cycles, gather_cycles, 0)
-        detail["batch"] = float(len(batch))
-        return accounting.result(finish(value), ticket, detail)
-    finally:
-        cluster.release_job()
+    result = _run_job(cluster, _shared_scan(site, batch, shards))
+    result.detail["batch"] = float(len(batch))
+    return result
