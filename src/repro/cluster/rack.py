@@ -69,19 +69,18 @@ class Cluster:
         self.admission = None
         # Continuous metrics: the no-op hub until enable_metrics().
         self.metrics = NULL_HUB
-        # Rack-scale fault tolerance (see repro.cluster.recovery):
-        # active only when the plan schedules chaos events, so a plain
-        # FaultPlan keeps every job on the exact pre-recovery path.
-        # Any DPU may be chaos-killed — the coordinator included; the
-        # manager elects the lowest surviving index as the new leader.
-        plan = self.faults.plan
-        if plan.chaos or recovery_config is not None:
-            self.recovery: "RecoveryManager | None" = RecoveryManager(
-                self, recovery_config
-            )
+        # Rack-scale fault tolerance (see repro.cluster.recovery): a
+        # manager is kept only when armed (the plan schedules chaos
+        # events or a recovery config is given); without one, each job
+        # runs through a fresh unarmed manager that takes only the
+        # fault-free steps. Any DPU may be chaos-killed — the
+        # coordinator included; the manager elects the lowest
+        # surviving index as the new leader.
+        recovery = RecoveryManager(self, recovery_config)
+        self.recovery: "RecoveryManager | None" = (
+            recovery if recovery.armed else None)
+        if self.recovery is not None:
             self.recovery.install()
-        else:
-            self.recovery = None
 
     @property
     def num_dpus(self) -> int:

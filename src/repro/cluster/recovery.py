@@ -59,22 +59,28 @@ drives the shared engine, so kernels cannot be launched from inside a
 simulation process. Recovery therefore alternates *host-side* compute
 (launches on current shard owners) with *bounded simulation phases*
 (heartbeats + epoch-tagged sends + a lease-guarded collector at the
-current leader + drain loops at every other live endpoint), looping
-until every shard has arrived — the classic coordinator retry loop,
-with the event clock advancing through every phase. A phase always
-terminates: the leader's collector bounds itself by the stall
-patience, and the drain loops exit on the shared phase-over flag, on
-their own endpoint's death, or by reporting the leader's lease
-expiry.
+current leader and at every other live endpoint), looping until every
+shard has arrived — the classic coordinator retry loop, with the
+event clock advancing through every phase. A phase ends when its last
+expected message lands; it always terminates: the leader's collector
+bounds itself by the stall patience, and every other collector exits
+when the phase ends, on its own endpoint's death, or by reporting the
+leader's lease expiry.
 
-Activated only when the cluster's :class:`~repro.faults.FaultPlan`
-carries chaos specs; ``FaultPlan.none()`` keeps every job on the
-pre-existing code path, bit-identical to the equivalence goldens,
-with no heartbeats and zero journal-replication bytes.
+:meth:`RecoveryManager.run_exchange` and :meth:`RecoveryManager.run_job`
+are the cluster's only exchange and only gather. A manager is *armed*
+when the cluster's :class:`~repro.faults.FaultPlan` carries chaos
+specs or a :class:`RecoveryConfig` is given; a cluster without either
+runs each job through a fresh unarmed manager, which takes only the
+fault-free steps — no heartbeats, journal records, lease checks or
+speculation; its collectors are bounded only by the fabric's gather
+lease — so ``FaultPlan.none()`` stays bit-identical to the
+equivalence goldens with zero journal-replication bytes.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Set, Tuple
 
@@ -268,8 +274,9 @@ class RecoveryManager:
     Owns the failure detector state (leases, declared-dead set), the
     current leader and its standby set, the replicated job journal,
     the global epoch counter, and the retry loops that run every
-    ``cluster_*`` job to completion under the cluster's chaos plan.
-    Any DPU — including the initial coordinator, DPU 0 — may be a
+    ``cluster_*`` job's exchanges and gather to completion — under
+    the cluster's chaos plan when armed, in one fault-free round when
+    not. Any DPU — including the initial coordinator, DPU 0 — may be a
     chaos target: a killed leader is detected by the surviving
     endpoints' lease checks and the lowest live index takes over.
     """
@@ -278,6 +285,9 @@ class RecoveryManager:
         self.cluster = cluster
         self.config = config if config is not None else RecoveryConfig()
         self.plan = cluster.faults.plan
+        # Armed by a chaos plan or an explicit config; unarmed, every
+        # phase takes only the fault-free steps.
+        self.armed = bool(self.plan.chaos) or config is not None
         self.stats = RecoveryStats()
         self.declared_dead: Set[int] = set()
         # Gossip-merged lease table: peer index -> last cycle any live
@@ -349,8 +359,8 @@ class RecoveryManager:
     def standbys(self) -> List[int]:
         """The journal replica set: the ``standby_count`` lowest live
         indices after the current leader (recomputed per phase, so a
-        dead standby is replaced at the next round)."""
-        if self.config.standby_count <= 0:
+        dead standby is replaced at the next round); none unarmed."""
+        if not self.armed or self.config.standby_count <= 0:
             return []
         live = [i for i in self.alive() if i != self.leader]
         return live[:self.config.standby_count]
@@ -463,10 +473,24 @@ class RecoveryManager:
 
     # -- job lifecycle ------------------------------------------------------
 
+    @classmethod
+    @contextmanager
+    def for_job(cls, cluster, site: str):
+        """The manager that runs one job's exchanges and gather: the
+        cluster's own when armed, else a fresh unarmed one that holds
+        nothing once the job ends. The job begins on entry and ends on
+        exit."""
+        manager = cluster.recovery or cls(cluster)
+        manager.begin_job(site)
+        try:
+            yield manager
+        finally:
+            manager.end_job()
+
     def begin_job(self, site: str) -> None:
         """Reset per-job stats and journal, bump the job tag (stale
         cross-job packets are discarded on arrival), start heartbeat
-        daemons."""
+        daemons when armed."""
         self._job_tag += 1
         self.stats = RecoveryStats(site=site)
         self._journal = {}
@@ -474,8 +498,9 @@ class RecoveryManager:
             # A takeover in an earlier job already counted the change;
             # this only re-derives the invariant leader = min(alive).
             self.leader = min(self.alive())
-        self._grant_leases()
-        self._start_heartbeats()
+        if self.armed:
+            self._grant_leases()
+            self._start_heartbeats()
 
     def end_job(self) -> None:
         """Retire this job's heartbeat daemons (each exits at its next
@@ -517,69 +542,96 @@ class RecoveryManager:
 
     # -- bounded simulation phases ------------------------------------------
 
-    def _drive(self, gate, site: str, missing_owners: Sequence[int]):
-        """Run the engine until ``gate`` completes, converting engine
-        deadlock/livelock into a structured ClusterError."""
+    def _post(self, owner: int, kind: str,
+              messages: Sequence[Tuple[int, Any, Any, int]]) -> None:
+        """The paper's send path: core 0 of ``owner`` mailboxes one list
+        of ``(dst, key, value, nbytes)`` to its A9, which posts each
+        entry to the fabric as an epoch-tagged ``kind`` message, one
+        after another, dilated when the post starts inside a
+        ``dpu.slow`` window. The list rides the mailbox, so two posts
+        in flight on one DPU can never cross-deliver."""
         engine = self.cluster.engine
-        previous = engine.watchdog
-        engine.watchdog = Watchdog(max_events=self.config.watchdog_events)
-        metrics = self.cluster.metrics
-        if metrics.enabled:
-            metrics.touch()
-        try:
-            return engine.run_until_complete(gate, limit=10**13)
-        except DeadlockError as error:
-            raise self._error(site, missing_owners, str(error)) from error
-        finally:
-            engine.watchdog = previous
-            if metrics.enabled:
-                metrics.flush()
+        fabric = self.cluster.fabric
+        dpu = self.cluster.dpus[owner]
+        tag, epoch = self._job_tag, self.epoch
+
+        def core_side():
+            yield from dpu.context(0).mbox_send(A9_ID, messages)
+
+        def a9_side():
+            _src, posts = yield from dpu.mailbox.receive(A9_ID)
+            for dst, key, value, nbytes in posts:
+                delay = self.slow_delay(owner)
+                if delay:
+                    yield engine.timeout(delay)
+                yield from fabric.send(
+                    owner, dst, (kind, tag, epoch, key, owner, value, nbytes),
+                    nbytes,
+                )
+
+        engine.process(core_side(), name=f"a9.post[{owner}]")
+        engine.process(a9_side(), name=f"a9.uplink[{owner}]")
 
     def _collector(self, endpoint: int, kind: str, needed: Set[Any],
                    arrivals: Dict[Any, Tuple[Any, int, int]],
-                   min_epoch: Dict[Any, int],
-                   leader: int, phase_over: List[bool],
-                   local_keys: Optional[Callable[[], Set[Any]]] = None,
-                   watch: Optional[Callable[[], Dict[Any, int]]] = None,
-                   standbys: Sequence[int] = (),
-                   journal: bool = False):
-        """Build one lease-guarded collector process for ``endpoint``.
+                   min_epoch: Dict[Any, int], phase_end,
+                   local: Optional[Set[Any]],
+                   watch: Optional[Callable[[], Dict[Any, int]]],
+                   journal: bool):
+        """Build the collect process of ``endpoint`` for one phase.
 
         Drains epoch-tagged ``kind`` messages into ``arrivals`` as
         ``key -> (value, sender endpoint, receiver endpoint)`` (dedup
-        by key, first result wins), heartbeats into the lease table,
-        and journal records into the local replica. The leader-role
-        collector (``endpoint == leader``) replicates each accepted
-        acknowledgement to the ``standbys`` *before* recording the
-        arrival (when ``journal`` is set), evaluates worker leases via
-        ``watch``, and bounds the phase by the stall patience; every
-        other collector keeps draining until the shared ``phase_over``
-        flag flips, reporting ``("leader_dead", [leader])`` if the
-        leader's lease expires first. All roles return ``("halted",
-        [])`` if their own endpoint is past its fail-stop instant — a
-        phase can therefore never hang until the global watchdog.
+        by key, first result wins), and returns ``("halted", [])`` once
+        its own endpoint is past its fail-stop instant.
+
+        Unarmed, that is all: it returns ``("done", [])`` once its
+        ``local`` keys (``None``: all of ``needed``) have arrived, each
+        wait bounded by the fabric's gather lease; an expired lease
+        ends the phase with ``("expired", keys still missing here)``.
+
+        Armed, it also drains heartbeats into the lease table and
+        journal records into the local replica, and runs until the
+        phase ends, which the last needed key's arrival does. The
+        leader's collector replicates each accepted acknowledgement to
+        the standbys *before* recording the arrival (when ``journal``
+        is set), evaluates worker leases via ``watch``, and bounds the
+        phase by the stall patience; every other collector reports
+        ``("leader_dead", [leader])`` if the leader's lease expires
+        first. A phase can therefore never hang until the global
+        watchdog.
         """
         engine = self.cluster.engine
         fabric = self.cluster.fabric
         config = self.config
-        mine = local_keys if local_keys is not None else (lambda: needed)
+        armed = self.armed
+        leader = self.leader
         is_leader = endpoint == leader
+        mine = needed if local is None else local
+        standbys = self.standbys() if is_leader and journal else []
+        wait = (config.heartbeat_interval_cycles if armed
+                else fabric.config.gather_lease_cycles)
+
+        def end(status, found=()):
+            if not phase_end.triggered:
+                phase_end.succeed()
+            return (status, list(found))
 
         def process():
             last_progress = engine.now
             while True:
                 if fabric.endpoint_dead(endpoint):
                     return ("halted", [])
-                if phase_over[0]:
+                if phase_end.triggered or not (armed or mine & needed):
                     return ("done", [])
-                if is_leader and not needed:
-                    phase_over[0] = True
-                    return ("done", [])
-                abort = engine.timeout(config.heartbeat_interval_cycles)
-                message = yield from fabric.receive(endpoint,
-                                                    abort_event=abort)
-                if message is not None:
-                    abort.cancel()
+                timer = engine.timeout(wait)
+                message = yield from fabric.receive(
+                    endpoint, abort_event=engine.any_of([timer, phase_end]))
+                timer.cancel()
+                if message is None:
+                    if not (armed or phase_end.triggered):
+                        return end("expired", sorted(mine & needed))
+                else:
                     if fabric.endpoint_dead(endpoint):
                         # Killed while the frame was in its inbox: a
                         # corpse must not ack or journal anything.
@@ -605,7 +657,7 @@ class RecoveryManager:
                         elif key not in needed:
                             self.stats.duplicates += 1
                         else:
-                            if is_leader and journal and standbys:
+                            if standbys:
                                 # Replicate-before-ack: the record is
                                 # on the wire to every standby before
                                 # the leader treats the shard as
@@ -633,11 +685,15 @@ class RecoveryManager:
                             else:
                                 self.stats.duplicates += 1
                             last_progress = engine.now
+                            if armed and not needed:
+                                return end("done")
                     else:
                         # A different phase's payload family (e.g. an
                         # exchange pair landing during a gather): from
                         # an invalidated schedule, so it is stale.
                         self.stats.stale_discards += 1
+                if not armed:
+                    continue
                 now = engine.now
                 if is_leader and watch is not None:
                     owners = watch()
@@ -651,132 +707,108 @@ class RecoveryManager:
                         > config.lease_cycles
                     })
                     if victims:
-                        phase_over[0] = True
-                        return ("dead", victims)
-                if not is_leader:
-                    if (leader not in self.declared_dead
-                            and now - self.last_seen.get(leader, now)
-                            > config.lease_cycles):
-                        phase_over[0] = True
-                        return ("leader_dead", [leader])
-                if (is_leader and (mine() or needed)
-                        and now - last_progress
-                        > config.stall_patience_cycles):
-                    phase_over[0] = True
-                    return ("stalled", [])
-
-        return engine.process(
-            process(), name=f"recover.collect[{endpoint}]"
-        )
-
-    def _drainer(self, endpoint: int, leader: int,
-                 phase_over: List[bool]):
-        """Heartbeat/journal drain loop for a live endpoint with no
-        collect role this phase. Keeps the endpoint's inbox (and its
-        receive credits) flowing, applies journal records to the local
-        replica, and is the detection path for leader death: when the
-        leader's lease expires here, the phase ends with
-        ``("leader_dead", [leader])``."""
-        engine = self.cluster.engine
-        fabric = self.cluster.fabric
-        config = self.config
-
-        def process():
-            while True:
-                if fabric.endpoint_dead(endpoint):
-                    return ("halted", [])
-                if phase_over[0]:
-                    return ("done", [])
-                abort = engine.timeout(config.heartbeat_interval_cycles)
-                message = yield from fabric.receive(endpoint,
-                                                    abort_event=abort)
-                if message is not None:
-                    abort.cancel()
-                    if fabric.endpoint_dead(endpoint):
-                        return ("halted", [])
-                    _src, payload = message
-                    label = payload[0]
-                    if label == "hb":
-                        if payload[1] not in self.declared_dead:
-                            self.last_seen[payload[1]] = engine.now
-                    elif label == "jrn":
-                        (_label, msg_tag, _epoch, key, owner, value,
-                         _nbytes) = payload
-                        if msg_tag == self._job_tag:
-                            self._journal.setdefault(
-                                endpoint, {})[key] = (value, owner)
-                    else:
-                        self.stats.stale_discards += 1
-                now = engine.now
-                if (leader not in self.declared_dead
+                        return end("dead", victims)
+                if (not is_leader and leader not in self.declared_dead
                         and now - self.last_seen.get(leader, now)
                         > config.lease_cycles):
-                    phase_over[0] = True
-                    return ("leader_dead", [leader])
+                    return end("leader_dead", [leader])
+                if (is_leader and now - last_progress
+                        > config.stall_patience_cycles):
+                    return end("stalled")
 
-        return engine.process(
-            process(), name=f"recover.drain[{endpoint}]"
-        )
+        return engine.process(process(), name=f"a9.collect[{endpoint}]")
 
-    def _spawn_sender(self, owner: int, dst: int, kind: str, key: Any,
-                      value: Any, nbytes: int) -> None:
-        """Paper-faithful send path with dilation: core 0 mailboxes the
-        result pointer to the local A9; the A9 (dilated when inside a
-        ``dpu.slow`` window) ships the epoch-tagged message to the
-        current leader. The payload rides the mailbox so two in-flight
-        sends on one DPU can never cross-deliver."""
-        cluster = self.cluster
-        engine = cluster.engine
-        fabric = cluster.fabric
-        dpu = cluster.dpus[owner]
-        tag, epoch = self._job_tag, self.epoch
+    def _collect(self, site: str, kind: str,
+                 collect: Dict[int, Optional[Set[Any]]], needed: Set[Any],
+                 arrivals: Dict[Any, Tuple[Any, int, int]],
+                 min_epoch: Dict[Any, int],
+                 source_of: Callable[[Any], int],
+                 watch: Optional[Callable[[], Dict[Any, int]]] = None,
+                 journal: bool = False) -> Tuple[List[Tuple[str, list]], float]:
+        """Run one bounded collect phase; returns each collector's
+        ``(status, found)`` and the phase's span in cycles.
 
-        def core_side():
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, (key, value, nbytes))
-
-        def a9_side():
-            _src, (msg_key, msg_value, msg_bytes) = (
-                yield from dpu.mailbox.receive(A9_ID)
+        ``collect`` maps each receiving endpoint to the keys addressed
+        to it (``None``: all of ``needed``). Armed, the leader and
+        every other live endpoint run a collector too, so heartbeats
+        and journal records keep draining and a dead leader is
+        detected. Unarmed, a message that never lands raises a
+        structured :class:`ClusterError` naming its source DPUs (and
+        any collecting endpoint that halted). Engine deadlock or
+        livelock also becomes a ClusterError."""
+        engine = self.cluster.engine
+        endpoints = sorted(collect)
+        if self.armed:
+            endpoints += [endpoint for endpoint
+                          in dict.fromkeys([self.leader] + self.alive())
+                          if endpoint not in collect]
+            self._grant_leases()
+        phase_end = engine.event()
+        participants = [
+            self._collector(endpoint, kind, needed, arrivals, min_epoch,
+                            phase_end, collect.get(endpoint, set()), watch,
+                            journal)
+            for endpoint in endpoints
+        ]
+        missing = sorted({source_of(key) for key in needed})
+        began = engine.now
+        previous = engine.watchdog
+        engine.watchdog = Watchdog(max_events=self.config.watchdog_events)
+        metrics = self.cluster.metrics
+        if metrics.enabled:
+            metrics.touch()
+        try:
+            engine.run_until_complete(engine.all_of(participants),
+                                      limit=10**13)
+        except DeadlockError as error:
+            raise self._error(site, missing, str(error)) from error
+        finally:
+            engine.watchdog = previous
+            if metrics.enabled:
+                metrics.flush()
+        results = [participant.value for participant in participants]
+        if not self.armed and needed:
+            expired = [key for status, found in results
+                       if status == "expired" for key in found]
+            halted = {endpoint for endpoint, (status, _found)
+                      in zip(endpoints, results) if status == "halted"}
+            got = f"{len(arrivals)}/{len(arrivals) + len(needed)} {kind}s"
+            lease = self.cluster.fabric.config.gather_lease_cycles
+            reason = (f"lease of {lease:.0f} cycles expired" if expired
+                      else f"collecting endpoints {sorted(halted)} halted")
+            raise self._error(
+                site, sorted({source_of(key) for key in expired} | halted),
+                f"{reason} with {got}",
             )
-            delay = self.slow_delay(owner)
-            if delay:
-                yield engine.timeout(delay)
-            yield from fabric.send(
-                owner, dst,
-                (kind, tag, epoch, msg_key, owner, msg_value, msg_bytes),
-                msg_bytes,
-            )
-
-        engine.process(core_side(), name=f"recover.core[{owner}]")
-        engine.process(a9_side(), name=f"recover.uplink[{owner}]")
+        return results, engine.now - began
 
     # -- the merge-family retry loop ----------------------------------------
 
     def run_job(
         self,
         site: str,
-        compute: Callable[[int, Any, int], Any],
+        compute: Callable[[int, Any], Any],
         merge: Callable[[Any, Any], Any],
         nbytes_of: Callable[[Any], int],
         owners: Optional[Dict[int, int]] = None,
     ) -> Tuple[Any, float]:
-        """Run a merge-family job to completion under faults: one
-        shard per DPU, or per exchange slot when ``owners`` maps the
-        slots of a preceding :meth:`run_exchange` to their owners.
+        """The gather: one partial per DPU, or per exchange slot when
+        ``owners`` maps the slots of a preceding :meth:`run_exchange`
+        to their owners, shipped to the leader and merged — in one
+        fault-free round unarmed, to completion under faults armed.
 
-        ``compute(shard, dpu, dpu_index)`` is host-side (it may call
+        ``compute(index, dpu)`` is host-side (it may call
         ``dpu.launch``) and must be deterministic — re-execution on a
         survivor must reproduce the lost partial exactly. Partials are
-        merged in shard order after per-shard dedup, so duplicates and
+        merged in index order after per-index dedup, so duplicates and
         speculative copies cannot perturb the result, and the merge
-        happens exactly once, on the final leader, after every shard
+        happens exactly once, on the final leader, after every partial
         has arrived — one result per job even when the job internally
-        ran under two leaders. Returns ``(merged value, phase
-        cycles)``.
+        ran under two leaders. Returns ``(merged value, gather
+        cycles)``: the summed span of the collect phases, which
+        excludes every launch.
         """
         cluster = self.cluster
-        engine = cluster.engine
         config = self.config
         count = cluster.num_dpus
         shard_owner: Dict[int, int] = (
@@ -787,7 +819,6 @@ class RecoveryManager:
             if shard_owner[key] in self.declared_dead:
                 shard_owner[key] = self._survivor_for(key)
                 rerouted.add(key)
-        began = engine.now
         needed: Set[int] = set(range(count))
         arrivals: Dict[int, Tuple[Any, int, int]] = {}
         min_epoch = {key: self.epoch for key in needed}
@@ -795,52 +826,37 @@ class RecoveryManager:
         value_owner: Dict[int, int] = {}
         stall_strikes: Dict[int, int] = {key: 0 for key in needed}
         backups: Dict[int, int] = {}
+        span = 0.0
 
         for round_index in range(config.max_rounds):
             self.stats.rounds += 1
             leader = self.leader
-            standbys = self.standbys()
             # Host phase: (re-)execute missing shards on their current
             # owners from the durable inputs.
             for key in sorted(needed):
                 owner = shard_owner[key]
                 if value_owner.get(key) != owner:
                     recompute = key in value_owner or key in rerouted
-                    values[key] = compute(key, cluster.dpus[owner], owner)
+                    values[key] = compute(key, cluster.dpus[owner])
                     value_owner[key] = owner
                     if recompute:
                         self.stats.reexecuted_shards += 1
-            # Simulation phase: epoch-tagged sends race the detector's
-            # lease-guarded collector at the current leader, with a
-            # drain loop on every other live endpoint.
+            # Simulation phase: every owner posts its partial to the
+            # current leader's collector.
             for key in sorted(needed):
                 if round_index > 0:
                     self.stats.resends += 1
-                self._spawn_sender(
-                    shard_owner[key], leader, "data", key, values[key],
-                    nbytes_of(values[key]),
-                )
-            self._grant_leases()
-            phase_over = [False]
-            collector = self._collector(
-                leader, "data", needed, arrivals, min_epoch,
-                leader=leader, phase_over=phase_over,
+                self._post(shard_owner[key], "partial", [
+                    (leader, key, values[key], nbytes_of(values[key]))])
+            results, cycles = self._collect(
+                site, "partial", {leader: None}, needed, arrivals,
+                min_epoch, shard_owner.__getitem__,
                 watch=lambda: {k: shard_owner[k] for k in needed},
-                standbys=standbys, journal=True,
+                journal=True,
             )
-            drainers = [
-                self._drainer(endpoint, leader, phase_over)
-                for endpoint in self.alive() if endpoint != leader
-            ]
-            participants = [collector] + drainers
-            self._drive(
-                engine.all_of(participants), site,
-                sorted({shard_owner[k] for k in needed}),
-            )
-            dethroned = any(
-                p.value[0] == "leader_dead" for p in participants
-            )
-            status, victims = collector.value
+            span += cycles
+            dethroned = any(status == "leader_dead" for status, _ in results)
+            status, victims = results[0]
             if dethroned:
                 self._takeover(leader)
                 # Journal replay: the new leader knows exactly the
@@ -890,12 +906,10 @@ class RecoveryManager:
                                 "recover.speculative_launch",
                                 shard=key, backup=backup,
                             )
-                        backup_value = compute(key, cluster.dpus[backup],
-                                               backup)
-                        self._spawn_sender(
-                            backup, self.leader, "data", key, backup_value,
-                            nbytes_of(backup_value),
-                        )
+                        backup_value = compute(key, cluster.dpus[backup])
+                        self._post(backup, "partial", [
+                            (self.leader, key, backup_value,
+                             nbytes_of(backup_value))])
         if needed:
             raise self._error(
                 site, sorted({shard_owner[k] for k in needed}),
@@ -909,27 +923,36 @@ class RecoveryManager:
         merged = None
         for key in range(count):
             merged = merge(merged, arrivals[key][0])
-        return merged, engine.now - began
+        return merged, span
 
     # -- the restartable exchange -------------------------------------------
 
-    def run_exchange(self, site: str, tables: Sequence, key: str,
+    def run_exchange(self, site: str, dtables: Sequence, key: str,
                      names: Sequence[str]):
-        """Epoch-tagged, restartable all-to-all over logical slots.
+        """The all-to-all exchange: repartition ``dtables`` — one
+        :class:`~repro.apps.sql.table.DpuTable` per logical slot,
+        resident on the DPU of the same index — by ``hash(key)`` so
+        equal keys co-locate. Each slot's owner partitions it with the
+        DMS hash engine; then every owner's A9 posts its pairs in a
+        rotated order (owner s to s+1, s+2, ...) and each destination
+        collects its own. Returns a
+        :class:`~repro.cluster.shuffle.ShuffleResult` whose
+        ``exchange_cycles`` is the summed span of the collect phases,
+        after the partition launches.
 
-        The slot space stays the original power-of-two fanout (the
-        hash engine's radix does not change when a node dies); a dead
-        slot owner's shard — the leader's included — is re-partitioned
-        on a survivor from the durable host table and its pairs
-        re-sent under a new epoch. The leader replicates the round's
-        epoch and slot-owner map to its standbys so a takeover resumes
-        the exchange instead of restarting it. Returns a
-        :class:`~repro.cluster.shuffle.ShuffleResult`.
+        Armed, the exchange is epoch-tagged and restartable: the slot
+        space stays the original power-of-two fanout (the hash
+        engine's radix does not change when a node dies); a dead slot
+        owner's shard — the leader's included — is stored and
+        re-partitioned on a survivor from the durable host table and
+        its pairs re-sent under a new epoch. The leader replicates the
+        round's epoch and slot-owner map to its standbys so a takeover
+        resumes the exchange instead of restarting it.
         """
+        from ..apps.sql.aggregate import _parse_records
         from .shuffle import ShuffleResult, partition_source
 
         cluster = self.cluster
-        engine = cluster.engine
         config = self.config
         # Key column first — the layout partition_source serialises.
         names = [key] + [n for n in names if n != key]
@@ -945,7 +968,7 @@ class RecoveryManager:
         partition_cycles = 0.0
         record_width = 0
         dtypes = None
-        exchange_began = engine.now
+        span = 0.0
         arrivals: Dict[Tuple[int, int], Tuple[np.ndarray, int, int]] = {}
         min_epoch: Dict[Tuple[int, int], int] = {
             (s, d): self.epoch for s in slots for d in slots if s != d
@@ -970,7 +993,9 @@ class RecoveryManager:
                 if partition_owner.get(slot) == owner:
                     continue
                 dpu = cluster.dpus[owner]
-                dtable = tables[slot].to_dpu(dpu)
+                dtable = dtables[slot]
+                if dtable.dpu is not dpu:
+                    dtable = dtable.table.to_dpu(dpu)
                 raws, cycles, record_width, dtypes = partition_source(
                     dpu, dtable, key, names, num_slots
                 )
@@ -989,9 +1014,9 @@ class RecoveryManager:
             if standbys:
                 self._replicate_exchange_state(leader, standbys,
                                                slot_owner, round_index)
-            # Rotated sends (src owner s ships to s+1, s+2, ... to
-            # avoid synchronized bursts), one epoch-tagged message per
-            # (src slot, dst slot) pair.
+            # Rotated posts (src owner s ships to s+1, s+2, ... to
+            # avoid synchronized bursts): one mailbox message per
+            # owner, one epoch-tagged message per (src, dst) slot pair.
             by_owner: Dict[int, List[Tuple[int, int]]] = {}
             for pair in pending:
                 by_owner.setdefault(slot_owner[pair[0]], []).append(pair)
@@ -999,62 +1024,30 @@ class RecoveryManager:
                 pairs.sort(key=lambda pair: (
                     (slot_owner[pair[1]] - owner) % num_slots, pair
                 ))
-                for src_slot, dst_slot in pairs:
-                    if round_index > 0:
-                        self.stats.resends += 1
-                    raw = partitions[src_slot][dst_slot]
-                    self._spawn_exchange_sender(
-                        owner, slot_owner[dst_slot],
-                        (src_slot, dst_slot), raw,
-                    )
-            self._grant_leases()
-            phase_over = [False]
-            dest_owners = sorted({slot_owner[d] for _s, d in pending})
+                if round_index > 0:
+                    self.stats.resends += len(pairs)
+                self._post(owner, "pair", [
+                    (slot_owner[dst], (src, dst), partitions[src][dst],
+                     int(partitions[src][dst].nbytes))
+                    for src, dst in pairs
+                ])
             watched = {
                 pair: slot_owner[pair[0]] for pair in pending
             }
             watched.update({
                 (pair, "dst"): slot_owner[pair[1]] for pair in pending
             })
-            collectors = []
-            for endpoint in dest_owners:
-                local = {
-                    pair for pair in needed
-                    if slot_owner[pair[1]] == endpoint
-                }
-                collectors.append(self._collector(
-                    endpoint, "x", needed, arrivals, min_epoch,
-                    leader=leader, phase_over=phase_over,
-                    local_keys=lambda local=local: local & needed,
-                    watch=(lambda: watched) if endpoint == leader else None,
-                ))
-            if leader not in dest_owners:
-                # Keep the detector draining heartbeats even when the
-                # leader receives no pairs this round.
-                collectors.append(self._collector(
-                    leader, "x", needed, arrivals, min_epoch,
-                    leader=leader, phase_over=phase_over,
-                    local_keys=lambda: set(),
-                    watch=lambda: watched,
-                ))
-            drainers = [
-                self._drainer(endpoint, leader, phase_over)
-                for endpoint in self.alive()
-                if endpoint != leader and endpoint not in dest_owners
-            ]
-            participants = collectors + drainers
-            self._drive(
-                engine.all_of(participants), site,
-                sorted({slot_owner[s] for s, _d in pending_pairs()}),
+            collect: Dict[int, Set[Tuple[int, int]]] = {}
+            for pair in pending:
+                collect.setdefault(slot_owner[pair[1]], set()).add(pair)
+            results, cycles = self._collect(
+                site, "pair", collect, needed, arrivals, min_epoch,
+                lambda pair: slot_owner[pair[0]], watch=lambda: watched,
             )
-            dethroned = any(
-                p.value[0] == "leader_dead" for p in participants
-            )
-            victims = []
-            for participant in participants:
-                status, found = participant.value
-                if status == "dead":
-                    victims.extend(found)
+            span += cycles
+            dethroned = any(status == "leader_dead" for status, _ in results)
+            victims = [victim for status, found in results
+                       if status == "dead" for victim in found]
             if dethroned:
                 self._takeover(leader)
             elif victims:
@@ -1088,10 +1081,10 @@ class RecoveryManager:
                                 "recover.speculative_launch",
                                 pair=str(pair), backup=backup,
                             )
-                        self._spawn_exchange_sender(
-                            backup, slot_owner[pair[1]], pair,
-                            partitions[pair[0]][pair[1]],
-                        )
+                        raw = partitions[pair[0]][pair[1]]
+                        self._post(backup, "pair", [
+                            (slot_owner[pair[1]], pair, raw,
+                             int(raw.nbytes))])
         remaining = pending_pairs()
         if remaining:
             raise self._error(
@@ -1104,11 +1097,13 @@ class RecoveryManager:
             if pair in arrivals and arrivals[pair][1] == backup
         )
         self.last_slot_owner = dict(slot_owner)
+        if cluster.metrics.enabled:
+            cluster.metrics.observe("shuffle.partition.cycles",
+                                    partition_cycles)
+            cluster.metrics.observe("shuffle.exchange.cycles", span)
 
         # Reassembly in source-slot order (deterministic regardless of
-        # arrival order), exactly like the fault-free exchange.
-        from ..apps.sql.aggregate import _parse_records
-
+        # arrival order).
         columns: List[Dict[str, np.ndarray]] = []
         rows_moved = 0
         bytes_moved = 0
@@ -1132,7 +1127,7 @@ class RecoveryManager:
         return ShuffleResult(
             columns=columns,
             partition_cycles=partition_cycles,
-            exchange_cycles=engine.now - exchange_began,
+            exchange_cycles=span,
             rows_moved=rows_moved,
             bytes_moved=bytes_moved,
         )
@@ -1160,34 +1155,3 @@ class RecoveryManager:
                 name=f"recover.jctl[{leader}->{standby}]",
                 daemon=True,
             )
-
-    def _spawn_exchange_sender(self, src_endpoint: int, dst_endpoint: int,
-                               pair: Tuple[int, int],
-                               raw: np.ndarray) -> None:
-        """One epoch-tagged pair transfer between A9 endpoints, with
-        straggler dilation on the sending side."""
-        cluster = self.cluster
-        engine = cluster.engine
-        fabric = cluster.fabric
-        dpu = cluster.dpus[src_endpoint]
-        tag, epoch = self._job_tag, self.epoch
-
-        def core_side():
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, (pair, raw, int(raw.nbytes)))
-
-        def a9_side():
-            _src, (msg_pair, payload, nbytes) = (
-                yield from dpu.mailbox.receive(A9_ID)
-            )
-            delay = self.slow_delay(src_endpoint)
-            if delay:
-                yield engine.timeout(delay)
-            yield from fabric.send(
-                src_endpoint, dst_endpoint,
-                ("x", tag, epoch, msg_pair, src_endpoint, payload, nbytes),
-                nbytes,
-            )
-
-        engine.process(core_side(), name=f"recover.xcore[{src_endpoint}]")
-        engine.process(a9_side(), name=f"recover.xlink[{src_endpoint}]")

@@ -23,19 +23,22 @@ the ``all_to_all`` strategy) first redistribute rows with the
 :mod:`~repro.cluster.shuffle` partitioned exchange so each DPU owns a
 disjoint key range.
 
-The driver alone picks the path, by three rules:
+:func:`_run_job` alone picks the path, by two rules:
 
 1. **One DPU:** ``local`` runs for shard 0 on DPU 0 and the lone
    partial is finished; no exchange, no gather, no fabric traffic.
-2. **Fault-free cluster:** every exchange's tables are stored, then
-   shuffled; ``local`` runs for every DPU in order; the partials are
-   gathered to the coordinator, DPU 0.
-3. **Chaos plan armed:** the exchanges and the gather run through the
-   :class:`~repro.cluster.recovery.RecoveryManager` retry loops
-   instead, which address partials to the *current elected leader* —
-   DPU 0 until it dies, the lowest surviving index afterwards — and
-   still hand back exactly one :class:`ScaleOutResult` per job (merge
-   happens once, on the final leader, after every shard arrived).
+2. **A cluster:** every exchange's tables are stored on their home
+   DPUs, then each exchange runs through the one exchange,
+   :meth:`~repro.cluster.recovery.RecoveryManager.run_exchange`;
+   ``local`` runs for every DPU (or exchange slot) in order inside the
+   one gather, :meth:`~repro.cluster.recovery.RecoveryManager.run_job`,
+   which ships the partials to the coordinator and merges them once,
+   in index order. With no chaos plan armed both take only the
+   fault-free steps and the coordinator is DPU 0; under a plan they
+   become retry loops that address partials to the *current elected
+   leader* — DPU 0 until it dies, the lowest surviving index
+   afterwards — and still hand back exactly one
+   :class:`ScaleOutResult` per job.
 
 Every job reports **per-job** fabric accounting: ``network_bytes``
 and ``retransmissions`` are deltas from the job's start, so
@@ -61,10 +64,8 @@ from ..apps.sql.aggregate import (
 from ..apps.sql.join import dpu_partitioned_join_count
 from ..apps.sql.topk import dpu_topk
 from ..apps.sql.tpch_queries import q1_plan
-from ..core.mailbox import A9_ID
 from .rack import Cluster
-from .recovery import ClusterError, RecoveryStats
-from .shuffle import shuffle_exchange
+from .recovery import RecoveryManager, RecoveryStats
 
 __all__ = [
     "ScaleOutResult",
@@ -102,9 +103,9 @@ class ScaleOutResult:
     # local_cycles, gather_cycles, parallel_cycles, rows_moved; plus
     # batch for a shared scan) — feeds ShuffleRackModel calibration.
     detail: Optional[Dict[str, float]] = None
-    # Recovery outcome when the cluster ran this job under a chaos
+    # Recovery outcome when the cluster ran this job under an armed
     # plan (declared deaths, re-executed shards, speculative wins...);
-    # None on the fault-free path.
+    # None with nothing armed.
     recovery: Optional[RecoveryStats] = None
 
     @property
@@ -122,12 +123,11 @@ class _JobSpec:
     ``cores`` is the admission ticket's core fanout (``None`` without
     an admission controller); ``inputs`` holds, per exchange, the
     slot's columns — the host table's own columns on one DPU. ``merge``
-    folds partials one at a time starting from ``None``, in arrival
-    order on the fault-free gather and in index order under recovery,
-    so its result must not depend on the order. ``nbytes_of`` is a
-    partial's wire size, and ``finish`` turns the merged value (or the
-    lone partial on one DPU) into the job's value. Each exchange is
-    ``(label, one host table per DPU, key, column names)``.
+    folds partials one at a time starting from ``None``, in index
+    order. ``nbytes_of`` is a partial's wire size, and ``finish`` turns
+    the merged value (or the lone partial on one DPU) into the job's
+    value. Each exchange is ``(label, one host table per DPU, key,
+    column names)``.
     """
 
     site: str
@@ -138,90 +138,11 @@ class _JobSpec:
     exchanges: Sequence[Tuple[str, Sequence[Table], str, Sequence[str]]] = ()
 
 
-def _a9_collector(cluster, coordinator, expected, merge, site="gather"):
-    """Coordinator A9: gather ``expected`` messages and merge.
-
-    Each receive is guarded by the fabric's gather lease
-    (:attr:`~repro.cluster.network.FabricConfig.gather_lease_cycles`,
-    sized far above any fault-free gather): a missing partial raises a
-    structured :class:`~repro.cluster.recovery.ClusterError` — naming
-    the job, the sim time, the missing DPUs, and the fabric counter
-    snapshot — instead of hanging until the engine watchdog."""
-
-    def process():
-        engine = cluster.engine
-        fabric = cluster.fabric
-        lease = fabric.config.gather_lease_cycles
-        merged = None
-        received = []
-        for _ in range(expected):
-            abort = engine.timeout(lease)
-            message = yield from fabric.receive(coordinator,
-                                               abort_event=abort)
-            if message is None:
-                reason = (f"gather lease of {lease:.0f} cycles expired "
-                          f"with {len(received)}/{expected} partials")
-                if fabric.trace.enabled:
-                    fabric.trace.instant(
-                        "cluster.error", unit="cluster", site=site,
-                        epoch=0, leader=coordinator, reason=reason,
-                    )
-                raise ClusterError(
-                    site, engine.now,
-                    missing=sorted(set(range(expected)) - set(received)),
-                    fabric=fabric.counters(),
-                    reason=reason,
-                    # The fault-free gather never changes leadership:
-                    # generation 0 under the pinned coordinator.
-                    epoch=0, leader=coordinator,
-                )
-            abort.cancel()
-            src, payload = message
-            received.append(src)
-            merged = merge(merged, payload)
-        return merged
-
-    return process()
-
-
-def _gather_partials(cluster, partials, nbytes_of, merge, site="gather"):
-    """Ship one partial result per DPU to coordinator 0 and merge.
-
-    Returns (merged value, gather-phase cycles). Every DPU, the
-    coordinator included, follows the paper's path: core 0 mailboxes
-    the partial to its A9, which ships it over the fabric model."""
-    engine = cluster.engine
-    coordinator = 0
-    began = engine.now
-    processes = []
-    for index, (dpu, partial) in enumerate(zip(cluster.dpus, partials)):
-
-        def sender(dpu=dpu, partial=partial):
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, partial)
-
-        def uplink(dpu=dpu, index=index, nbytes=nbytes_of(partial)):
-            # The A9 waits for the result pointer on its mailbox, then
-            # ships the buffer to the coordinator's A9.
-            _src, payload = yield from dpu.mailbox.receive(A9_ID)
-            yield from cluster.fabric.send(index, coordinator, payload,
-                                           nbytes)
-
-        processes.append(engine.process(sender()))
-        processes.append(engine.process(uplink()))
-    collector = engine.process(
-        _a9_collector(cluster, coordinator, len(partials), merge, site=site)
-    )
-    processes.append(collector)
-    cluster.run(processes)
-    return collector.value, engine.now - began
-
-
 def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
-    """Run one job spec: the only place that picks a path (one DPU,
-    fault-free, or under recovery), admits and releases the job, and
-    builds its :class:`ScaleOutResult`. Each local phase runs on the
-    shared clock in turn; the exchanges and the gather are concurrent.
+    """Run one job spec: the only place that picks a path (one DPU or
+    a cluster), admits and releases the job, and builds its
+    :class:`ScaleOutResult`. Each local phase runs on the shared clock
+    in turn; the exchanges and the gather are concurrent.
     """
     engine = cluster.engine
     fabric = cluster.fabric
@@ -238,7 +159,7 @@ def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
     slots = [[tables[0].columns] for _label, tables, _key, _names
              in spec.exchanges]
 
-    def compute(index, dpu, _owner=None):
+    def compute(index, dpu):
         nonlocal local_cycles
         cores = (ticket.fanout(list(dpu.config.core_ids))
                  if ticket is not None else None)
@@ -252,37 +173,26 @@ def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
         if cluster.num_dpus == 1:
             value = compute(0, cluster.dpus[0])
             gather_cycles = 0.0
-        elif cluster.recovery is None:
+        else:
+            # Every exchange's tables are resident on their home DPUs
+            # before the first partition launch.
             stored = [[table.to_dpu(dpu)
                        for table, dpu in zip(tables, cluster.dpus)]
                       for _label, tables, _key, _names in spec.exchanges]
-            shuffled = [
-                shuffle_exchange(cluster, dtables, key, names)
-                for dtables, (_label, _tables, key, names)
-                in zip(stored, spec.exchanges)
-            ]
-            slots = [result.columns for result in shuffled]
-            partials = [compute(index, dpu)
-                        for index, dpu in enumerate(cluster.dpus)]
-            value, gather_cycles = _gather_partials(
-                cluster, partials, spec.nbytes_of, spec.merge,
-                site=spec.site,
-            )
-        else:
-            manager = cluster.recovery
-            manager.begin_job(spec.site)
-            try:
-                shuffled = [manager.run_exchange(*exchange)
-                            for exchange in spec.exchanges]
+            with RecoveryManager.for_job(cluster, spec.site) as manager:
+                shuffled = [
+                    manager.run_exchange(label, dtables, key, names)
+                    for dtables, (label, _tables, key, names)
+                    in zip(stored, spec.exchanges)
+                ]
                 slots = [result.columns for result in shuffled]
                 value, gather_cycles = manager.run_job(
                     spec.site, compute, spec.merge, spec.nbytes_of,
                     owners=(dict(manager.last_slot_owner)
                             if shuffled else None),
                 )
-            finally:
-                manager.end_job()
-            recovery = manager.stats
+            if manager.armed:
+                recovery = manager.stats
     finally:
         cluster.release_job()
 

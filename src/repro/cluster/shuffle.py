@@ -30,9 +30,11 @@ The exchange reuses the hardware the paper provides for exactly this
    row-major records it received (in source order, so results are
    deterministic) and splits them back into columns.
 
-Under a chaos plan the exchange runs through
-:meth:`~repro.cluster.recovery.RecoveryManager.run_exchange` instead:
-the same partition kernel and slot space, but epoch-tagged and
+Every exchange — :func:`shuffle_exchange` and the exchange-based
+cluster jobs alike — runs through the one
+:meth:`~repro.cluster.recovery.RecoveryManager.run_exchange`. With no
+chaos plan armed it takes exactly the steps above; under one, the
+same partition kernel and slot space become epoch-tagged and
 restartable, surviving worker deaths, fabric partitions *and* the
 death of the coordinating leader itself (the slot space never
 changes — a dead slot owner's shard is re-partitioned on a survivor
@@ -48,13 +50,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps.sql.aggregate import _parse_records, _record_layout
+from ..apps.sql.aggregate import _record_layout
 from ..apps.streaming import ref_dtype
-from ..core.mailbox import A9_ID
 from ..dms.descriptor import (
     Descriptor,
     DescriptorType,
@@ -64,6 +65,7 @@ from ..dms.descriptor import (
 from ..dms.partition import PartitionLayout, compute_cids
 from .network import FabricConfig
 from .rack import Cluster
+from .recovery import RecoveryManager
 
 __all__ = [
     "SHUFFLE_RADIX_SHIFT",
@@ -116,7 +118,8 @@ class ShuffleResult:
     # parallel; the shared engine runs the launches in turn, so the
     # max — not the serial sum — models rack wall-clock).
     partition_cycles: float
-    # Span of the concurrent A9 all-to-all on the shared clock.
+    # Span of the concurrent A9 all-to-all on the shared clock, summed
+    # over recovery rounds; no partition launch falls inside it.
     exchange_cycles: float
     rows_moved: int  # rows that crossed the fabric (self-partition excluded)
     bytes_moved: int
@@ -288,105 +291,17 @@ def shuffle_exchange(
 ) -> ShuffleResult:
     """Repartition one :class:`~repro.apps.sql.table.DpuTable` per DPU
     by ``hash(key)`` so equal keys co-locate; returns the reassembled
-    columns per destination DPU.
+    columns per destination DPU. This is the cluster's one exchange,
+    :meth:`~repro.cluster.recovery.RecoveryManager.run_exchange`, run
+    as a job of its own.
     """
-    num_dpus = cluster.num_dpus
-    if len(dtables) != num_dpus:
-        raise ValueError(f"{len(dtables)} tables for {num_dpus} DPUs")
-    spec = shuffle_spec(num_dpus)
-    if num_dpus > len(cluster.config.core_ids):
+    if len(dtables) != cluster.num_dpus:
         raise ValueError(
-            f"simulated shuffles are limited to {len(cluster.config.core_ids)} "
-            f"DPUs (one drain core per destination); model {num_dpus} DPUs "
-            "with ShuffleRackModel instead"
-        )
+            f"{len(dtables)} tables for {cluster.num_dpus} DPUs")
     if names is None:
         names = list(dtables[0].table.column_names)
-    names = [key] + [name for name in names if name != key]
-    dtypes = [dtables[0].table.column(name).dtype for name in names]
-    record_width = sum(dtype.itemsize for dtype in dtypes)
-    engine = cluster.engine
-
-    # Phase 1 (serial per source DPU on the shared clock; the phase is
-    # embarrassingly parallel, so the max launch — not the span —
-    # feeds the parallel-time model).
-    partitions: List[List[Optional[np.ndarray]]] = [
-        [None] * num_dpus for _ in range(num_dpus)
-    ]  # partitions[src][dst] = raw record bytes
-    partition_cycles = 0.0
-    for src, (dpu, dtable) in enumerate(zip(cluster.dpus, dtables)):
-        raws, cycles, record_width, dtypes = partition_source(
-            dpu, dtable, key, names, num_dpus
-        )
-        partitions[src] = raws
-        partition_cycles = max(partition_cycles, cycles)
-
-    # Phase 2: concurrent all-to-all over the A9s/fabric. A rotated
-    # schedule (src s sends to s+1, s+2, ...) avoids synchronized
-    # bursts into one endpoint; receivers index by source so the
-    # reassembly order is deterministic regardless of arrival order.
-    exchange_began = engine.now
-    rows_moved = 0
-    bytes_moved = 0
-    processes = []
-    collectors = []
-    for src, dpu in enumerate(cluster.dpus):
-        outbound = []
-        for offset in range(1, num_dpus):
-            dst = (src + offset) % num_dpus
-            raw = partitions[src][dst]
-            outbound.append((dst, raw, int(raw.nbytes)))
-            rows_moved += raw.nbytes // record_width
-            bytes_moved += int(raw.nbytes)
-
-        def announce(dpu=dpu, outbound=outbound):
-            core = dpu.context(0)
-            yield from core.mbox_send(A9_ID, outbound)
-
-        def scatter(dpu=dpu, src=src):
-            _sender, messages = yield from dpu.mailbox.receive(A9_ID)
-            for dst, payload, nbytes in messages:
-                yield from cluster.fabric.send(src, dst, payload, nbytes)
-
-        def gather(dst=src):
-            received = {}
-            for _ in range(num_dpus - 1):
-                sender, payload = yield from cluster.fabric.receive(dst)
-                received[sender] = payload
-            return received
-
-        processes.append(engine.process(announce()))
-        processes.append(engine.process(scatter(), name=f"a9.shuffle_out[{src}]"))
-        collector = engine.process(gather(), name=f"a9.shuffle_in[{src}]")
-        processes.append(collector)
-        collectors.append(collector)
-    cluster.run(processes)
-    exchange_cycles = engine.now - exchange_began
-    if cluster.metrics.enabled:
-        cluster.metrics.observe("shuffle.partition.cycles", partition_cycles)
-        cluster.metrics.observe("shuffle.exchange.cycles", exchange_cycles)
-
-    # Phase 3: reassemble columns per destination, in source order.
-    columns: List[Dict[str, np.ndarray]] = []
-    for dst in range(num_dpus):
-        received = collectors[dst].value
-        parts = []
-        for src in range(num_dpus):
-            raw = (partitions[src][dst] if src == dst
-                   else received[src])
-            if raw.nbytes:
-                parts.append(raw)
-        raw_all = (np.concatenate(parts) if parts
-                   else np.empty(0, dtype=np.uint8))
-        arrays = _parse_records(raw_all, dtypes)
-        columns.append(dict(zip(names, arrays)))
-    return ShuffleResult(
-        columns=columns,
-        partition_cycles=partition_cycles,
-        exchange_cycles=exchange_cycles,
-        rows_moved=rows_moved,
-        bytes_moved=bytes_moved,
-    )
+    with RecoveryManager.for_job(cluster, "shuffle") as manager:
+        return manager.run_exchange("shuffle", dtables, key, names)
 
 
 # -- rack-scale analytic model ------------------------------------------------

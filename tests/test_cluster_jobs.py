@@ -190,6 +190,10 @@ def test_cluster_jobs_golden(runs, request):
                     "recovery": (result.recovery.counters()
                                  if result.recovery is not None else None),
                 }
+    # The phase spans are disjoint stretches of the job, on every path.
+    overlong = [key for key, entry in observed.items()
+                if entry["detail"]["parallel_cycles"] > entry["cycles"]]
+    assert not overlong, overlong
     if request.config.getoption("--update-goldens"):
         GOLDEN.write_text(json.dumps(observed, indent=2, sort_keys=True)
                           + "\n")

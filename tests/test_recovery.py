@@ -291,17 +291,22 @@ class TestStoreCancelGet:
 
 
 class TestFailFastGather:
-    def test_missing_partial_raises_structured_error(self):
+    @pytest.mark.parametrize("site", ["filter_count", "groupby"])
+    def test_missing_partial_raises_structured_error(self, site):
         # A DPU dies under a cluster with NO chaos plan: the gather
-        # must fail fast with a diagnosis, not hang until watchdog.
+        # (filter_count) and the exchange (groupby) must fail fast
+        # with a diagnosis, not hang until watchdog.
         cluster = Cluster(2)
         cluster.fabric.schedule_kill(1, at_cycle=0.0)
-        shards = [np.arange(100, dtype=np.int64),
-                  np.arange(100, dtype=np.int64)]
+        values = np.arange(100, dtype=np.int64)
         with pytest.raises(ClusterError) as info:
-            cluster_filter_count(cluster, shards, 10, 50)
+            if site == "filter_count":
+                cluster_filter_count(cluster, [values, values], 10, 50)
+            else:
+                cluster_groupby(cluster, _shard({"k": values}, 2), "k",
+                                [AggSpec("count")])
         error = info.value
-        assert error.site == "filter_count"
+        assert error.site == site
         assert error.missing == (1,)
         assert error.cycle > 0
         assert "messages_sent" in error.fabric
