@@ -205,3 +205,55 @@ class TestPerfcmpTool:
         for key in perfcmp.WORKLOADS:
             assert data["workloads"][key] > 0, key
         assert perfcmp.GATE_KEY in data["workloads"]
+
+
+class TestPerfcmpAB:
+    """The A/B mode's bookkeeping, with a fake measure function in
+    place of the subprocesses it runs on each tree."""
+
+    def test_pairs_alternate_which_side_runs_first(self):
+        calls = []
+
+        def measure(side, names):
+            calls.append((side, tuple(names)))
+            return {name: len(calls) for name in names}
+
+        samples, order = perfcmp.run_pairs(
+            measure, ("parent", "current"), ["a_s", "b_per_s"], 4)
+        assert order == ["parent", "current", "current", "parent",
+                         "parent", "current", "current", "parent"]
+        assert [side for side, _names in calls] == order
+        assert all(names == ("a_s", "b_per_s") for _side, names in calls)
+        # Each side's values in the order that side ran.
+        assert samples["parent"]["a_s"] == [1, 4, 5, 8]
+        assert samples["current"]["b_per_s"] == [2, 3, 6, 7]
+
+    def test_summary_reports_median_quartiles_and_ratio(self):
+        samples = {
+            "parent": {"fig11_body_s": [1.0, 2.0, 3.0, 4.0, 5.0]},
+            "current": {"fig11_body_s": [0.5, 1.0, 1.5, 2.0, 2.5]},
+        }
+        entry = perfcmp.ab_summary(samples)["fig11_body_s"]
+        assert entry["parent"] == {"median": 3.0, "q1": 1.5, "q3": 4.5,
+                                   "n": 5, "runs": [1.0, 2.0, 3.0, 4.0, 5.0]}
+        assert entry["current"]["median"] == 1.5
+        assert (entry["current"]["q1"], entry["current"]["q3"]) == (0.75, 2.25)
+        assert entry["ratio"] == pytest.approx(0.5)
+
+    def test_one_pair_summarizes_to_its_single_value(self):
+        def measure(side, names):
+            return {name: {"parent": 10.0, "current": 8.0}[side]
+                    for name in names}
+
+        samples, _order = perfcmp.run_pairs(
+            measure, ("parent", "current"), ["x_s"], 1)
+        entry = perfcmp.ab_summary(samples)["x_s"]
+        assert entry["parent"] == {"median": 10.0, "q1": 10.0, "q3": 10.0,
+                                   "n": 1, "runs": [10.0]}
+        assert entry["ratio"] == pytest.approx(0.8)
+
+    def test_ab_rejects_unknown_workload_and_zero_pairs(self):
+        with pytest.raises(SystemExit, match="unknown workloads"):
+            perfcmp.main(["ab", "--only", "nope"])
+        with pytest.raises(SystemExit, match="--pairs"):
+            perfcmp.main(["ab", "--pairs", "0"])

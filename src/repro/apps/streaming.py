@@ -90,19 +90,20 @@ def stream_columns(
             f"streaming needs {2 * set_bytes} B of DMEM at {dmem_base}, "
             f"have {ctx.dmem.size}"
         )
-    col_offsets: List[int] = []
+    # DMEM offset of each column's buffer in each buffer set.
+    offsets: List[List[int]] = [[], []]
     cursor = 0
     for nbytes in tile_bytes:
-        col_offsets.append(cursor)
+        for buf in (0, 1):
+            offsets[buf].append(dmem_base + buf * set_bytes + cursor)
         cursor += nbytes
-
-    def buffer_offset(buf: int, col: int) -> int:
-        return dmem_base + buf * set_bytes + col_offsets[col]
+    last_col = len(columns) - 1
 
     def issue(tile: int, buf: int) -> None:
         lo = tile * tile_rows
         hi = min(rows, lo + tile_rows)
         count = hi - lo
+        buf_offsets = offsets[buf]
         for col, (addr, _spec) in enumerate(columns):
             width = widths[col]
             ctx.push(
@@ -111,10 +112,8 @@ def stream_columns(
                     rows=count,
                     col_width=width,
                     ddr_addr=addr + lo * width,
-                    dmem_addr=buffer_offset(buf, col),
-                    notify_event=(
-                        _READ_EVENTS[buf] if col == len(columns) - 1 else None
-                    ),
+                    dmem_addr=buf_offsets[col],
+                    notify_event=_READ_EVENTS[buf] if col == last_col else None,
                 ),
                 channel=0,
             )
@@ -135,12 +134,9 @@ def stream_columns(
         yield from ctx.wfe(_READ_EVENTS[buf])
         lo = tile * tile_rows
         hi = min(rows, lo + tile_rows)
+        buf_offsets = offsets[buf]
         arrays = [
-            ctx.dmem.view(
-                buffer_offset(buf, col),
-                (hi - lo) * widths[col],
-                dtypes[col],
-            )
+            ctx.dmem.view(buf_offsets[col], (hi - lo) * widths[col], dtypes[col])
             for col in range(len(columns))
         ]
         cycles = process(tile, lo, hi, arrays) + BUFFER_SWAP_CYCLES
@@ -156,7 +152,7 @@ def stream_columns(
                     rows=hi - lo,
                     col_width=out_width,
                     ddr_addr=out_addr + lo * out_width,
-                    dmem_addr=buffer_offset(buf, 0),
+                    dmem_addr=offsets[buf][0],
                     notify_event=_WRITE_EVENTS[buf],
                 ),
                 channel=1,

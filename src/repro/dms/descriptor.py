@@ -145,10 +145,19 @@ DESCRIPTOR_CAPABILITIES: Dict[DescriptorType, FrozenSet[str]] = _CAP
 # descriptor runs: hashing an enum member calls the Python-level
 # ``Enum.__hash__`` and ``.value`` goes through a slow descriptor
 # protocol, while id() and an int-keyed lookup stay in C. Members are
-# singletons, so identity is equality.
-_CAPS_BY_ID: Dict[int, FrozenSet[str]] = {
-    id(dtype): caps for dtype, caps in _CAP.items()
+# singletons, so identity is equality. Each entry is the type's
+# capabilities and whether it must move at least one row.
+_NEEDS_ROWS = (
+    DescriptorType.DDR_TO_DMEM,
+    DescriptorType.DMEM_TO_DDR,
+    DescriptorType.DDR_TO_DMS,
+    DescriptorType.DMEM_TO_DMS,
+)
+_DATA_RULES: Dict[int, Tuple[FrozenSet[str], bool]] = {
+    id(dtype): (caps, dtype in _NEEDS_ROWS) for dtype, caps in _CAP.items()
 }
+_INTERNAL_MEMS = ("cmem", "crc", "cid", "bv")
+_COL_WIDTHS = (1, 2, 4, 8)
 
 
 @dataclass(slots=True)
@@ -192,43 +201,37 @@ class Descriptor:
     set_events: Tuple[int, ...] = ()
     clear_events: Tuple[int, ...] = ()
     wait_events: Tuple[int, ...] = ()
+    # Payload size of a data descriptor (``rows * col_width``; 0 for a
+    # control descriptor), computed once at construction. Descriptors
+    # are templates: change one through :meth:`with_updates`, which
+    # builds, checks and sizes a new one.
+    transfer_bytes: int = field(init=False, repr=False, compare=False)
+
+    # -- validation and sizing ------------------------------------------
 
     def __post_init__(self) -> None:
-        self._validate()
-
-    # -- validation -----------------------------------------------------
-
-    def _validate(self) -> None:
-        if self.internal_mem not in ("cmem", "crc", "cid", "bv"):
+        """Check Table 1 and the field ranges in one pass and size the
+        transfer. The checks run in a fixed order, so a descriptor that
+        breaks several rules always reports the same one."""
+        if self.internal_mem not in _INTERNAL_MEMS:
             raise DescriptorError(f"unknown internal memory {self.internal_mem!r}")
-        caps = _CAPS_BY_ID.get(id(self.dtype))
-        if caps is not None:
-            if self.ddr_stride is not None and "stride" not in caps:
-                raise DescriptorError(f"{self.dtype.name} does not support stride")
-            if self.gather_src and "gather" not in caps:
-                raise DescriptorError(f"{self.dtype.name} does not support gather")
-            if self.scatter_dst and "scatter" not in caps:
-                raise DescriptorError(f"{self.dtype.name} does not support scatter")
-            if self.partition is not None and "partition" not in caps:
+        rule = _DATA_RULES.get(id(self.dtype))
+        if rule is not None:
+            caps, needs_rows = rule
+            if (self.ddr_stride is not None or self.gather_src
+                    or self.scatter_dst or self.partition is not None
+                    or self.is_key_column):
+                self._check_capabilities(caps)
+            rows = self.rows
+            width = self.col_width
+            if needs_rows and rows <= 0:
+                raise DescriptorError(f"data descriptor needs rows > 0: {rows}")
+            if width not in _COL_WIDTHS:
                 raise DescriptorError(
-                    f"{self.dtype.name} does not support partitioning"
+                    f"column width must be 1/2/4/8 bytes: {width}"
                 )
-            if self.is_key_column and "key" not in caps:
-                raise DescriptorError(f"{self.dtype.name} has no key column role")
-            needs_rows = self.dtype in (
-                DescriptorType.DDR_TO_DMEM,
-                DescriptorType.DMEM_TO_DDR,
-                DescriptorType.DDR_TO_DMS,
-                DescriptorType.DMEM_TO_DMS,
-            )
-            if needs_rows and self.rows <= 0:
-                raise DescriptorError(f"data descriptor needs rows > 0: {self.rows}")
-            if self.col_width not in (1, 2, 4, 8):
-                raise DescriptorError(
-                    f"column width must be 1/2/4/8 bytes: {self.col_width}"
-                )
-            if not 0 <= self.rows < (1 << 16):
-                raise DescriptorError(f"rows field is 16 bits: {self.rows}")
+            if not 0 <= rows < (1 << 16):
+                raise DescriptorError(f"rows field is 16 bits: {rows}")
             if not 0 <= self.dmem_addr < (1 << 16):
                 raise DescriptorError(
                     f"DMEM address field is 16 bits: {self.dmem_addr:#x}"
@@ -237,28 +240,41 @@ class Descriptor:
                 raise DescriptorError(
                     f"DDR address field is 36 bits: {self.ddr_addr:#x}"
                 )
-        elif self.dtype is DescriptorType.LOOP:
-            if self.loop_back <= 0:
-                raise DescriptorError("loop descriptor must jump back >= 1")
-            if self.loop_count < 0:
-                raise DescriptorError(f"negative loop count {self.loop_count}")
-        for event in (self.wait_event, self.notify_event):
-            if event is not None and not 0 <= event < EVENT_NONE:
-                raise DescriptorError(
-                    f"event id must be 0..{EVENT_NONE - 1}: {event}"
-                )
-        for event in (*self.set_events, *self.clear_events, *self.wait_events):
-            if not 0 <= event < EVENT_NONE:
-                raise DescriptorError(f"event id must be 0..{EVENT_NONE - 1}: {event}")
+            self.transfer_bytes = rows * width
+        else:
+            self.transfer_bytes = 0
+            if self.dtype is DescriptorType.LOOP:
+                if self.loop_back <= 0:
+                    raise DescriptorError("loop descriptor must jump back >= 1")
+                if self.loop_count < 0:
+                    raise DescriptorError(f"negative loop count {self.loop_count}")
+        event = self.wait_event
+        if event is not None and not 0 <= event < EVENT_NONE:
+            raise DescriptorError(f"event id must be 0..{EVENT_NONE - 1}: {event}")
+        event = self.notify_event
+        if event is not None and not 0 <= event < EVENT_NONE:
+            raise DescriptorError(f"event id must be 0..{EVENT_NONE - 1}: {event}")
+        if self.set_events or self.clear_events or self.wait_events:
+            for event in (*self.set_events, *self.clear_events, *self.wait_events):
+                if not 0 <= event < EVENT_NONE:
+                    raise DescriptorError(
+                        f"event id must be 0..{EVENT_NONE - 1}: {event}"
+                    )
 
-    # -- sizing ----------------------------------------------------------
-
-    @property
-    def transfer_bytes(self) -> int:
-        """Payload size of a data descriptor."""
-        if id(self.dtype) not in _CAPS_BY_ID:
-            return 0
-        return self.rows * self.col_width
+    def _check_capabilities(self, caps: FrozenSet[str]) -> None:
+        """Refuse an operation Table 1 does not give this direction."""
+        if self.ddr_stride is not None and "stride" not in caps:
+            raise DescriptorError(f"{self.dtype.name} does not support stride")
+        if self.gather_src and "gather" not in caps:
+            raise DescriptorError(f"{self.dtype.name} does not support gather")
+        if self.scatter_dst and "scatter" not in caps:
+            raise DescriptorError(f"{self.dtype.name} does not support scatter")
+        if self.partition is not None and "partition" not in caps:
+            raise DescriptorError(
+                f"{self.dtype.name} does not support partitioning"
+            )
+        if self.is_key_column and "key" not in caps:
+            raise DescriptorError(f"{self.dtype.name} has no key column role")
 
     # -- Table 2 encoding -------------------------------------------------
 

@@ -154,6 +154,8 @@ class Dmac:
         self._macro_of = tuple(
             config.macro_of(core) for core in range(config.num_cores)
         )
+        # Each core's crossbar.
+        self._core_dmax = tuple(dmaxes[macro] for macro in self._macro_of)
 
     # -- configuration ---------------------------------------------------
 
@@ -170,8 +172,10 @@ class Dmac:
 
     def prepare(self, descriptor: Descriptor, core_id: int):
         """Attach the descriptor to pipeline state; returns a context
-        object consumed by :meth:`execute`. Must be called in DMAD
-        dispatch order so chunk membership matches program order."""
+        object consumed by :meth:`start`. Must be called in DMAD
+        dispatch order so chunk membership matches program order. A
+        DDR <-> DMEM descriptor has none (``(None, None, None)``), so
+        the DMAD skips this call for one."""
         dtype = descriptor.dtype
         if dtype is DescriptorType.DDR_TO_DMS:
             if descriptor.is_key_column or self._open_chunk is None:
@@ -239,7 +243,7 @@ class Dmac:
         elif dtype is DescriptorType.DMEM_TO_DMS:
             # The register contents were snapshotted at dispatch, in
             # program order; charge the crossbar time of the RID/BV load.
-            run.at(self._dmax_for(run.core).book(run.descriptor.transfer_bytes),
+            run.at(self._core_dmax[run.core].book(run.descriptor.transfer_bytes),
                    self._counted)
         elif dtype is DescriptorType.DMS_TO_DDR:
             self._drain(run)
@@ -252,18 +256,12 @@ class Dmac:
 
     # -- DDR <-> DMEM streaming -------------------------------------------
 
-    def _dmax_for(self, core_id: int) -> Dmax:
-        return self.dmaxes[self._macro_of[core_id]]
-
-    def _target_dmem(self, descriptor: Descriptor, core_id: int) -> Scratchpad:
-        target = descriptor.dmem_core if descriptor.dmem_core is not None else core_id
-        return self.scratchpads[target]
-
     def _ddr_to_dmem(self, run) -> None:
         descriptor = run.descriptor
         if descriptor.rle:
             raise DescriptorError("RLE decode is not modelled")
-        run.dmem = self._target_dmem(descriptor, run.core)
+        target = descriptor.dmem_core
+        run.dmem = self.scratchpads[run.core if target is None else target]
         width = descriptor.col_width
         if descriptor.gather_src:
             run.gather_began = self.engine.now
@@ -299,7 +297,10 @@ class Dmac:
         descriptor = run.descriptor
         nbytes = descriptor.transfer_bytes
         run.data = self.ddr_memory.read(descriptor.ddr_addr, nbytes)
-        run.at(self._dmax_for(run.core).book(min(nbytes, 256)), self._landed)
+        # A DDR -> DMEM descriptor moves at least one row, so this is
+        # the nonzero booking Dmax.book would make.
+        run.at(self._core_dmax[run.core].server.book(
+            nbytes if nbytes < 256 else 256), self._landed)
 
     def _strided_read(self, run) -> None:
         descriptor = run.descriptor
@@ -310,7 +311,7 @@ class Dmac:
         offsets = np.arange(descriptor.rows) * stride
         element = np.arange(width)
         run.data = raw[offsets[:, None] + element[None, :]].ravel()
-        run.at(self._dmax_for(run.core).book(min(len(run.data), 256)),
+        run.at(self._core_dmax[run.core].book(min(len(run.data), 256)),
                self._landed)
 
     def _gather(self, run) -> None:
@@ -331,7 +332,7 @@ class Dmac:
             descriptor.ddr_addr, descriptor.rows * width, _WIDTH_DTYPE[width]
         )
         run.data = source[run.rows]
-        run.at(self._dmax_for(run.core).book(min(len(run.rows) * width, 256)),
+        run.at(self._core_dmax[run.core].book(min(len(run.rows) * width, 256)),
                self._landed)
 
     def _landed(self, run) -> None:
@@ -350,15 +351,17 @@ class Dmac:
                 )
         else:
             moved = descriptor.transfer_bytes
-        self.stats.count("dms.bytes_read", moved)
-        self.stats.count("dms.descriptors", 1)
+        counters = self.stats.counters
+        counters["dms.bytes_read"] += moved
+        counters["dms.descriptors"] += 1
         run.done()
 
     def _dmem_to_ddr(self, run) -> None:
         descriptor = run.descriptor
         if descriptor.rle:
             raise DescriptorError("RLE encode is not modelled")
-        dmem = self._target_dmem(descriptor, run.core)
+        target = descriptor.dmem_core
+        dmem = self.scratchpads[run.core if target is None else target]
         width = descriptor.col_width
         if descriptor.scatter_dst:
             indices = run.rows = self._gather_indices(descriptor, run.core)
@@ -369,7 +372,7 @@ class Dmac:
         else:
             nbytes = descriptor.transfer_bytes
             run.data = dmem.read(descriptor.dmem_addr, nbytes)
-        run.at(self._dmax_for(run.core).book(min(nbytes, 256)), self._write)
+        run.at(self._core_dmax[run.core].book(min(nbytes, 256)), self._write)
 
     def _write(self, run) -> None:
         """The DMEM -> DDR payload crossed the DMAX: issue the write."""
@@ -399,8 +402,9 @@ class Dmac:
         else:
             self.ddr_memory.write(descriptor.ddr_addr, run.data)
             moved = descriptor.transfer_bytes
-        self.stats.count("dms.bytes_written", moved)
-        self.stats.count("dms.descriptors", 1)
+        counters = self.stats.counters
+        counters["dms.bytes_written"] += moved
+        counters["dms.descriptors"] += 1
         run.done()
 
     def _gather_indices(self, descriptor: Descriptor, core_id: int) -> np.ndarray:

@@ -60,6 +60,13 @@ _LOOP = DescriptorType.LOOP
 _EVENT = DescriptorType.EVENT
 _HASH_CONFIG = DescriptorType.HASH_CONFIG
 _RANGE_CONFIG = DescriptorType.RANGE_CONFIG
+_DDR_TO_DMEM = DescriptorType.DDR_TO_DMEM
+_DMEM_TO_DDR = DescriptorType.DMEM_TO_DDR
+# What Dmac.prepare returns for a DDR <-> DMEM descriptor, which joins
+# no partition chunk and loads no bit-vector register.
+_NO_PREP = (None, None, None)
+
+_heappush = heapq.heappush
 
 # Where a blocked walker resumes (``DmadChannel.stage``). A data
 # descriptor passes its wait event, its notify tail and its notify
@@ -282,16 +289,26 @@ class Dmad:
             if flag.is_set:
                 self._block(chan, flag.wait_clear(), _SETUP)
                 return
-        self.engine._schedule(self._setup_cycles, self._setup_done, chan)
+        engine = self.engine
+        _heappush(engine._queue, (engine.now + self._setup_cycles,
+                                  engine._next_seq(), self._setup_done, chan))
 
     def _setup_done(self, chan: DmadChannel) -> None:
-        descriptor = self._resolve_addresses(chan, chan.program[chan.pc])
-        prep = self.dmac.prepare(descriptor, self.core_id)
-        slot = self.outstanding.acquire()
-        if slot.callbacks is not None:
-            chan.held = (descriptor, prep)
-            self._block(chan, slot, _ISSUE)
-            return
+        descriptor = chan.program[chan.pc]
+        if descriptor.src_addr_inc or descriptor.dst_addr_inc:
+            descriptor = self._resolve_addresses(chan, descriptor)
+        dtype = descriptor.dtype
+        if dtype is _DDR_TO_DMEM or dtype is _DMEM_TO_DDR:
+            prep = _NO_PREP
+        else:
+            prep = self.dmac.prepare(descriptor, self.core_id)
+        outstanding = self.outstanding
+        if not outstanding.try_acquire():
+            slot = outstanding.acquire()
+            if slot.callbacks is not None:
+                chan.held = (descriptor, prep)
+                self._block(chan, slot, _ISSUE)
+                return
         self._issue(chan, descriptor, prep)
         self._walk(chan)
 
@@ -385,9 +402,9 @@ class DescriptorRun(SimEvent):
     :meth:`at` (the completion time of a transfer it booked),
     :meth:`after` (a fixed delay) or :meth:`wait` (an event), or by
     calling :meth:`done`. :meth:`at` and :meth:`after` push the next
-    stage at exactly the heap key a ``Timeout`` for that delay would
-    take, so a run interleaves with processes as a process waiting on
-    those timeouts would.
+    stage straight onto the heap at exactly the key a ``Timeout`` for
+    that delay would take, so a run interleaves with processes as a
+    process waiting on those timeouts would.
 
     Like a process, a run registers with the engine under
     ``dmad<core>.desc`` and keeps ``_waiting_on``, so deadlock reports
@@ -420,25 +437,38 @@ class DescriptorRun(SimEvent):
         self.dmem = self.data = self.rows = self.spec = None
         self.gather_began = 0.0
         self.gathering = False
-        self._stage = DescriptorRun._start
+        # The first stage runs at this instant, at the heap key a
+        # process started now would take.
+        self._began = engine.now
+        self._stage = (DescriptorRun._fetch if dmad._crc_faulty
+                       else DescriptorRun._execute)
         self._exec_trace = None
         self._replays = 0
         engine._register_process(self)
         if engine.tracer is not None:
             engine.tracer.process_started(self)
-        engine._schedule(0, self._resume, None)
+        _heappush(engine._queue,
+                  (engine.now, engine._next_seq(), self._resume, None))
 
     # -- scheduling the next stage ----------------------------------------
 
     def after(self, delay: float, stage) -> None:
         """Run ``stage`` ``delay`` cycles from now."""
         self._stage = stage
-        self.engine._schedule(delay, self._resume, None)
+        engine = self.engine
+        _heappush(engine._queue, (engine.now + delay, engine._next_seq(),
+                                  self._resume, None))
 
     def at(self, finish: float, stage) -> None:
         """Run ``stage`` when a transfer booked to end at ``finish``
-        completes (at the key ``Timeout(finish - now)`` takes)."""
-        self.after(finish - self.engine.now, stage)
+        completes, at the key ``Timeout(finish - now)`` takes:
+        ``now + (finish - now)``, which in floating point need not
+        equal ``finish``."""
+        self._stage = stage
+        engine = self.engine
+        now = engine.now
+        _heappush(engine._queue, (now + (finish - now), engine._next_seq(),
+                                  self._resume, None))
 
     def wait(self, event: SimEvent, stage) -> None:
         """Run ``stage`` once ``event`` has triggered: at once if it
@@ -464,13 +494,6 @@ class DescriptorRun(SimEvent):
             self._abort(error)
 
     # -- lifecycle ------------------------------------------------------------
-
-    def _start(self) -> None:
-        self._began = self.engine.now
-        if self.dmad._crc_faulty:
-            self._fetch()
-        else:
-            self._execute()
 
     def _fetch(self) -> None:
         """CRC-check one fetch of the descriptor; replay a corrupted one.
@@ -530,10 +553,14 @@ class DescriptorRun(SimEvent):
         """The DMAC finished the transfer: retire the descriptor."""
         descriptor = self.descriptor
         dmad = self.dmad
-        self._retire(None)
+        if self._exec_trace.enabled or dmad.trace.enabled:
+            self._retire(None)
+        else:
+            dmad.outstanding.release()
+            dmad._inflight -= 1
         if descriptor.notify_event is not None:
             dmad.event_file.set(descriptor.notify_event)
-        dmad.stats.count("dmad.completed", 1)
+        dmad.stats.counters["dmad.completed"] += 1
         self._drop()
         self.succeed()
         engine = self.engine

@@ -29,9 +29,17 @@ __all__ = ["DDRMemory", "DDRChannel", "AXI_MAX_TRANSFER"]
 
 AXI_MAX_TRANSFER = 256  # max bytes per AXI transaction (paper §3.1)
 
+# A payload that is already a flat, contiguous byte array is written
+# as it is; anything else is first viewed as one (``DDRMemory.write``).
+_UINT8 = np.dtype(np.uint8)
+
 
 class DDRMemory:
-    """Byte-addressable DRAM contents backed by a numpy array."""
+    """Byte-addressable DRAM contents backed by a numpy array.
+
+    Accessors test the bounds inline and call
+    :meth:`AddressMap.check_ddr_range` only to raise its error.
+    """
 
     def __init__(self, address_map: AddressMap) -> None:
         self.address_map = address_map
@@ -43,14 +51,20 @@ class DDRMemory:
 
     def read(self, address: int, length: int) -> np.ndarray:
         """Return a *copy* of ``length`` bytes at ``address``."""
-        self.address_map.check_ddr_range(address, length)
-        return self.data[address : address + length].copy()
+        end = address + length
+        if length < 0 or address < 0 or end > self.address_map.ddr_capacity:
+            self.address_map.check_ddr_range(address, length)
+        return self.data[address:end].copy()
 
     def write(self, address: int, payload: np.ndarray) -> None:
         """Store ``payload`` bytes at ``address``."""
-        raw = np.ascontiguousarray(payload).view(np.uint8).ravel()
-        self.address_map.check_ddr_range(address, len(raw))
-        self.data[address : address + len(raw)] = raw
+        if not (type(payload) is np.ndarray and payload.dtype is _UINT8
+                and payload.ndim == 1 and payload.flags.c_contiguous):
+            payload = np.ascontiguousarray(payload).view(np.uint8).ravel()
+        end = address + payload.size
+        if address < 0 or end > self.address_map.ddr_capacity:
+            self.address_map.check_ddr_range(address, payload.size)
+        self.data[address:end] = payload
 
     def view(self, address: int, length: int, dtype=np.uint8) -> np.ndarray:
         """A zero-copy typed view of DDR contents (for fast kernels).
@@ -58,8 +72,10 @@ class DDRMemory:
         Mutating the view mutates memory; use for hot loops where the
         copy in :meth:`read` would dominate Python runtime.
         """
-        self.address_map.check_ddr_range(address, length)
-        return self.data[address : address + length].view(dtype)
+        end = address + length
+        if length < 0 or address < 0 or end > self.address_map.ddr_capacity:
+            self.address_map.check_ddr_range(address, length)
+        return self.data[address:end].view(dtype)
 
     def read_u64(self, address: int) -> int:
         return int(self.view(address, 8, np.uint64)[0])

@@ -17,6 +17,10 @@ from .address import DMEM_SIZE
 
 __all__ = ["Scratchpad"]
 
+# A payload that is already a flat, contiguous byte array is written
+# as it is; anything else is first viewed as one (``write``).
+_UINT8 = np.dtype(np.uint8)
+
 
 class Scratchpad:
     """32 KB of byte-addressable SRAM local to one dpCore."""
@@ -52,6 +56,7 @@ class Scratchpad:
         }
 
     def _check(self, offset: int, length: int) -> None:
+        # Hot paths test the bounds inline and call this only to raise.
         if length < 0:
             raise ValueError(f"negative access length {length}")
         if offset < 0 or offset + length > self.size:
@@ -67,11 +72,15 @@ class Scratchpad:
 
     def write(self, offset: int, payload: np.ndarray) -> None:
         """Store ``payload`` bytes at ``offset``."""
-        raw = np.ascontiguousarray(payload).view(np.uint8).ravel()
-        self._check(offset, len(raw))
-        self.data[offset : offset + len(raw)] = raw
-        end = offset + len(raw)
-        self.bytes_written += len(raw)
+        if not (type(payload) is np.ndarray and payload.dtype is _UINT8
+                and payload.ndim == 1 and payload.flags.c_contiguous):
+            payload = np.ascontiguousarray(payload).view(np.uint8).ravel()
+        length = payload.size
+        end = offset + length
+        if offset < 0 or end > self.size:
+            self._check(offset, length)
+        self.data[offset:end] = payload
+        self.bytes_written += length
         if end > self.peak_offset:
             self.peak_offset = end
             for mark in self._watermarks:
@@ -81,8 +90,10 @@ class Scratchpad:
 
     def view(self, offset: int, length: int, dtype=np.uint8) -> np.ndarray:
         """Zero-copy typed view (mutations are visible to hardware)."""
-        self._check(offset, length)
-        return self.data[offset : offset + length].view(dtype)
+        end = offset + length
+        if length < 0 or offset < 0 or end > self.size:
+            self._check(offset, length)
+        return self.data[offset:end].view(dtype)
 
     def read_u64(self, offset: int) -> int:
         return int(self.view(offset, 8, np.uint64)[0])

@@ -190,16 +190,22 @@ class ServingFrontend:
             request=request, completion=completion, latency=latency,
             source=source, batch_size=batch_size))
         report.overall.add(latency)
-        report.tenant_digests.setdefault(
-            request.tenant,
-            LatencyDigest(f"serve.tenant.{request.tenant}.latency"),
-        ).add(latency)
-        report.tier_digests.setdefault(
-            request.tier,
-            LatencyDigest(f"serve.tier.{request.tier}.latency"),
-        ).add(latency)
-        self.hub.observe(f"serve.tenant.{request.tenant}.latency", latency)
-        self.hub.observe(f"serve.tier.{request.tier}.latency", latency)
+        # Each digest is built on its first sample, and the hub's
+        # metric names are formatted only for a live hub.
+        tenant, tier = request.tenant, request.tier
+        digest = report.tenant_digests.get(tenant)
+        if digest is None:
+            digest = report.tenant_digests[tenant] = LatencyDigest(
+                f"serve.tenant.{tenant}.latency")
+        digest.add(latency)
+        digest = report.tier_digests.get(tier)
+        if digest is None:
+            digest = report.tier_digests[tier] = LatencyDigest(
+                f"serve.tier.{tier}.latency")
+        digest.add(latency)
+        if self.hub.enabled:
+            self.hub.observe(f"serve.tenant.{tenant}.latency", latency)
+            self.hub.observe(f"serve.tier.{tier}.latency", latency)
 
     def _serve_cached(self, request: QueryRequest, rows: Tuple,
                       report: ServingReport) -> None:

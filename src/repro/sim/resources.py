@@ -30,7 +30,8 @@ class Resource:
     """A FIFO resource with ``capacity`` slots.
 
     ``acquire()`` returns an event that succeeds when a slot is free;
-    the holder must call ``release()`` exactly once.
+    the holder must call ``release()`` exactly once. ``try_acquire()``
+    takes a free slot without building that event.
     """
 
     __slots__ = ("engine", "capacity", "in_use", "_waiters")
@@ -56,6 +57,18 @@ class Resource:
         else:
             self._waiters.append(event)
         return event
+
+    def try_acquire(self) -> bool:
+        """Take a free slot at once, without an event.
+
+        True if a slot was free and nobody queued ahead, so a caller
+        never jumps the FIFO; the holder must then ``release()`` as
+        after ``acquire()``. False leaves the resource unchanged.
+        """
+        if self.in_use < self.capacity and not self._waiters:
+            self.in_use += 1
+            return True
+        return False
 
     def release(self) -> None:
         if self.in_use <= 0:

@@ -217,6 +217,196 @@ class TestValidation:
         assert dpu.stats.counters["dms.descriptors"] == 16
         assert calls == []
 
+    def test_free_outstanding_slots_need_no_acquire_event(self, monkeypatch):
+        """A DMAD takes a free outstanding slot with ``try_acquire``:
+        a streamed launch that never fills its slots builds no
+        ``Resource.acquire`` event."""
+        import numpy as np
+
+        from repro.apps.streaming import stream_columns
+        from repro.core import DPU
+        from repro.sim import Resource
+
+        dpu = DPU()
+        rows = 4096
+        address = dpu.store_array(np.arange(rows, dtype=np.uint32))
+        seen = []
+
+        def kernel(ctx):
+            def check(tile, lo, hi, arrays):
+                seen.append(bool((arrays[0] == np.arange(lo, hi)).all()))
+                return 8
+
+            yield from stream_columns(ctx, [(address, 4)], rows, 512, check)
+
+        acquired = []
+        original = Resource.acquire
+
+        def counting_acquire(resource):
+            acquired.append(resource)
+            return original(resource)
+
+        monkeypatch.setattr(Resource, "acquire", counting_acquire)
+        # Two buffers per core: at most two slots are ever held.
+        assert dpu.config.dms_max_outstanding >= 2
+        dpu.launch(kernel, cores=[0, 3])
+        assert seen == [True] * 16
+        assert dpu.stats.counters["dmad.completed"] == 16
+        assert acquired == []
+
+    def test_try_acquire_never_jumps_the_queue(self):
+        """``try_acquire`` refuses whenever an acquirer is queued, even
+        with a slot free, and leaves the resource as it was."""
+        from repro.sim import Engine, Resource, SimEvent
+
+        engine = Engine()
+        slots = Resource(engine, 2)
+        assert slots.try_acquire() and slots.try_acquire()
+        assert slots.try_acquire() is False
+        waiter = slots.acquire()
+        assert not waiter.triggered and slots.queue_depth == 1
+        assert slots.try_acquire() is False
+        slots.release()  # the slot goes to the queued acquirer
+        assert waiter.triggered and slots.in_use == 2
+        assert slots.try_acquire() is False
+        slots.release()
+        assert slots.try_acquire() is True
+        # A queued acquirer with a slot free: still refused.
+        slots.release()
+        slots._waiters.append(SimEvent(engine))
+        assert slots.in_use == 1
+        assert slots.try_acquire() is False
+        assert slots.in_use == 1 and slots.queue_depth == 1
+
+
+_DATA_TYPES = [t for t in DescriptorType if t.is_data]
+_CONTROL_TYPES = [t for t in DescriptorType if t.is_control]
+
+
+class TestTransferBytes:
+    """A descriptor is sized once, at construction."""
+
+    @pytest.mark.parametrize("dtype", _DATA_TYPES, ids=lambda t: t.name)
+    @pytest.mark.parametrize("width", [1, 2, 4, 8])
+    def test_data_descriptor_moves_rows_times_width(self, dtype, width):
+        for rows in (1, 7, 256, 0xFFFF):
+            descriptor = Descriptor(dtype=dtype, rows=rows, col_width=width)
+            assert descriptor.transfer_bytes == rows * width
+            resized = descriptor.with_updates(rows=rows // 2 + 1)
+            assert resized.transfer_bytes == (rows // 2 + 1) * width
+            widened = descriptor.with_updates(col_width=1)
+            assert widened.transfer_bytes == rows
+
+    @pytest.mark.parametrize("dtype", _CONTROL_TYPES, ids=lambda t: t.name)
+    def test_control_descriptor_moves_nothing(self, dtype):
+        extra = {"loop_back": 1} if dtype is DescriptorType.LOOP else {}
+        descriptor = Descriptor(dtype=dtype, rows=9, col_width=8, **extra)
+        assert descriptor.transfer_bytes == 0
+        assert descriptor.with_updates(rows=100).transfer_bytes == 0
+
+    @given(
+        dtype=st.sampled_from([DescriptorType.DDR_TO_DMEM,
+                               DescriptorType.DMEM_TO_DDR]),
+        rows=st.integers(1, 0xFFFF),
+        width=st.sampled_from([1, 2, 4, 8]),
+        ddr=st.integers(0, (1 << 36) - 1),
+        dmem=st.integers(0, 0xFFFF),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_size_survives_table2_roundtrip(self, dtype, rows, width, ddr,
+                                            dmem):
+        descriptor = Descriptor(dtype=dtype, rows=rows, col_width=width,
+                                ddr_addr=ddr, dmem_addr=dmem)
+        decoded = Descriptor.decode(descriptor.encode())
+        assert decoded == descriptor
+        assert decoded.transfer_bytes == descriptor.transfer_bytes == rows * width
+
+    def test_size_is_derived_not_settable(self):
+        descriptor = ddr_to_dmem(4, 4, 0, 0)
+        with pytest.raises(TypeError):
+            Descriptor(dtype=DescriptorType.DDR_TO_DMEM, rows=4,
+                       transfer_bytes=16)
+        with pytest.raises(ValueError):
+            descriptor.with_updates(transfer_bytes=99)
+        assert "transfer_bytes" not in repr(descriptor)
+
+
+class TestBoundaryErrors:
+    """Field ranges at their edges: the last legal value passes, the
+    first illegal one raises the same text as the original checks."""
+
+    @pytest.mark.parametrize("rows, message", [
+        (0, "data descriptor needs rows > 0: 0"),
+        (0xFFFF, None),
+        (0x10000, "rows field is 16 bits: 65536"),
+    ])
+    def test_rows(self, rows, message):
+        self._check(message, rows=rows)
+
+    @pytest.mark.parametrize("dmem_addr, message", [
+        (0xFFFF, None),
+        (0x10000, "DMEM address field is 16 bits: 0x10000"),
+    ])
+    def test_dmem_addr(self, dmem_addr, message):
+        self._check(message, dmem_addr=dmem_addr)
+
+    @pytest.mark.parametrize("ddr_addr, message", [
+        ((1 << 36) - 1, None),
+        (1 << 36, "DDR address field is 36 bits: 0x1000000000"),
+    ])
+    def test_ddr_addr(self, ddr_addr, message):
+        self._check(message, ddr_addr=ddr_addr)
+
+    def test_width(self):
+        self._check("column width must be 1/2/4/8 bytes: 3", col_width=3)
+
+    @pytest.mark.parametrize("field", ["wait_event", "notify_event"])
+    def test_event_fields(self, field):
+        self._check(None, **{field: 30})
+        self._check("event id must be 0..30: 31", **{field: 31})
+
+    @pytest.mark.parametrize("field",
+                             ["set_events", "clear_events", "wait_events"])
+    def test_event_lists(self, field):
+        Descriptor(dtype=DescriptorType.EVENT, **{field: (0, 30)})
+        with pytest.raises(DescriptorError) as caught:
+            Descriptor(dtype=DescriptorType.EVENT, **{field: (0, 31)})
+        assert str(caught.value) == "event id must be 0..30: 31"
+
+    def test_gather_on_dms_to_dmem(self):
+        with pytest.raises(DescriptorError) as caught:
+            Descriptor(dtype=DescriptorType.DMS_TO_DMEM, rows=1,
+                       gather_src=True)
+        assert str(caught.value) == "DMS_TO_DMEM does not support gather"
+
+    def test_first_broken_rule_wins(self):
+        """Checks run in a fixed order: a capability error before rows,
+        rows before width, width before the 16-bit fields."""
+        with pytest.raises(DescriptorError) as caught:
+            Descriptor(dtype=DescriptorType.DMS_TO_DMEM, rows=0x10000,
+                       col_width=3, gather_src=True)
+        assert str(caught.value) == "DMS_TO_DMEM does not support gather"
+        with pytest.raises(DescriptorError) as caught:
+            ddr_to_dmem(0, 3, 1 << 36, 0x10000)
+        assert str(caught.value) == "data descriptor needs rows > 0: 0"
+        with pytest.raises(DescriptorError) as caught:
+            ddr_to_dmem(0x10000, 3, 1 << 36, 0x10000)
+        assert str(caught.value) == "column width must be 1/2/4/8 bytes: 3"
+        with pytest.raises(DescriptorError) as caught:
+            ddr_to_dmem(0x10000, 4, 1 << 36, 0x10000, notify_event=31)
+        assert str(caught.value) == "rows field is 16 bits: 65536"
+
+    @staticmethod
+    def _check(message, **fields):
+        kwargs = {"rows": 1, "col_width": 4, "ddr_addr": 0, "dmem_addr": 0}
+        kwargs.update(fields)
+        if message is None:
+            ddr_to_dmem(**kwargs)
+            return
+        with pytest.raises(DescriptorError) as caught:
+            ddr_to_dmem(**kwargs)
+        assert str(caught.value) == message
+
 
 class TestPartitionSpec:
     def test_hash_fanout(self):

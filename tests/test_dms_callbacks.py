@@ -128,6 +128,38 @@ class TestDroppedDpusAreFreedByRefcount:
         assert [run.dmad, run.dmac, run.descriptor, run.prep] == [None] * 4
         assert dpu.engine._queue == []
 
+    def test_a_finished_run_is_referenced_by_nothing_of_its_own(self):
+        """Stages push the run's bound ``_resume`` onto the heap; the
+        heap lets go of it when it pops, and the run never keeps one,
+        so only the engine's process registry (and, for the last one,
+        the DMAD's notify tail) still names a finished run. Ten
+        descriptors on four slots also take the queued-slot path."""
+        dpu = DPU()
+        address = dpu.store_array(np.arange(640, dtype=np.uint32))
+
+        def kernel(ctx):
+            for index in range(10):
+                ctx.push(ddr_to_dmem(64, 4, address + 256 * index,
+                                     256 * index,
+                                     notify_event=0 if index == 9 else None))
+            yield from ctx.wfe(0)
+
+        dpu.launch(kernel, cores=[1])
+        registry = dpu.engine._processes
+        tails = dpu.dmads[1]._notify_tail
+        runs = [p for p in registry if isinstance(p, DescriptorRun)]
+        assert len(runs) == 10 and all(run.triggered for run in runs)
+        assert tails == {0: runs[-1]}
+        slots = {name for cls in type(runs[0]).__mro__
+                 for name in getattr(cls, "__slots__", ())}
+        for run in runs:
+            for name in slots:
+                value = getattr(run, name, None)
+                assert getattr(value, "__self__", None) is not run, name
+            holders = [r for r in gc.get_referrers(run)
+                       if r is not runs and r is not registry]
+            assert holders == ([tails] if run is runs[-1] else [])
+
 
 class TestDiagnosis:
     def test_deadlock_names_the_stuck_descriptor(self):

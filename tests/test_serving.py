@@ -578,6 +578,52 @@ class TestServingFrontend:
         bronze = report.tier_digests["bronze"]
         assert gold.quantile(0.99) < bronze.quantile(0.99)
 
+    def test_record_builds_each_digest_once(self, data, catalog,
+                                            query_texts, monkeypatch):
+        """A tenant or tier digest is built at its first sample, not
+        once per request, and the disabled hub formats no metric name;
+        a live hub gets every sample under the same names."""
+        from repro.obs import MetricsHub
+        from repro.obs.metrics import NullMetricsHub
+
+        built = []
+
+        class CountingDigest(frontend_module.LatencyDigest):
+            __slots__ = ()
+
+            def __init__(self, name=""):
+                built.append(name)
+                super().__init__(name)
+
+        observed = []
+        monkeypatch.setattr(frontend_module, "LatencyDigest", CountingDigest)
+        monkeypatch.setattr(NullMetricsHub, "observe",
+                            lambda hub, name, value: observed.append(name))
+        requests = OpenLoopWorkload(TENANTS, QUERIES, seed=5).generate(
+            24, mean_interarrival_cycles=15_000.0)
+        report = _frontend(data, catalog, query_texts).run(requests)
+        tenants = sorted({r.tenant for r in requests})
+        tiers = sorted({r.tier for r in requests})
+        assert sorted(built) == sorted(
+            ["serve.latency"]
+            + [f"serve.tenant.{t}.latency" for t in tenants]
+            + [f"serve.tier.{t}.latency" for t in tiers])
+        assert observed == []
+        for tenant in tenants:
+            assert report.tenant_digests[tenant].count == sum(
+                r.tenant == tenant for r in requests)
+
+        frontend = _frontend(data, catalog, query_texts)
+        frontend.hub = hub = MetricsHub(frontend.cluster.engine)
+        live = frontend.run(requests)
+        assert [(r.request.index, r.latency) for r in live.records] == [
+            (r.request.index, r.latency) for r in report.records]
+        for group, digests in (("tenant", live.tenant_digests),
+                               ("tier", live.tier_digests)):
+            for name, digest in digests.items():
+                fed = hub.digests[f"serve.{group}.{name}.latency"]
+                assert (fed.count, fed.total) == (digest.count, digest.total)
+
     def test_result_cache_serves_repeats(self, data, catalog, query_texts):
         workload = OpenLoopWorkload({"solo": "gold"}, ["q6"], seed=1)
         requests = workload.generate(8, mean_interarrival_cycles=50_000.0)

@@ -3,7 +3,7 @@
 
 The simulator's *modelled* numbers (cycles, GB/s) are pinned by
 ``tests/test_equivalence.py``; this tool watches the other axis — how
-much host wall-clock the simulation itself burns. Two subcommands:
+much host wall-clock the simulation itself burns. Three subcommands:
 
 ``measure``
     Run the host-perf workload set and write a JSON report::
@@ -40,6 +40,21 @@ much host wall-clock the simulation itself burns. Two subcommands:
     and exits nonzero when ``tier1_wall_s`` regressed more than
     ``--max-regression`` (default 0.25 = 25%), which is the CI gate.
 
+``ab``
+    Measure a parent revision and the current tree alternately on one
+    host, and write both sides' median and quartiles per workload::
+
+        PYTHONPATH=src python tools/perfcmp.py ab --parent HEAD --pairs 5 \
+            --only dms_descriptors_per_s fig11_body_s -o ab.json
+
+    The parent is checked out into a temporary ``git worktree`` and
+    removed afterwards. Each measurement is a fresh ``measure``
+    subprocess of this script pointed at one tree with ``--root``, so
+    both sides run the same workload code against their own ``src/``,
+    ``benchmarks/`` and tests. Pairs alternate which side runs first,
+    so a drift in host speed loads both sides alike. The committed
+    baseline and the ``compare`` gate are not involved.
+
 The committed baseline (``benchmarks/host_perf_baseline.json``)
 records the host it was measured on; regenerate it with ``measure``
 when that hardware or the measured workload set changes (the tier-1
@@ -49,11 +64,15 @@ suite grows with every change), never to absorb a regression.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import platform
+import shutil
+import statistics
 import subprocess
 import sys
+import tempfile
 import time
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -224,19 +243,32 @@ GATE_KEY = "tier1_wall_s"
 # -- commands ----------------------------------------------------------------
 
 
-def cmd_measure(options) -> int:
+def _host() -> dict:
+    return {
+        "python": platform.python_version(),
+        "platform": platform.platform(),
+        "machine": platform.machine(),
+    }
+
+
+def _selected(options) -> list:
     selected = options.only or list(WORKLOADS)
     unknown = [name for name in selected if name not in WORKLOADS]
     if unknown:
         raise SystemExit(f"unknown workloads: {', '.join(unknown)}")
-    report = {
-        "host": {
-            "python": platform.python_version(),
-            "platform": platform.platform(),
-            "machine": platform.machine(),
-        },
-        "workloads": {},
-    }
+    return selected
+
+
+def cmd_measure(options) -> int:
+    global REPO_ROOT
+    selected = _selected(options)
+    if options.root:
+        # Measure another checkout: its sources, benchmarks and tests,
+        # imported ahead of this one's.
+        REPO_ROOT = os.path.abspath(options.root)
+        for path in ("benchmarks", "src"):
+            sys.path.insert(0, os.path.join(REPO_ROOT, path))
+    report = {"host": _host(), "workloads": {}}
     for name in selected:
         print(f"measuring {name} ...", flush=True)
         value = WORKLOADS[name]()
@@ -318,6 +350,136 @@ def cmd_compare(options) -> int:
     return exit_code
 
 
+# -- A/B against a parent revision --------------------------------------------
+
+
+def run_pairs(measure, sides, workloads, pairs):
+    """Measure both ``sides`` ``pairs`` times, alternating which goes
+    first (pair 0 in the given order, pair 1 reversed, ...).
+
+    ``measure(side, workloads)`` returns ``{workload: value}``. Returns
+    ``(samples, order)``: each side's values per workload in run order,
+    and the sides in the order they ran.
+    """
+    samples = {side: {name: [] for name in workloads} for side in sides}
+    order = []
+    for pair in range(pairs):
+        for side in (sides if pair % 2 == 0 else tuple(reversed(sides))):
+            values = measure(side, workloads)
+            order.append(side)
+            for name in workloads:
+                samples[side][name].append(values[name])
+    return samples, order
+
+
+def summarize(values) -> dict:
+    """Median, quartiles (``statistics.quantiles``, n=4) and count;
+    with one value all three are that value."""
+    runs = list(values)
+    if len(runs) < 2:
+        q1 = median = q3 = runs[0]
+    else:
+        q1, median, q3 = statistics.quantiles(runs, n=4)
+    return {"median": median, "q1": q1, "q3": q3, "n": len(runs), "runs": runs}
+
+
+def ab_summary(samples) -> dict:
+    """Per workload: the ``parent`` and ``current`` summaries and
+    ``current / parent`` of their medians (above 1 is faster now for a
+    ``_per_s`` rate, slower for a time)."""
+    table = {}
+    for name in samples["parent"]:
+        entry = {side: summarize(samples[side][name])
+                 for side in ("parent", "current")}
+        parent_median = entry["parent"]["median"]
+        entry["ratio"] = (entry["current"]["median"] / parent_median
+                          if parent_median else None)
+        table[name] = entry
+    return table
+
+
+def _git(*args, cwd=REPO_ROOT) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=cwd, check=True, text=True,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+    ).stdout.strip()
+
+
+@contextlib.contextmanager
+def parent_worktree(revision: str):
+    """A temporary detached ``git worktree`` of ``revision``, removed
+    (with its administrative files) on exit."""
+    path = tempfile.mkdtemp(prefix="perfcmp-ab-")
+    try:
+        _git("worktree", "add", "--detach", path, revision)
+        yield path
+    finally:
+        subprocess.run(["git", "worktree", "remove", "--force", path],
+                       cwd=REPO_ROOT, stdout=subprocess.DEVNULL,
+                       stderr=subprocess.DEVNULL)
+        shutil.rmtree(path, ignore_errors=True)
+        subprocess.run(["git", "worktree", "prune"], cwd=REPO_ROOT,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+
+
+def measure_tree(root: str, workloads) -> dict:
+    """One fresh ``measure`` subprocess of this script on ``root``."""
+    handle, out = tempfile.mkstemp(prefix="perfcmp-ab-", suffix=".json")
+    os.close(handle)
+    try:
+        subprocess.run(
+            [sys.executable, os.path.abspath(__file__), "measure",
+             "--root", root, "--only", *workloads, "-o", out],
+            cwd=root, check=True, stdout=subprocess.DEVNULL,
+        )
+        with open(out) as stream:
+            return json.load(stream)["workloads"]
+    finally:
+        os.remove(out)
+
+
+def cmd_ab(options) -> int:
+    workloads = _selected(options)
+    if options.pairs < 1:
+        raise SystemExit(f"--pairs must be at least 1: {options.pairs}")
+    with parent_worktree(options.parent) as parent_root:
+        roots = {"parent": parent_root, "current": REPO_ROOT}
+
+        def measure(side, names):
+            print(f"measuring {side} ...", flush=True)
+            return measure_tree(roots[side], names)
+
+        samples, order = run_pairs(measure, ("parent", "current"),
+                                   workloads, options.pairs)
+        commits = {side: _git("rev-parse", "HEAD", cwd=root)
+                   for side, root in roots.items()}
+    table = ab_summary(samples)
+    width = max(len(name) for name in table)
+    print(f"{'workload':<{width}}  {'parent median [q1, q3]':>30}  "
+          f"{'current median [q1, q3]':>30}  current/parent")
+    for name, entry in table.items():
+        cells = [f"{entry[side]['median']:,.4g} "
+                 f"[{entry[side]['q1']:,.4g}, {entry[side]['q3']:,.4g}]"
+                 for side in ("parent", "current")]
+        ratio = entry["ratio"]
+        print(f"{name:<{width}}  {cells[0]:>30}  {cells[1]:>30}  "
+              f"{'n/a' if ratio is None else f'{ratio:.3f}'}")
+    report = {
+        "host": _host(),
+        "parent": {"revision": options.parent, "commit": commits["parent"]},
+        "current": {"commit": commits["current"],
+                    "note": "working tree, uncommitted changes included"},
+        "pairs": options.pairs,
+        "order": order,
+        "workloads": table,
+    }
+    if options.output:
+        with open(options.output, "w") as handle:
+            handle.write(json.dumps(report, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {options.output}")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     commands = parser.add_subparsers(dest="command", required=True)
@@ -330,7 +492,22 @@ def main(argv=None) -> int:
         metavar="WORKLOAD",
         help=f"subset of workloads ({', '.join(WORKLOADS)})",
     )
+    measure.add_argument(
+        "--root", help="measure this checkout instead of the one holding "
+        "this script (imports its code, so run it in a fresh process, "
+        "as `ab` does)")
     measure.set_defaults(func=cmd_measure)
+
+    ab = commands.add_parser(
+        "ab", help="parent revision vs current tree, alternating, one host")
+    ab.add_argument("--parent", default="HEAD",
+                    help="revision to check out as the parent (default HEAD)")
+    ab.add_argument("--pairs", type=int, default=3,
+                    help="parent/current pairs to run (default 3)")
+    ab.add_argument("--only", nargs="+", metavar="WORKLOAD",
+                    help="subset of workloads (default all)")
+    ab.add_argument("-o", "--output", help="JSON output path")
+    ab.set_defaults(func=cmd_ab)
 
     compare = commands.add_parser("compare", help="diff two measure reports")
     compare.add_argument("baseline")
