@@ -107,12 +107,10 @@ def _run_oversubscribed(factor, policy):
         "shed": len(shed),
         "cycles": cycles,
         "gbps": dpu.gbps(done_bytes, cycles),
-        "queue_peak": controller.stats.gauge("admission.queue_peak"),
-        "running_peak": controller.stats.gauge("admission.running_peak"),
-        "dmad_peak": dpu.stats.gauge("dmad.occupancy_peak"),
-        "wait_cycles": controller.stats.counters.get(
-            "admission.wait_cycles", 0.0
-        ),
+        "queue_peak": controller.counters.get("queue_peak"),
+        "running_peak": controller.counters.get("running_peak"),
+        "dmad_peak": dpu.counters.get("dmad.occupancy_peak"),
+        "wait_cycles": controller.counters.get("wait_cycles"),
     }
 
 

@@ -37,7 +37,6 @@ from ..core.dpcore import DpCoreInterpreter
 from ..core.dpu import DPU
 from ..memory.dmem import Scratchpad
 from ..runtime.parallel import WorkQueue
-from ..sim import StatsRecorder
 from .sql.engine import DpuOpResult, XeonOpResult
 from .streaming import stream_columns
 

@@ -42,8 +42,8 @@ from ..faults import FaultInjector
 from ..memory.address import AddressMap
 from ..memory.ddr import DDRMemory
 from ..memory.dmem import Scratchpad
-from ..obs import NULL_TRACER
-from ..sim import Engine, Resource, SimEvent, StatsRecorder, Store, Timeout
+from ..obs import NULL_TRACER, CounterRegistry
+from ..sim import Engine, Resource, SimEvent, Store, Timeout
 from .crossbar import CrossbarTopology
 
 __all__ = ["Ate", "RpcKind", "AteError"]
@@ -96,6 +96,13 @@ class RpcKind(enum.Enum):
         return self in (RpcKind.FETCH_ADD, RpcKind.COMPARE_SWAP)
 
 
+# Round-trip digest path per (kind, requester in the owner's macro).
+_RTT_PATHS = {
+    (kind, local): f"ate.rtt.{kind.value}.{'local' if local else 'remote'}"
+    for kind in RpcKind for local in (True, False)
+}
+
+
 @dataclass(slots=True)
 class _Message:
     kind: RpcKind
@@ -117,6 +124,9 @@ class _Message:
 class Ate:
     """The Atomic Transaction Engine across all dpCores."""
 
+    # The owning DPU's counter store, handed over when it wires its units.
+    counters: CounterRegistry
+
     def __init__(
         self,
         engine: Engine,
@@ -124,7 +134,6 @@ class Ate:
         address_map: AddressMap,
         ddr_memory: DDRMemory,
         scratchpads: Dict[int, Scratchpad],
-        stats: Optional[StatsRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.engine = engine
@@ -132,7 +141,6 @@ class Ate:
         self.address_map = address_map
         self.ddr_memory = ddr_memory
         self.scratchpads = scratchpads
-        self.stats = stats if stats is not None else StatsRecorder()
         self.faults = faults if faults is not None else FaultInjector()
         # The injector's plan is frozen, so whether the retry protocol
         # is needed at all can be decided once instead of per issue.
@@ -254,18 +262,18 @@ class Ate:
         """Deliver into a bounded inbox, accounting backpressure.
 
         Stall counters are emitted only when the sender actually
-        blocked, so the uncontended stats snapshot is unchanged."""
+        blocked, so the uncontended counter snapshot is unchanged."""
         inbox = self._inbox(dst)
         if inbox.capacity is not None and len(inbox.items) >= inbox.capacity:
             began = self.engine.now
             yield inbox.put(message)
             waited = self.engine.now - began
             if waited > 0:
-                self.stats.count("ate.inbox_stall_cycles", waited)
-                self.stats.count("ate.inbox_stalls", 1)
+                self.counters.add("ate.inbox_stall_cycles", waited)
+                self.counters.add("ate.inbox_stalls")
         else:
             yield inbox.put(message)
-        self.stats.peak("ate.inbox_occupancy_peak", inbox.peak_occupancy)
+        self.counters.peak("ate.inbox_occupancy_peak", inbox.peak_occupancy)
 
     def inbox_occupancy(self) -> Dict[int, int]:
         """Cores with queued requests -> queue depth (diagnostics)."""
@@ -294,7 +302,7 @@ class Ate:
         if self.faults.roll("ate.delay", detail=label):
             yield self.engine.timeout(self.faults.delay_cycles("ate.delay"))
         if self.faults.roll("ate.drop", detail=label):
-            self.stats.count("ate.dropped", 1)
+            self.counters.add("ate.dropped")
             return
         yield from self._inbox_put(message.dst, message)
 
@@ -335,7 +343,7 @@ class Ate:
                         )
                     )
                     return
-                self.stats.count("ate.retries", 1)
+                self.counters.add("ate.retries")
                 yield from self._transmit(message, "retry")
         except (KeyboardInterrupt, SystemExit):
             raise
@@ -418,7 +426,7 @@ class Ate:
     def _engine_loop(self, core_id: int, inbox: Store):
         engine = self.engine
         cache = self._reply_cache[core_id]
-        stats = self.stats
+        counters = self.counters
         hw_execute = self.config.ate_hw_execute_cycles
         amo_extra = self.config.ate_amo_extra_cycles
         sw_overhead = self.config.ate_sw_handler_overhead_cycles
@@ -432,7 +440,7 @@ class Ate:
                 # was lost or late): replay the cached reply without
                 # re-executing, keeping atomics exactly-once.
                 yield Timeout(engine, hw_execute)
-                stats.count("ate.duplicates", 1)
+                counters.add("ate.duplicates")
                 if message.reply is not None:
                     self._send_reply(message, value=cache[message.src][1])
                 continue
@@ -480,19 +488,15 @@ class Ate:
             self.interrupt_debt[core_id] += execute
             if message.reply is not None:
                 self._send_reply(message, value=value)
-                rtt_key = (
-                    f"ate.rtt.{message.kind.value}."
-                    + ("local" if self.topology.same_macro(message.src, core_id)
-                       else "remote")
-                )
+                local = self.topology.same_macro(message.src, core_id)
                 return_latency = self.topology.one_way_cycles(
                     core_id, message.src
                 )
-                stats.sample(
-                    rtt_key,
+                counters.observe(
+                    _RTT_PATHS[kind, local],
                     engine.now - message.issued_at + return_latency,
                 )
-            stats.count("ate.messages", 1)
+            counters.add("ate.messages")
 
     def _send_reply(self, message: _Message, value: Any = None, error=None) -> None:
         latency = self.topology.one_way_cycles(message.dst, message.src)
@@ -524,7 +528,7 @@ class Ate:
         if self.faults.roll("ate.delay", detail=label):
             yield self.engine.timeout(self.faults.delay_cycles("ate.delay"))
         if self.faults.roll("ate.drop", detail=label):
-            self.stats.count("ate.dropped", 1)
+            self.counters.add("ate.dropped")
             return
         if not message.reply.triggered:
             message.reply.succeed(value)

@@ -202,12 +202,15 @@ class Cluster:
         return sample
 
     def counter_registry(self) -> CounterRegistry:
-        """Merge every DPU's counter registry plus the fabric's
-        counters under one dot-path namespace (``dpu<i>.*`` and
-        ``fabric.*``)."""
+        """Every DPU's counters plus the fabric's, the recovery
+        manager's and a coordinator admission controller's under one
+        dot-path namespace (``dpu<i>.*``, ``fabric.*``, ``recovery.*``
+        and ``<controller name>.*``)."""
         registry = CounterRegistry()
         for dpu in self.dpus:
-            registry.merge(dpu.counter_registry())
+            dpu.export_counters(registry)
+        if self.admission is not None:
+            registry.include(self.admission.name, self.admission.counters)
         scope = registry.scope("fabric")
         for name, value in self.fabric.counters().items():
             scope.set(name, value)

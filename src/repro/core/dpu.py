@@ -39,7 +39,7 @@ from ..obs import (
     PerfReport,
     Tracer,
 )
-from ..sim import Engine, SimulationError, StatsRecorder
+from ..sim import Engine, SimulationError
 from .config import DPU_40NM, DPUConfig
 from .mailbox import MailboxController
 from .pmu import PowerManagementUnit
@@ -94,7 +94,10 @@ class DPU:
         self.config = config
         self.name = name
         self.engine = engine if engine is not None else Engine()
-        self.stats = StatsRecorder()
+        # The chip's one counter store: every unit writes its counters,
+        # ``_peak`` gauges and latency digests here, under DPU-relative
+        # paths (see counter_registry()).
+        self.counters = CounterRegistry()
         # Observability: NULL_TRACER until enable_tracing() swaps in a
         # live tracer (also mirrored onto every unit's .trace), and the
         # no-op metrics hub until enable_metrics() attaches a sampler.
@@ -145,12 +148,11 @@ class DPU:
             self.scratchpads,
             self.event_files,
             self.dmaxes,
-            stats=self.stats,
         )
         self.dmads: Dict[int, Dmad] = {
             core: Dmad(
                 self.engine, core, self.dmac, self.event_files[core], config,
-                stats=self.stats, faults=self.faults,
+                faults=self.faults,
             )
             for core in config.core_ids
         }
@@ -160,10 +162,11 @@ class DPU:
             self.address_map,
             self.ddr,
             self.scratchpads,
-            stats=self.stats,
             faults=self.faults,
         )
-        self.mailbox = MailboxController(self.engine, config, stats=self.stats)
+        self.mailbox = MailboxController(self.engine, config)
+        for unit in (self.dmac, self.ate, self.mailbox, *self.dmads.values()):
+            unit.counters = self.counters
         self.heap = HeapAllocator(
             base=_HEAP_BASE,
             capacity=config.ddr_capacity - _HEAP_BASE,
@@ -495,41 +498,47 @@ class DPU:
             scope = f"{prefix}.{admission.name}"
             sample[f"{scope}.running"] = float(occupancy["running"])
             sample[f"{scope}.queued"] = float(occupancy["queued"])
-            sample[f"{scope}.shed"] = float(admission.shed)
-            sample[f"{scope}.degraded"] = float(admission.degraded)
         return sample
 
     def counter_registry(self) -> CounterRegistry:
-        """Harvest every hardware counter into one dot-path registry.
-
-        Pull-model: the units keep accounting through their existing
-        :class:`StatsRecorder` and internal state; this collects it
-        all under ``<name>.<unit>.<counter>`` paths with
-        snapshot/delta/merge semantics, without touching the pinned
-        stats snapshots.
-        """
+        """Every counter, gauge and latency digest of this DPU under
+        ``<name>.<unit>.<counter>`` paths (see :meth:`export_counters`)."""
         registry = CounterRegistry()
-        registry.adopt_stats(self.stats, prefix=self.name)
-        scope = registry.scope(self.name)
-        scope.set("engine.now", self.engine.now)
-        scope.set("ddr.bytes_served", self.ddr_channel.bytes_served)
-        scope.set("ddr.busy_cycles", self.ddr_channel.server.busy_cycles)
-        scope.set("ddr.row_misses", self.ddr_channel.row_misses)
-        for index, dmax in enumerate(self.dmaxes):
-            scope.set(f"dmax{index}.bytes_served", dmax.server.bytes_served)
-            scope.set(f"dmax{index}.busy_cycles", dmax.server.busy_cycles)
-        for path, cycles in self.pmu.residency_counters().items():
-            scope.set(f"pmu.{path}", cycles)
-        heap_stats = getattr(self.heap, "stats", None)
-        if callable(heap_stats):
-            for key, value in heap_stats().items():
-                if isinstance(value, (int, float)):
-                    scope.set(f"heap.{key}", value)
+        self.export_counters(registry)
         return registry
+
+    def export_counters(self, registry: CounterRegistry) -> None:
+        """Write this DPU's counters into ``registry`` under
+        ``<name>.``: the units' store, an attached admission
+        controller's counters under ``<name>.<controller name>.``, and
+        the live DDR, DMAX, PMU and heap meters."""
+        registry.include(self.name, self.counters)
+        if self.admission is not None:
+            registry.include(f"{self.name}.{self.admission.name}",
+                             self.admission.counters)
+        prefix = f"{self.name}."
+        values = registry.values
+        values[prefix + "engine.now"] = float(self.engine.now)
+        channel = self.ddr_channel
+        values[prefix + "ddr.bytes_served"] = float(channel.bytes_served)
+        values[prefix + "ddr.busy_cycles"] = float(channel.server.busy_cycles)
+        values[prefix + "ddr.row_misses"] = float(channel.row_misses)
+        for index, dmax in enumerate(self.dmaxes):
+            values[f"{prefix}dmax{index}.bytes_served"] = float(
+                dmax.server.bytes_served)
+            values[f"{prefix}dmax{index}.busy_cycles"] = float(
+                dmax.server.busy_cycles)
+        for path, cycles in self.pmu.residency_counters().items():
+            values[f"{prefix}pmu.{path}"] = float(cycles)
+        heap = self.heap
+        values[prefix + "heap.live_bytes"] = float(heap.live_bytes())
+        values[prefix + "heap.peak_live_bytes"] = float(heap.peak_live_bytes)
+        values[prefix + "heap.free_bytes"] = float(
+            heap.global_heap.free_bytes())
 
     def perf_report(self, elapsed_cycles: Optional[float] = None) -> PerfReport:
         """Utilization + throughput + latency histograms, derived
-        purely from the counter registry and recorder series.
+        purely from the counter registry.
 
         ``elapsed_cycles`` defaults to the whole run (``engine.now``),
         which for a single launch from t=0 makes the report's DMS GB/s
@@ -545,7 +554,6 @@ class DPU:
             clock_hz=self.config.clock_hz,
             name=self.name,
             utilization=utilization,
-            series=dict(self.stats.series),
         )
 
     # -- reporting ----------------------------------------------------------------

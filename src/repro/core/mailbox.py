@@ -11,10 +11,11 @@ paper's register-access and interrupt costs.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional
+from typing import Any, Dict
 
 from ..core.config import DPUConfig
-from ..sim import Engine, StatsRecorder, Store, Timeout
+from ..obs import CounterRegistry
+from ..sim import Engine, Store, Timeout
 
 __all__ = ["Mailbox", "MailboxController", "A9_ID", "M0_ID", "NUM_MAILBOXES"]
 
@@ -43,15 +44,12 @@ class MailboxController:
     receive or poll.
     """
 
-    def __init__(
-        self,
-        engine: Engine,
-        config: DPUConfig,
-        stats: Optional[StatsRecorder] = None,
-    ) -> None:
+    # The owning DPU's counter store, handed over when it wires its units.
+    counters: CounterRegistry
+
+    def __init__(self, engine: Engine, config: DPUConfig) -> None:
         self.engine = engine
         self.config = config
-        self.stats = stats if stats is not None else StatsRecorder()
         self.mailboxes: Dict[int, Mailbox] = {}
         self._send_cycles = config.mbc_send_cycles
         self._interrupt_cycles = config.mbc_interrupt_cycles
@@ -78,7 +76,7 @@ class MailboxController:
         queue = self._mailbox(dst).queue
         yield Timeout(self.engine, self._send_cycles)
         yield queue.put((src, payload))
-        self.stats.count("mbc.sent", 1)
+        self.counters.add("mbc.sent")
 
     def receive(self, endpoint: int):
         """Block until a message arrives; returns ``(src, payload)``.
@@ -88,7 +86,7 @@ class MailboxController:
         """
         message = yield self._mailbox(endpoint).queue.get()
         yield Timeout(self.engine, self._interrupt_cycles)
-        self.stats.count("mbc.received", 1)
+        self.counters.add("mbc.received")
         return message
 
     def try_receive(self, endpoint: int):

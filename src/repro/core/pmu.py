@@ -56,11 +56,9 @@ class PowerManagementUnit:
     stamped against the simulation clock.
     """
 
-    def __init__(self, config: DPUConfig, engine=None,
-                 stats=None) -> None:
+    def __init__(self, config: DPUConfig, engine=None) -> None:
         self.config = config
         self.engine = engine
-        self.stats = stats
         # Observability hook; DPU.enable_tracing swaps in a live tracer.
         self.trace = NULL_TRACER
         self.macro_states: Dict[int, PowerState] = {

@@ -34,8 +34,8 @@ from ..core.config import DPUConfig
 from ..core.crc32 import crc32_column
 from ..memory.ddr import DDRChannel, DDRMemory
 from ..memory.dmem import Scratchpad
-from ..obs import NULL_TRACER
-from ..sim import Engine, Resource, SimEvent, StatsRecorder
+from ..obs import NULL_TRACER, CounterRegistry
+from ..sim import Engine, Resource, SimEvent
 from .descriptor import (
     Descriptor,
     DescriptorError,
@@ -50,6 +50,14 @@ from .partition import PartitionLayout, compute_cids
 __all__ = ["Dmac", "DmsHardwareError", "PartitionChunk"]
 
 _WIDTH_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+# Counter paths of each SRAM slot pool: occupancy and queue high-water
+# marks, stall cycles and stalls.
+_SLOT_PATHS = {
+    pool: tuple(f"{pool}.{leaf}" for leaf in
+                ("occupancy_peak", "queue_peak", "stall_cycles", "stalls"))
+    for pool in ("dmac.cmem", "dmac.crc")
+}
 
 
 class DmsHardwareError(Exception):
@@ -116,6 +124,9 @@ class PartitionChunk:
 class Dmac:
     """The central DMA controller."""
 
+    # The owning DPU's counter store, handed over when it wires its units.
+    counters: CounterRegistry
+
     def __init__(
         self,
         engine: Engine,
@@ -125,7 +136,6 @@ class Dmac:
         scratchpads: Dict[int, Scratchpad],
         event_files: Dict[int, EventFile],
         dmaxes: List[Dmax],
-        stats: Optional[StatsRecorder] = None,
     ) -> None:
         self.engine = engine
         self.config = config
@@ -134,7 +144,6 @@ class Dmac:
         self.scratchpads = scratchpads
         self.event_files = event_files
         self.dmaxes = dmaxes
-        self.stats = stats if stats is not None else StatsRecorder()
         # Observability hook; DPU.enable_tracing swaps in a live tracer.
         self.trace = NULL_TRACER
         # Internal SRAM occupancy: one CMEM bank per chunk in flight,
@@ -251,7 +260,7 @@ class Dmac:
             raise DescriptorError(f"{dtype.name} is not a data descriptor")
 
     def _counted(self, run) -> None:
-        self.stats.count("dms.descriptors", 1)
+        self.counters.values["dms.descriptors"] += 1
         run.done()
 
     # -- DDR <-> DMEM streaming -------------------------------------------
@@ -351,9 +360,9 @@ class Dmac:
                 )
         else:
             moved = descriptor.transfer_bytes
-        counters = self.stats.counters
-        counters["dms.bytes_read"] += moved
-        counters["dms.descriptors"] += 1
+        counts = self.counters.values
+        counts["dms.bytes_read"] += moved
+        counts["dms.descriptors"] += 1
         run.done()
 
     def _dmem_to_ddr(self, run) -> None:
@@ -402,9 +411,9 @@ class Dmac:
         else:
             self.ddr_memory.write(descriptor.ddr_addr, run.data)
             moved = descriptor.transfer_bytes
-        counters = self.stats.counters
-        counters["dms.bytes_written"] += moved
-        counters["dms.descriptors"] += 1
+        counts = self.counters.values
+        counts["dms.bytes_written"] += moved
+        counts["dms.descriptors"] += 1
         run.done()
 
     def _gather_indices(self, descriptor: Descriptor, core_id: int) -> np.ndarray:
@@ -420,22 +429,26 @@ class Dmac:
 
     # -- internal-memory descriptors -----------------------------------------
 
-    def _acquire_slot(self, run, slots: Resource, name: str, then) -> None:
+    def _acquire_slot(self, run, slots: Resource, paths: Tuple[str, ...],
+                      then) -> None:
         """Acquire an SRAM slot for ``run``, then run stage ``then``,
-        recording stall cycles and occupancy.
+        recording stall cycles and occupancy under ``paths`` (see
+        ``_SLOT_PATHS``).
 
         Counters are emitted only when the acquirer actually waited, so
-        uncontended runs keep an unchanged stats snapshot."""
+        uncontended runs keep an unchanged counter snapshot."""
         began = self.engine.now
-        self.stats.peak(f"{name}.occupancy_peak", min(slots.in_use + 1, slots.capacity))
+        counters = self.counters
+        occupancy, queue, stall_cycles, stalls = paths
+        counters.peak(occupancy, min(slots.in_use + 1, slots.capacity))
         if slots.in_use >= slots.capacity:
-            self.stats.peak(f"{name}.queue_peak", slots.queue_depth + 1)
+            counters.peak(queue, slots.queue_depth + 1)
 
         def acquired(run) -> None:
             waited = self.engine.now - began
             if waited > 0:
-                self.stats.count(f"{name}.stall_cycles", waited)
-                self.stats.count(f"{name}.stalls", 1)
+                counters.add(stall_cycles, waited)
+                counters.add(stalls)
             then(run)
 
         run.wait(slots.acquire(), acquired)
@@ -447,7 +460,8 @@ class Dmac:
             self._load_column(run)
             return
         chunk.bank_acquired = True
-        self._acquire_slot(run, self.cmem_slots, "dmac.cmem", self._load_column)
+        self._acquire_slot(run, self.cmem_slots, _SLOT_PATHS["dmac.cmem"],
+                           self._load_column)
 
     def _load_column(self, run) -> None:
         descriptor = run.descriptor
@@ -478,8 +492,9 @@ class Dmac:
         else:
             chunk.columns.append((values, width))
             chunk.rows = max(chunk.rows, descriptor.rows)
-        self.stats.count("dms.bytes_read", nbytes)
-        self.stats.count("dms.descriptors", 1)
+        counts = self.counters.values
+        counts["dms.bytes_read"] += nbytes
+        counts["dms.descriptors"] += 1
         load_event.succeed()
         run.done()
 
@@ -493,7 +508,8 @@ class Dmac:
             self._hash_loaded(run)
             return
         chunk.crc_acquired = True
-        self._acquire_slot(run, self.crc_slots, "dmac.crc", self._hash_loaded)
+        self._acquire_slot(run, self.crc_slots, _SLOT_PATHS["dmac.crc"],
+                           self._hash_loaded)
 
     def _hash_loaded(self, run) -> None:
         run.wait(self.engine.all_of(run.prep[2]), self._hash_keys)
@@ -519,7 +535,7 @@ class Dmac:
             )
         else:
             chunk.cids = compute_cids(chunk.key, spec)
-        self.stats.count("dms.descriptors", 1)
+        self.counters.values["dms.descriptors"] += 1
         chunk.hash_done.succeed()
         run.done()
 
@@ -582,8 +598,9 @@ class Dmac:
             )
             if layout.target_notify_event is not None and target in touched_cores:
                 self.event_files[target].set(layout.target_notify_event)
-        self.stats.count("dms.bytes_partitioned", chunk.total_bytes())
-        self.stats.count("dms.descriptors", 1)
+        counts = self.counters.values
+        counts["dms.bytes_partitioned"] += chunk.total_bytes()
+        counts["dms.descriptors"] += 1
         # Retire the chunk: free its CMEM bank and CRC/CID buffers.
         if chunk.bank_acquired:
             self.cmem_slots.release()
@@ -630,6 +647,7 @@ class Dmac:
 
     def _drained(self, run) -> None:
         self.ddr_memory.write(run.descriptor.ddr_addr, run.data)
-        self.stats.count("dms.bytes_written", len(run.data))
-        self.stats.count("dms.descriptors", 1)
+        counts = self.counters.values
+        counts["dms.bytes_written"] += len(run.data)
+        counts["dms.descriptors"] += 1
         run.done()

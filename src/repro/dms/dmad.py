@@ -48,8 +48,8 @@ from typing import Any, Dict, List, Optional
 from ..core.config import DPUConfig
 from ..core.crc32 import crc32_bytes
 from ..faults import FaultInjector
-from ..obs import NULL_TRACER
-from ..sim import Engine, Resource, SimEvent, StatsRecorder
+from ..obs import NULL_TRACER, CounterRegistry
+from ..sim import Engine, Resource, SimEvent
 from .descriptor import Descriptor, DescriptorError, DescriptorType
 from .dmac import Dmac, DmsHardwareError
 from .events import EventFile
@@ -106,6 +106,9 @@ class Dmad:
 
     NUM_CHANNELS = 2
 
+    # The owning DPU's counter store, handed over when it wires its units.
+    counters: CounterRegistry
+
     def __init__(
         self,
         engine: Engine,
@@ -113,7 +116,6 @@ class Dmad:
         dmac: Dmac,
         event_file: EventFile,
         config: DPUConfig,
-        stats: Optional[StatsRecorder] = None,
         faults: Optional[FaultInjector] = None,
     ) -> None:
         self.engine = engine
@@ -121,7 +123,6 @@ class Dmad:
         self.dmac = dmac
         self.event_file = event_file
         self.config = config
-        self.stats = stats if stats is not None else StatsRecorder()
         self.faults = faults if faults is not None else FaultInjector()
         # Observability hook; DPU.enable_tracing swaps in a live tracer.
         self.trace = NULL_TRACER
@@ -172,7 +173,7 @@ class Dmad:
             chan.pc = 0
         chan.program.append(descriptor)
         pending = len(chan.program) - chan.pc
-        self.stats.peak("dmad.occupancy_peak", pending)
+        self.counters.peak("dmad.occupancy_peak", pending)
         depth = self.config.dmad_queue_depth
         if depth and pending > depth:
             # The push blocks until the DMAD retires one entry and a
@@ -182,8 +183,9 @@ class Dmad:
             # not a quadratic pile-up.)
             stall = self.config.dms_descriptor_setup_cycles
             self.push_stall_debt += stall
-            self.stats.count("dmad.push_stall_cycles", stall)
-            self.stats.count("dmad.push_stalls", 1)
+            counters = self.counters
+            counters.add("dmad.push_stall_cycles", stall)
+            counters.add("dmad.push_stalls")
             if self.trace.enabled:
                 self.trace.instant("dmad.push_stall", unit=self._unit,
                                    pending=pending, stall_cycles=stall)
@@ -521,7 +523,7 @@ class DescriptorRun(SimEvent):
             corrupted[bit // 8] ^= 1 << (bit % 8)
             assert crc32_bytes(bytes(corrupted)) != crc32_bytes(image)
         self._replays += 1
-        dmad.stats.count("dmad.crc_replays", 1)
+        dmad.counters.add("dmad.crc_replays")
         config = dmad.config
         if self._replays > config.dms_crc_retries:
             raise DmsHardwareError(
@@ -560,7 +562,7 @@ class DescriptorRun(SimEvent):
             dmad._inflight -= 1
         if descriptor.notify_event is not None:
             dmad.event_file.set(descriptor.notify_event)
-        dmad.stats.counters["dmad.completed"] += 1
+        dmad.counters.values["dmad.completed"] += 1
         self._drop()
         self.succeed()
         engine = self.engine

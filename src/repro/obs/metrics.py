@@ -258,6 +258,40 @@ class LatencyDigest:
                 return self._value_of(index)
         return self.maximum
 
+    def histogram(self, bins: int = 8) -> Tuple[List[int], List[float]]:
+        """Counts over at most ``bins`` rows of adjacent buckets, with
+        numpy-style edges (``len(edges) == len(counts) + 1``).
+
+        Non-positive samples take a first row of their own. The outer
+        edges are the exact minimum and maximum, so an empty digest has
+        no rows and a constant one a single zero-width row.
+        """
+        if bins <= 0:
+            raise ValueError(f"bins must be positive: {bins}")
+        if self.count == 0:
+            return [], []
+        counts: List[int] = []
+        edges: List[float] = []
+        if self.zeros:
+            counts.append(self.zeros)
+            edges.append(self.minimum)
+            bins = max(1, bins - 1)
+        if self.buckets:
+            low = min(self.buckets)
+            span = max(self.buckets) - low + 1
+            step = -(-span // bins)
+            groups = [0] * -(-span // step)
+            for index, count in self.buckets.items():
+                groups[(index - low) // step] += count
+            counts.extend(groups)
+            for group in range(len(groups)):
+                exponent, sub = divmod(low + group * step, self.SUBBUCKETS)
+                edges.append(math.ldexp(0.5 + sub / (2 * self.SUBBUCKETS),
+                                        exponent))
+        edges[0] = self.minimum
+        edges.append(self.maximum)
+        return counts, edges
+
     @property
     def p50(self) -> float:
         return self.quantile(0.50)

@@ -1,32 +1,33 @@
 """Perf-report rendering: utilization + latency histograms from counters.
 
 ``DPU.perf_report()`` returns a :class:`PerfReport` built purely from
-the hierarchical counter registry plus the recorder's latency series.
-Everything the paper plots per unit time is derived here from
-counters and the elapsed simulated cycles — e.g. Figure 11's DMS GB/s
-is ``dms.bytes_read / seconds(elapsed)`` — so a benchmark's headline
-number and the report's number come from the same arithmetic and must
-agree exactly.
+the hierarchical counter registry: its counters and gauges, and its
+latency digests (the ATE round-trip times). Everything the paper
+plots per unit time is derived here from counters and the elapsed
+simulated cycles — e.g. Figure 11's DMS GB/s is ``dms.bytes_read /
+seconds(elapsed)`` — so a benchmark's headline number and the
+report's number come from the same arithmetic and must agree exactly.
 """
 
 from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .metrics import LatencyDigest
 from .registry import CounterRegistry
 
 __all__ = ["PerfReport", "render_histogram"]
 
 
-def render_histogram(name: str, series, bins: int = 8,
+def render_histogram(name: str, digest: LatencyDigest, bins: int = 8,
                      width: int = 40) -> List[str]:
-    """ASCII latency histogram rows for one sample series."""
-    counts, edges = series.histogram(bins)
+    """ASCII latency histogram rows for one digest, from its buckets."""
+    counts, edges = digest.histogram(bins)
     peak = max(counts) if counts else 0
     lines = [
-        f"{name}: n={series.count} mean={series.mean:.1f} "
-        f"p50={series.percentile(0.5):.0f} p99={series.percentile(0.99):.0f} "
-        f"max={series.maximum:.0f}"
+        f"{name}: n={digest.count} mean={digest.mean:.1f} "
+        f"p50={digest.p50:.0f} p99={digest.p99:.0f} "
+        f"max={digest.maximum:.0f}"
     ]
     for index, count in enumerate(counts):
         bar = "#" * (round(width * count / peak) if peak else 0)
@@ -40,11 +41,10 @@ def render_histogram(name: str, series, bins: int = 8,
 class PerfReport:
     """A snapshot of where simulated time and bytes went.
 
-    ``registry`` holds every counter (dot paths under the DPU's
-    name); ``elapsed_cycles`` is the simulated window the rates are
-    normalized over; ``utilization`` maps unit names to busy
-    fractions; ``series`` maps latency-series names to the recorder's
-    :class:`~repro.sim.trace.SampleSeries`.
+    ``registry`` holds every counter and latency digest (dot paths
+    under the DPU's name); ``elapsed_cycles`` is the simulated window
+    the rates are normalized over; ``utilization`` maps unit names to
+    busy fractions.
     """
 
     def __init__(
@@ -54,14 +54,12 @@ class PerfReport:
         clock_hz: float,
         name: str = "dpu0",
         utilization: Optional[Dict[str, float]] = None,
-        series: Optional[Dict[str, object]] = None,
     ) -> None:
         self.registry = registry
         self.elapsed_cycles = float(elapsed_cycles)
         self.clock_hz = clock_hz
         self.name = name
         self.utilization = dict(utilization or {})
-        self.series = dict(series or {})
 
     # -- derived quantities --------------------------------------------
 
@@ -126,7 +124,7 @@ class PerfReport:
         lines.append("")
         lines.append("-- counters --")
         shown = 0
-        for path, value in self.registry.rows():
+        for path, value in self.registry.snapshot().items():
             if shown >= top_counters:
                 lines.append(f"  ... ({len(self.registry) - shown} more)")
                 break
@@ -134,14 +132,15 @@ class PerfReport:
             lines.append(f"  {path:<44} {text}")
             shown += 1
         latency = {
-            name: series for name, series in sorted(self.series.items())
-            if len(series)
+            name: digest
+            for name, digest in sorted(self.registry.digests.items())
+            if digest.count
         }
         if latency:
             lines.append("")
             lines.append("-- latency histograms (cycles) --")
-            for name, series in latency.items():
-                lines.extend(render_histogram(name, series,
+            for name, digest in latency.items():
+                lines.extend(render_histogram(name, digest,
                                               bins=histogram_bins))
         return "\n".join(lines)
 

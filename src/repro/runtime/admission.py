@@ -30,8 +30,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional
 
-from ..obs import NULL_HUB, NULL_TRACER
-from ..sim import Engine, Resource, StatsRecorder
+from ..obs import NULL_HUB, NULL_TRACER, CounterRegistry
+from ..sim import Engine, Resource
 
 __all__ = [
     "AdmissionController",
@@ -302,7 +302,6 @@ class AdmissionController:
         policy: str = "queue",
         max_queue_depth: int = 64,
         degrade_scale: float = 0.5,
-        stats: Optional[StatsRecorder] = None,
         name: str = "admission",
     ) -> None:
         if policy not in self.POLICIES:
@@ -316,19 +315,34 @@ class AdmissionController:
         self.bucket = (
             TokenBucket(rate_per_kcycle, burst) if rate_per_kcycle > 0 else None
         )
-        self.stats = stats if stats is not None else StatsRecorder()
+        # Each decision is counted once, here. A DPU files these
+        # counters under ``<dpu>.<name>.*``, a cluster under
+        # ``<name>.*``; the three decision counters read 0 from the
+        # first sample on.
+        self.counters = CounterRegistry()
+        for decision in ("admitted", "shed", "degraded"):
+            self.counters.register(decision)
         # Observability hooks; DPU.enable_tracing swaps in a live
         # tracer, DPU.enable_metrics a live hub (wait-latency digest).
         self.trace = NULL_TRACER
         self.metrics = NULL_HUB
-        self.admitted = 0
-        self.shed = 0
-        self.degraded = 0
         # Jobs the degrade policy admitted past the slot limit (they
         # run at reduced fanout instead of waiting for a slot).
         self._over_admitted = 0
 
     # -- introspection -----------------------------------------------------
+
+    @property
+    def admitted(self) -> int:
+        return int(self.counters.get("admitted"))
+
+    @property
+    def shed(self) -> int:
+        return int(self.counters.get("shed"))
+
+    @property
+    def degraded(self) -> int:
+        return int(self.counters.get("degraded"))
 
     def occupancy(self) -> Dict:
         """Snapshot attached to every shed decision."""
@@ -364,8 +378,7 @@ class AdmissionController:
         degraded = False
         if self.policy == "shed":
             if self.saturated:
-                self.shed += 1
-                self.stats.count(f"{self.name}.shed", 1)
+                self.counters.add("shed")
                 self._trace_decision("shed", site)
                 raise OverloadError(
                     f"{site} shed: all {self.limiter.limit} job slots busy",
@@ -376,8 +389,7 @@ class AdmissionController:
                     occupancy=self.occupancy(),
                 )
             if self.bucket is not None and not self.bucket.try_take(began):
-                self.shed += 1
-                self.stats.count(f"{self.name}.shed", 1)
+                self.counters.add("shed")
                 self._trace_decision("shed", site)
                 raise OverloadError(
                     f"{site} shed: arrival rate above admission budget",
@@ -388,8 +400,7 @@ class AdmissionController:
                 )
         elif self.policy == "queue":
             if self.limiter.queued >= self.max_queue_depth:
-                self.shed += 1
-                self.stats.count(f"{self.name}.shed", 1)
+                self.counters.add("shed")
                 self._trace_decision("shed", site)
                 raise OverloadError(
                     f"{site} shed: admission queue full "
@@ -423,24 +434,21 @@ class AdmissionController:
             # now at reduced fanout rather than waiting for a slot.
             over_commit = slotless
             if degraded:
-                self.degraded += 1
-                self.stats.count(f"{self.name}.degraded", 1)
+                self.counters.add("degraded")
                 self._trace_decision("degrade", site)
-        self.stats.peak(f"{self.name}.queue_peak", self.limiter.queued + 1)
+        self.counters.peak("queue_peak", self.limiter.queued + 1)
         if over_commit:
             self._over_admitted += 1
         else:
             yield self.limiter.acquire()
         waited = self.engine.now - began
         if waited > 0:
-            self.stats.count(f"{self.name}.wait_cycles", waited)
+            self.counters.add("wait_cycles", waited)
         if self.metrics.enabled:
             self.metrics.observe(f"{self.name}.wait_cycles", waited)
-        self.admitted += 1
-        self.stats.count(f"{self.name}.admitted", 1)
-        self.stats.peak(
-            f"{self.name}.running_peak",
-            self.limiter.running + self._over_admitted,
+        self.counters.add("admitted")
+        self.counters.peak(
+            "running_peak", self.limiter.running + self._over_admitted
         )
         if self.trace.enabled:
             if waited > 0:
@@ -475,31 +483,29 @@ class MemoryGovernor:
     concurrent operators cannot jointly exhaust the heap.
     """
 
-    def __init__(
-        self,
-        limit_bytes: int,
-        stats: Optional[StatsRecorder] = None,
-        name: str = "memgov",
-    ) -> None:
+    def __init__(self, limit_bytes: int, name: str = "memgov") -> None:
         if limit_bytes <= 0:
             raise ValueError(f"grant budget must be positive: {limit_bytes}")
         self.limit_bytes = int(limit_bytes)
         self.granted_bytes = 0
-        self.stats = stats if stats is not None else StatsRecorder()
+        # Denials and granted bytes, each counted once, here.
+        self.counters = CounterRegistry()
         self.name = name
-        self.denials = 0
+
+    @property
+    def denials(self) -> int:
+        return int(self.counters.get("denied"))
 
     def try_grant(self, nbytes: int, site: str = "") -> bool:
         """Reserve ``nbytes``; False means run degraded (spill)."""
         if nbytes <= 0:
             raise ValueError(f"grant must be positive: {nbytes}")
         if self.granted_bytes + nbytes > self.limit_bytes:
-            self.denials += 1
-            self.stats.count(f"{self.name}.denied", 1)
+            self.counters.add("denied")
             return False
         self.granted_bytes += nbytes
-        self.stats.count(f"{self.name}.granted_bytes", nbytes)
-        self.stats.peak(f"{self.name}.granted_peak", self.granted_bytes)
+        self.counters.add("granted_bytes", nbytes)
+        self.counters.peak("granted_peak", self.granted_bytes)
         return True
 
     def grant_or_largest(self, nbytes: int, floor: int, site: str = "") -> int:
@@ -511,8 +517,8 @@ class MemoryGovernor:
         available = self.limit_bytes - self.granted_bytes
         scaled = max(floor, (available // floor) * floor)
         self.granted_bytes += scaled
-        self.stats.count(f"{self.name}.granted_bytes", scaled)
-        self.stats.peak(f"{self.name}.granted_peak", self.granted_bytes)
+        self.counters.add("granted_bytes", scaled)
+        self.counters.peak("granted_peak", self.granted_bytes)
         return scaled
 
     def release_grant(self, nbytes: int) -> None:

@@ -64,7 +64,7 @@ def resilient_launch(
     requested = list(cores) if cores is not None else list(dpu.config.core_ids)
     survivors = surviving_cores(dpu.faults, requested)
     if len(survivors) < len(requested):
-        dpu.stats.count("runtime.dead_cores", len(requested) - len(survivors))
+        dpu.counters.add("runtime.dead_cores", len(requested) - len(survivors))
     return dpu.launch(
         kernel,
         args=args,

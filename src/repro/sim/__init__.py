@@ -12,7 +12,6 @@ from .engine import (
     Watchdog,
 )
 from .resources import BandwidthServer, BinaryEvent, Resource, Store
-from .trace import SampleSeries, StatsRecorder
 
 __all__ = [
     "AllOf",
@@ -23,10 +22,8 @@ __all__ = [
     "Engine",
     "Process",
     "Resource",
-    "SampleSeries",
     "SimEvent",
     "SimulationError",
-    "StatsRecorder",
     "Store",
     "Timeout",
     "Watchdog",

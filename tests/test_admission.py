@@ -248,7 +248,71 @@ class TestDpuLaunchGate:
         values = dpu.engine.run_until_complete(gate)
         assert values == [[0, 1]] * 5
         assert controller.admitted == 5
-        assert controller.stats.gauge("admission.running_peak") == 2
+        assert controller.counters.get("running_peak") == 2
+
+
+# -- each decision counted once, in the registry ---------------------------
+
+
+class TestDecisionCounters:
+    def test_dpu_controller_files_under_the_dpu(self):
+        dpu = DPU()
+        controller = AdmissionController(dpu.engine, max_concurrent=1,
+                                         policy="shed")
+        dpu.set_admission(controller)
+        hub = dpu.enable_metrics(cadence=200.0)
+        dpu.launch(_noop_kernel, cores=[0])
+        _acquire(dpu.engine, controller, site="hog")
+        with pytest.raises(OverloadError):
+            dpu.launch(_noop_kernel, cores=[0])
+        controller.release()
+        dpu.launch(_noop_kernel, cores=[0])
+        snapshot = dpu.counter_registry().snapshot()
+        assert {path: value for path, value in snapshot.items()
+                if path.startswith("dpu0.admission.")} == {
+            "dpu0.admission.admitted": 3.0,
+            "dpu0.admission.degraded": 0.0,
+            "dpu0.admission.queue_peak": 1.0,
+            "dpu0.admission.running_peak": 1.0,
+            "dpu0.admission.shed": 1.0,
+        }
+        assert (controller.admitted, controller.shed) == (3, 1)
+        # The sampler reads the store: both decision counters are there
+        # from the first sample on.
+        first = hub.series["dpu0.admission.shed"].points[0]
+        assert first == (0.0, 0.0)
+        assert hub.series["dpu0.admission.degraded"].points[0] == first
+        assert hub.latest("dpu0.admission.shed") == 1.0
+
+    def test_cluster_controller_files_at_the_top(self):
+        from repro.cluster import Cluster, cluster_filter_count
+
+        cluster = Cluster(2)
+        controller = cluster.set_admission(AdmissionController(
+            cluster.engine, max_concurrent=1))
+        hub = cluster.enable_metrics(cadence=5_000.0)
+        shards = [np.arange(1000, dtype=np.int64) for _ in range(2)]
+        for _ in range(3):
+            cluster_filter_count(cluster, shards, 100, 500)
+        snapshot = cluster.counter_registry().snapshot()
+        assert {path: value for path, value in snapshot.items()
+                if "admission" in path} == {
+            "admission.admitted": 3.0,
+            "admission.degraded": 0.0,
+            "admission.queue_peak": 1.0,
+            "admission.running_peak": 1.0,
+            "admission.shed": 0.0,
+        }
+        assert controller.admitted == 3
+        assert hub.latest("admission.admitted") == 3.0
+
+    def test_governor_counts_denials_once(self):
+        governor = MemoryGovernor(1000)
+        assert governor.try_grant(800)
+        assert not governor.try_grant(500)
+        assert governor.denials == 1
+        assert governor.counters.snapshot() == {
+            "denied": 1.0, "granted_bytes": 800.0, "granted_peak": 800.0}
 
 
 # -- governed operators stay byte-exact ------------------------------------
@@ -346,7 +410,7 @@ class TestZeroOverheadUngated:
 
         launch = dpu.launch(kernel, cores=[0, 1])
         assert launch.cycles == 2896.0
-        assert dict(dpu.stats.counters) == {
+        assert dpu.counters.counters() == {
             "dms.bytes_read": 32768.0,
             "dms.descriptors": 8.0,
             "dmad.completed": 8.0,

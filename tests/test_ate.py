@@ -207,9 +207,9 @@ class TestLatencyModel:
             yield from ctx.remote_load(1, address)
 
         dpu.launch(kernel, cores=[0])
-        series = dpu.stats.get_series("ate.rtt.load.local")
-        assert series.count == 1
-        assert series.mean > 0
+        digest = dpu.counters.digest("ate.rtt.load.local")
+        assert digest.count == 1
+        assert digest.mean > 0
 
     def test_one_outstanding_request_serializes(self, dpu):
         """The paper: one outstanding ATE request per core."""

@@ -33,15 +33,15 @@ GOLDEN = GOLDEN_DIR / "counters.json"
 
 def unit_counters(dpu):
     """One DPU's counters and gauges, and a count/mean/min/max summary
-    of each latency series its units recorded."""
-    export = dpu.stats.to_dict()
+    of each latency digest its units recorded."""
+    export = dpu.counters.to_dict()
     return {
         "counters": export["counters"],
         "gauges": export["gauges"],
         "series": {
             name: {field: summary[field]
                    for field in ("count", "mean", "min", "max")}
-            for name, summary in export["series"].items()
+            for name, summary in export["digests"].items()
         },
     }
 

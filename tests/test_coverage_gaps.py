@@ -13,58 +13,55 @@ from repro.apps.streaming import stream_columns
 from repro.core import DPU
 from repro.dms.dmac import DmsHardwareError
 from repro.faults import FaultPlan
+from repro.obs.metrics import LatencyDigest
 from repro.obs.registry import CounterRegistry
 from repro.obs.report import PerfReport, render_histogram
 from repro.runtime.admission import AdmissionController
 from repro.sim import Engine
-from repro.sim.trace import SampleSeries
 
 
 # -- obs.report: histogram edges ---------------------------------------------
 
 
+def _digest(*values):
+    digest = LatencyDigest("lat")
+    for value in values:
+        digest.add(value)
+    return digest
+
+
 class TestHistogramEdges:
     def test_empty_series_collapses_to_no_buckets(self):
-        series = SampleSeries("lat")
-        counts, edges = series.histogram(8)
+        counts, edges = _digest().histogram(8)
         assert counts == [] and edges == []
 
     def test_constant_series_collapses_to_one_bucket(self):
-        series = SampleSeries("lat")
-        series.extend([7.0, 7.0, 7.0])
-        counts, edges = series.histogram(8)
+        counts, edges = _digest(7.0, 7.0, 7.0).histogram(8)
         assert counts == [3]
         assert edges == [7.0, 7.0]
 
     def test_maximum_sample_lands_in_last_bucket(self):
-        series = SampleSeries("lat")
-        series.extend([0.0, 1.0, 2.0, 3.0, 4.0])
-        counts, edges = series.histogram(4)
+        counts, edges = _digest(0.0, 1.0, 2.0, 3.0, 4.0).histogram(4)
         assert sum(counts) == 5  # the max is not dropped off the end
         assert counts[-1] == 2  # 3.0 and 4.0 share the closed last bin
         assert edges[0] == 0.0 and edges[-1] == 4.0
         assert len(edges) == len(counts) + 1
 
     def test_nonpositive_bins_rejected(self):
-        series = SampleSeries("lat")
-        series.add(1.0)
         with pytest.raises(ValueError, match="bins"):
-            series.histogram(0)
+            _digest(1.0).histogram(0)
 
     def test_render_histogram_degenerate_series(self):
         """The renderer must not divide by a zero peak or a zero-width
         range on constant input."""
-        series = SampleSeries("lat")
-        series.extend([5.0, 5.0])
-        lines = render_histogram("lat", series, bins=6)
+        lines = render_histogram("lat", _digest(5.0, 5.0), bins=6)
         assert "n=2" in lines[0] and "p50=5" in lines[0]
         assert len(lines) == 2  # header + the single collapsed bucket
         assert lines[1].strip().startswith("[")
 
     def test_render_histogram_bar_widths_scale_to_peak(self):
-        series = SampleSeries("lat")
-        series.extend([0.0] * 10 + [9.0])
-        lines = render_histogram("lat", series, bins=2, width=10)
+        digest = _digest(*([0.0] * 10 + [9.0]))
+        lines = render_histogram("lat", digest, bins=2, width=10)
         assert lines[1].count("#") == 10  # the peak bucket fills the width
         assert lines[2].count("#") == 1  # 1/10 of the peak, rounded
 
@@ -77,11 +74,10 @@ class TestHistogramEdges:
     def test_render_skips_empty_series_but_shows_populated(self):
         registry = CounterRegistry()
         registry.scope("dpu0.dms").add("bytes_read", 1024)
-        empty = SampleSeries("quiet")
-        busy = SampleSeries("ate.latency")
-        busy.extend([10.0, 20.0, 30.0])
-        report = PerfReport(registry, elapsed_cycles=1000.0, clock_hz=1e9,
-                            series={"quiet": empty, "ate.latency": busy})
+        registry.digest("quiet")
+        for value in (10.0, 20.0, 30.0):
+            registry.observe("ate.latency", value)
+        report = PerfReport(registry, elapsed_cycles=1000.0, clock_hz=1e9)
         text = report.render()
         assert "ate.latency: n=3" in text
         assert "quiet" not in text
@@ -113,9 +109,9 @@ class TestDegradeCycleAccounting:
         assert engine.now == 0.0  # nothing ever slept
         assert [t.degraded for t in tickets] == [False, True, True]
         assert all(t.waited_cycles == 0.0 for t in tickets)
-        assert "admission.wait_cycles" not in controller.stats.counters
-        assert controller.stats.counters["admission.degraded"] == 2
-        assert controller.stats.counters["admission.admitted"] == 3
+        assert "wait_cycles" not in controller.counters
+        assert controller.counters.get("degraded") == 2
+        assert controller.counters.get("admitted") == 3
 
     def test_degraded_ticket_shrinks_fanout_floor_one(self):
         engine = Engine()
@@ -142,7 +138,7 @@ class TestDegradeCycleAccounting:
         _admit(engine, controller, tickets, "b")
         engine.run()
         assert controller.occupancy()["over_admitted"] == 1
-        assert controller.stats.gauges["admission.running_peak"] == 2
+        assert controller.counters.get("running_peak") == 2
         controller.release()  # retires the over-admission
         assert "over_admitted" not in controller.occupancy()
         assert controller.limiter.running == 1
@@ -225,7 +221,7 @@ class TestCrcReplayExhaustion:
         with pytest.raises(DmsHardwareError):
             self._run_poisoned(dpu)
         retries = dpu.config.dms_crc_retries
-        assert dpu.stats.counters["dmad.crc_replays"] == retries + 1
+        assert dpu.counters.get("dmad.crc_replays") == retries + 1
         # Each replay before the fatal one burns setup + CRC-check
         # cycles in simulated time.
         per_replay = (dpu.config.dms_descriptor_setup_cycles
@@ -243,4 +239,4 @@ class TestCrcReplayExhaustion:
         with pytest.raises(DmsHardwareError) as excinfo:
             self._run_poisoned(dpu)
         assert excinfo.value.retry_count == 2
-        assert dpu.stats.counters["dmad.crc_replays"] == 2
+        assert dpu.counters.get("dmad.crc_replays") == 2

@@ -214,7 +214,7 @@ class TestValidation:
         descriptor = dmem_to_ddr(64, 8, 0x40, 0x80, scatter_dst=True)
         assert descriptor.transfer_bytes == 512
         dpu.launch(kernel, cores=[0, 5])
-        assert dpu.stats.counters["dms.descriptors"] == 16
+        assert dpu.counters.get("dms.descriptors") == 16
         assert calls == []
 
     def test_free_outstanding_slots_need_no_acquire_event(self, monkeypatch):
@@ -251,7 +251,7 @@ class TestValidation:
         assert dpu.config.dms_max_outstanding >= 2
         dpu.launch(kernel, cores=[0, 3])
         assert seen == [True] * 16
-        assert dpu.stats.counters["dmad.completed"] == 16
+        assert dpu.counters.get("dmad.completed") == 16
         assert acquired == []
 
     def test_try_acquire_never_jumps_the_queue(self):

@@ -282,7 +282,7 @@ def _run(seed, fault, traced):
         values, cycles = result.values, result.cycles
     except Exception as caught:  # pinned by type below
         error = type(caught).__name__
-    stats = dpu.stats.to_dict()
+    stats = dpu.counters.to_dict()
     dmem = hashlib.sha256()
     for core in sorted(set(cores)):
         dmem.update(dpu.scratchpads[core].view(0, config.dmem_size).tobytes())

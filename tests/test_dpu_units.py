@@ -251,7 +251,7 @@ class TestDifferentialAgainstEagerConstruction:
             3133.0, 3218.0, 3303.0,
         ]
         assert [core for core, _buf, _t in log[1:]] == [0, 1] * 16
-        assert dpu.stats.counters == {
+        assert dpu.counters.counters() == {
             "dmad.completed": 34.0,
             "dms.bytes_read": 36864.0,
             "dms.descriptors": 34.0,
@@ -309,7 +309,7 @@ class TestDifferentialAgainstEagerConstruction:
         result = dpu.launch(kernel, cores=[3])
         assert result.values == [(0, 202)]
         assert result.cycles == 102
-        assert dpu.stats.to_dict()["gauges"] == {
+        assert dpu.counters.gauges() == {
             "ate.inbox_occupancy_peak": 0.0}
 
     def test_ate_rpc_to_a_core_never_requested(self, dpu):
@@ -326,11 +326,11 @@ class TestDifferentialAgainstEagerConstruction:
         result = dpu.launch(kernel, cores=[3, 4, 20])
         assert result.values == [(21, 30, 300), (25, 30, 310), (0, 30, 184)]
         assert result.cycles == 210
-        stats = dpu.stats.to_dict()
+        stats = dpu.counters.to_dict()
         assert stats["counters"] == {"ate.messages": 6.0}
         assert stats["gauges"] == {"ate.inbox_occupancy_peak": 2.0}
         assert {key: (s["count"], s["mean"])
-                for key, s in stats["series"].items()} == {
+                for key, s in stats["digests"].items()} == {
             "ate.rtt.faa.local": (1.0, 34.0),
             "ate.rtt.faa.remote": (2.0, 107.0),
             "ate.rtt.load.local": (1.0, 50.0),
@@ -346,7 +346,7 @@ class TestDifferentialAgainstEagerConstruction:
 
         result = dpu.launch(kernel, cores=[0, 1, 2, 3])
         assert result.values == [(0, 102), (1, 112), (2, 122), (3, 132)]
-        assert dpu.stats.to_dict()["gauges"] == {
+        assert dpu.counters.gauges() == {
             "ate.inbox_occupancy_peak": 3.0}
 
     def test_deadlock_names_the_kernel_and_no_daemon(self, dpu):

@@ -99,11 +99,20 @@ def _table(seed: int, rows: int) -> Table:
     })
 
 
+def unit_counters(dpu: DPU) -> dict:
+    """A DPU's counters plus each latency digest's mean and count."""
+    flat = dpu.counters.counters()
+    for name, latency in dpu.counters.digests.items():
+        flat[f"{name}.mean"] = latency.mean
+        flat[f"{name}.count"] = float(latency.count)
+    return flat
+
+
 def _snapshot(dpu: DPU, cycles, value) -> dict:
     return {
         "cycles": float(cycles),
         "digest": digest(value),
-        "counters": {k: float(v) for k, v in sorted(dpu.stats.snapshot().items())},
+        "counters": {k: float(v) for k, v in sorted(unit_counters(dpu).items())},
     }
 
 
@@ -240,7 +249,7 @@ def scenario_cluster_2dpu():
     shards = [rng.integers(0, 10000, 4096).astype(np.int64) for _ in range(2)]
     result = cluster_filter_count(cluster, shards, 2000, 8000)
     counters = {k: float(v)
-                for k, v in sorted(cluster.dpus[0].stats.snapshot().items())}
+                for k, v in sorted(unit_counters(cluster.dpus[0]).items())}
     counters["net.bytes_sent"] = float(result.network_bytes)
     return {
         "cycles": float(result.cycles),

@@ -205,7 +205,7 @@ class TestDmsDescriptorCrc:
 
         dpu.launch(kernel, cores=[0])
         assert np.array_equal(np.concatenate(seen), data)
-        assert dpu.stats.counters["dmad.crc_replays"] > 0
+        assert dpu.counters.get("dmad.crc_replays") > 0
         assert dpu.faults.fault_count("dms.descriptor") > 0
 
     def test_persistent_corruption_exhausts_retries(self):
@@ -239,8 +239,8 @@ class TestAteRetry:
 
         dpu.launch(kernel, cores=[0, 1, 2, 3])
         assert dpu.scratchpads[0].read_u64(0) == 32
-        assert dpu.stats.counters["ate.dropped"] > 0
-        assert dpu.stats.counters["ate.retries"] > 0
+        assert dpu.counters.get("ate.dropped") > 0
+        assert dpu.counters.get("ate.retries") > 0
 
     def test_delay_faults_slow_but_complete(self):
         def run(plan):
@@ -269,7 +269,7 @@ class TestAteRetry:
 
         with pytest.raises(AteError, match="gave up"):
             dpu.launch(kernel, cores=[0])
-        assert dpu.stats.counters["ate.retries"] >= dpu.config.ate_rpc_max_retries
+        assert dpu.counters.get("ate.retries") >= dpu.config.ate_rpc_max_retries
 
 
 # -- Core failover ------------------------------------------------------------
@@ -309,7 +309,7 @@ class TestFailover:
         clean_dpu, clean = run(FaultPlan.none())
         dead_dpu, degraded = run(FaultPlan(seed=13, rates={"core.dead": 0.4}))
 
-        dead = dead_dpu.stats.counters["runtime.dead_cores"]
+        dead = dead_dpu.counters.get("runtime.dead_cores")
         assert 0 < dead < 8
         assert len(degraded.values) == 8 - dead
         # Every chunk processed exactly once in both worlds.
@@ -438,7 +438,7 @@ class TestZeroOverheadOff:
                     yield from ctx.fetch_add(2, address, 1)
 
             launch = dpu.launch(kernel, cores=[0, 1])
-            return launch.cycles, dict(dpu.stats.counters)
+            return launch.cycles, dpu.counters.counters()
 
         seed_cycles, seed_stats = run()
         off_cycles, off_stats = run(fault_plan=FaultPlan.none())

@@ -77,7 +77,7 @@ class TestZeroOverheadDisabled:
         dpu = DPU()
         launch = canonical_launch(dpu)
         assert launch.cycles == PINNED_CYCLES
-        assert dict(dpu.stats.counters) == PINNED_COUNTERS
+        assert dpu.counters.counters() == PINNED_COUNTERS
 
     def test_null_hub_is_inert(self):
         NULL_HUB.touch()
@@ -98,7 +98,7 @@ class TestZeroPerturbationEnabled:
         hub = dpu.enable_metrics(cadence=200.0)
         launch = canonical_launch(dpu)
         assert launch.cycles == PINNED_CYCLES
-        assert dict(dpu.stats.counters) == PINNED_COUNTERS
+        assert dpu.counters.counters() == PINNED_COUNTERS
         assert hub.ticks > 2
         assert "dpu0.dms.bytes_read" in hub.series
 
@@ -141,7 +141,7 @@ class TestIntegrationExactness:
         dpu = DPU()
         hub = dpu.enable_metrics(cadence=200.0)
         result = canonical_launch(dpu)
-        nbytes = dpu.stats.counter("dms.bytes_read")
+        nbytes = dpu.counters.get("dms.bytes_read")
         total = hub.integrate("dpu0.dms.bytes_read")
         assert total == nbytes
         assert result.gbps(total) == result.gbps(nbytes)
@@ -152,7 +152,7 @@ class TestIntegrationExactness:
         canonical_launch(dpu)
         canonical_launch(dpu)
         assert (hub.integrate("dpu0.dms.bytes_read")
-                == dpu.stats.counter("dms.bytes_read"))
+                == dpu.counters.get("dms.bytes_read"))
 
     def test_midrun_counter_backfills_zero_baseline(self):
         """A counter born mid-run was implicitly zero at the previous

@@ -68,7 +68,7 @@ class TestZeroOverhead:
         dpu = DPU()
         launch = canonical_launch(dpu)
         assert launch.cycles == PINNED_CYCLES
-        assert dict(dpu.stats.counters) == PINNED_COUNTERS
+        assert dpu.counters.counters() == PINNED_COUNTERS
         assert NULL_TRACER.events == ()
 
     def test_enabled_tracing_does_not_perturb_timing(self):
@@ -77,7 +77,7 @@ class TestZeroOverhead:
         tracer = dpu.enable_tracing()
         launch = canonical_launch(dpu)
         assert launch.cycles == PINNED_CYCLES
-        assert dict(dpu.stats.counters) == PINNED_COUNTERS
+        assert dpu.counters.counters() == PINNED_COUNTERS
         assert len(tracer.events) > 0
 
     def test_null_tracer_records_nothing(self):
@@ -245,17 +245,18 @@ class TestCounterRegistry:
         assert a.get("x.bytes") == 15
         assert a.get("y.bytes") == 2
 
-    def test_adopt_stats_imports_counters_and_gauges(self):
-        from repro.sim import StatsRecorder
-
-        stats = StatsRecorder()
-        stats.count("dms.bytes_read", 1024)
-        stats.peak("dmad.occupancy_peak", 5)
+    def test_include_files_a_store_under_a_prefix(self):
+        store = CounterRegistry()
+        store.add("dms.bytes_read", 1024)
+        store.peak("dmad.occupancy_peak", 5)
+        store.observe("ate.rtt.load.local", 50)
         registry = CounterRegistry()
-        registry.adopt_stats(stats, prefix="dpu0")
-        registry.adopt_stats(stats, prefix="dpu0")  # counters re-sum
-        assert registry.get("dpu0.dms.bytes_read") == 2048
-        assert registry.get("dpu0.dmad.occupancy_peak") == 5  # gauge max
+        registry.include("dpu0", store)
+        registry.include("dpu0", store)  # a view: overwrites, never sums
+        assert registry.snapshot() == {"dpu0.dmad.occupancy_peak": 5.0,
+                                       "dpu0.dms.bytes_read": 1024.0}
+        assert (registry.digests["dpu0.ate.rtt.load.local"]
+                is store.digest("ate.rtt.load.local"))
 
 
 class TestPerfReport:
@@ -272,7 +273,7 @@ class TestPerfReport:
             )
 
         result = dpu.launch(kernel, cores=[0])
-        nbytes = dpu.stats.counter("dms.bytes_read")
+        nbytes = dpu.counters.get("dms.bytes_read")
         assert nbytes == rows * 8
         report = dpu.perf_report(elapsed_cycles=result.cycles)
         assert report.dms_read_gbps == result.gbps(nbytes)

@@ -186,7 +186,8 @@ def measure_dms_descriptor_rate() -> float:
     began = time.perf_counter()
     dpu.launch(kernel)
     elapsed = time.perf_counter() - began
-    return dpu.stats.counters["dmad.completed"] / elapsed
+    completed = dpu.counter_registry().snapshot()["dpu0.dmad.completed"]
+    return completed / elapsed
 
 
 def measure_metrics_sweep() -> float:
