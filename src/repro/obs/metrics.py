@@ -48,10 +48,12 @@ import io
 import json
 import math
 import sys
-from collections import deque
+from collections import Counter, deque
 from dataclasses import dataclass, field
 from fnmatch import fnmatchcase
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Tuple
+
+import numpy as np
 
 from .tracer import NULL_TRACER
 
@@ -218,6 +220,45 @@ class LatencyDigest:
             return
         index = self._index(value)
         self.buckets[index] = self.buckets.get(index, 0) + 1
+
+    def extend(self, values: Iterable[float]) -> None:
+        """Add every value, in order: the same state, bit for bit, as
+        one :meth:`add` per value, with the bucket indexes of all of
+        them computed in one numpy pass.
+
+        The total is summed with ``+=`` in order, as :meth:`add` does
+        (not ``sum()``, whose rounding changed in Python 3.12), and new
+        buckets appear in first-seen order. NaN and +inf are rejected
+        before anything changes (:meth:`add` raises on them too).
+        """
+        values = list(map(float, values))
+        if not values:
+            return
+        positive = [value for value in values if value > 0.0]
+        zeros = len([value for value in values if value <= 0.0])
+        if len(positive) + zeros < len(values) or math.inf in positive:
+            raise ValueError("a latency digest takes no NaN or +inf")
+        total = self.total
+        for value in values:
+            total += value
+        self.total = total
+        self.count += len(values)
+        self.zeros += zeros
+        low, high = min(values), max(values)
+        if low < self._min:
+            self._min = low
+        if high > self._max:
+            self._max = high
+        if not positive:
+            return
+        # _index over the whole batch, in the same float operations.
+        mantissa, exponent = np.frexp(np.array(positive))
+        sub = ((mantissa - 0.5) * 2 * self.SUBBUCKETS).astype(np.int64)
+        indexes = (exponent.astype(np.int64) * self.SUBBUCKETS
+                   + np.minimum(sub, self.SUBBUCKETS - 1))
+        buckets = self.buckets
+        for index, count in Counter(indexes.tolist()).items():
+            buckets[index] = buckets.get(index, 0) + count
 
     def merge(self, other: "LatencyDigest") -> None:
         for index, count in other.buckets.items():

@@ -13,9 +13,13 @@ fired alert, and annotated chaos/election events in the report.
 """
 
 import json
+import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.streaming import stream_columns
 from repro.cluster import Cluster, cluster_filter_count
@@ -287,6 +291,71 @@ class TestLatencyDigest:
         assert sorted(digest.to_dict()) == [
             "count", "max", "mean", "min", "p50", "p99", "p999",
         ]
+
+
+def _bits(value):
+    return struct.pack("<d", value)
+
+
+def _digest_state(digest):
+    """Everything a digest holds, floats as their bits and buckets in
+    insertion order."""
+    return (list(digest.buckets.items()), digest.count, _bits(digest.total),
+            _bits(digest._min), _bits(digest._max), digest.zeros)
+
+
+# Latency-like samples plus the edge cases: signed zeros, negatives,
+# subnormals, values near the float range's ends and integers.
+_SAMPLES = st.one_of(
+    st.floats(min_value=1.0, max_value=1e7),
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e300,
+                     -1e300, 1.7976931348623157e308, 0.5, 1.0, 500.0]),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.integers(min_value=-(2 ** 70), max_value=2 ** 70),
+)
+
+
+class TestLatencyDigestExtend:
+    """``extend`` is ``add`` once per value, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(before=st.lists(_SAMPLES, max_size=5),
+           values=st.lists(_SAMPLES, max_size=60))
+    def test_extend_equals_repeated_add(self, before, values):
+        added, extended = LatencyDigest("d"), LatencyDigest("d")
+        for value in before:
+            added.add(value)
+            extended.add(value)
+        for value in values:
+            added.add(value)
+        extended.extend(values)
+        assert _digest_state(extended) == _digest_state(added)
+        assert extended.quantile(0.99) == added.quantile(0.99)
+
+    def test_extend_accepts_any_iterable_and_numpy_values(self):
+        values = np.array([3.0, 0.0, 7.5, 7.5], dtype=np.float64)
+        added, extended = LatencyDigest(), LatencyDigest()
+        for value in values:
+            added.add(value)
+        extended.extend(value for value in values)
+        assert _digest_state(extended) == _digest_state(added)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_extend_rejects_nan_and_inf_before_changing(self, bad):
+        digest = LatencyDigest()
+        digest.add(2.0)
+        state = _digest_state(digest)
+        with pytest.raises(ValueError, match="NaN or \\+inf"):
+            digest.extend([1.0, bad])
+        assert _digest_state(digest) == state
+
+    def test_minus_inf_counts_as_a_zero_like_add(self):
+        added, extended = LatencyDigest(), LatencyDigest()
+        for value in (4.0, -math.inf):
+            added.add(value)
+        extended.extend([4.0, -math.inf])
+        assert _digest_state(extended) == _digest_state(added)
 
 
 class TestSloRuleParsing:

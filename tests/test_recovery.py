@@ -2,10 +2,12 @@
 
 Covers the chaos schedule harness, the fabric fault primitives
 (seeded kills, partition windows, credit release on death), the
-lease-guarded fail-fast gather, and the headline property: every
-``cluster_*`` job survives a seeded DPU kill, a transient fabric
-partition, and an injected straggler with results byte-equal to the
-fault-free single-DPU reference.
+lease-guarded fail-fast gather, and the headline property: cluster
+jobs survive a seeded DPU kill, a transient fabric partition, and an
+injected straggler with results byte-equal to the fault-free
+single-DPU reference. That every ``cluster_*`` job survives a worker
+or coordinator kill at 2, 4 and 8 DPUs is the chaos matrix of
+``tests/test_cluster_jobs.py``.
 """
 
 import numpy as np
@@ -19,16 +21,11 @@ from repro.cluster import (
     RecoveryConfig,
     cluster_filter_count,
     cluster_groupby,
-    cluster_hll,
-    cluster_partitioned_join_count,
-    cluster_topk,
-    cluster_tpch_q1,
 )
 from repro.core.config import DPU_40NM
 from repro.core.dpu import DPU
 from repro.faults import ChaosSpec, FaultError, FaultPlan, chaos_schedule
 from repro.sim import Engine, Store
-from repro.workloads.tpch import generate_tpch
 
 
 def _shard(columns, num_shards, name="shard"):
@@ -392,82 +389,6 @@ class TestGroupbyRecoveryMatrix:
         )
         assert result.value == groupby_reference
         assert result.recovery.declared_dead == ()
-
-
-class TestEveryJobSurvivesKill:
-    """Each remaining cluster_* job under a seeded kill at 4 DPUs."""
-
-    NUM_DPUS = 4
-
-    def test_hll(self):
-        rng = np.random.default_rng(9)
-        values = rng.integers(0, 1 << 40, 30_000, dtype=np.uint64)
-        reference = cluster_hll(Cluster(1), [values]).value
-        cluster = Cluster(self.NUM_DPUS, fault_plan=_kill_plan())
-        result = cluster_hll(
-            cluster, list(np.array_split(values, self.NUM_DPUS))
-        )
-        assert result.value == reference
-        assert result.recovery.declared_dead == (1,)
-
-    def test_filter_count(self):
-        rng = np.random.default_rng(3)
-        values = rng.integers(0, 1000, 8000, dtype=np.int64)
-        reference = cluster_filter_count(
-            Cluster(1), [values], 100, 500
-        ).value
-        # The filter partials are tiny and fast: kill early, before
-        # the victim's send can beat the fail-stop instant.
-        cluster = Cluster(
-            self.NUM_DPUS, fault_plan=_kill_plan(at_cycle=500.0)
-        )
-        result = cluster_filter_count(
-            cluster, list(np.array_split(values, self.NUM_DPUS)), 100, 500
-        )
-        assert result.value == reference
-        assert result.recovery.declared_dead == (1,)
-
-    def test_topk(self):
-        rng = np.random.default_rng(11)
-        values = rng.permutation(16_000).astype(np.uint32)
-        reference = cluster_topk(
-            Cluster(1), _shard({"x": values}, 1), "x", 25
-        ).value
-        cluster = Cluster(self.NUM_DPUS, fault_plan=_kill_plan())
-        result = cluster_topk(
-            cluster, _shard({"x": values}, self.NUM_DPUS), "x", 25
-        )
-        assert result.value == reference
-        assert result.recovery.declared_dead == (1,)
-
-    def test_join(self):
-        rng = np.random.default_rng(13)
-        build = rng.integers(0, 500, 4000).astype(np.uint32)
-        probe = rng.integers(0, 500, 6000).astype(np.uint32)
-        reference = cluster_partitioned_join_count(
-            Cluster(1), _shard({"k": build}, 1, "b"), "k",
-            _shard({"k": probe}, 1, "p"), "k",
-        ).value
-        cluster = Cluster(self.NUM_DPUS, fault_plan=_kill_plan())
-        result = cluster_partitioned_join_count(
-            cluster, _shard({"k": build}, self.NUM_DPUS, "b"), "k",
-            _shard({"k": probe}, self.NUM_DPUS, "p"), "k",
-        )
-        assert result.value == reference
-        assert result.recovery.declared_dead == (1,)
-
-    def test_tpch_q1(self):
-        data = generate_tpch(scale=0.005, seed=42)
-        lineitem = data.tables["lineitem"]
-        reference = cluster_tpch_q1(
-            Cluster(1), _shard(lineitem, 1, "lineitem")
-        ).value
-        cluster = Cluster(self.NUM_DPUS, fault_plan=_kill_plan())
-        result = cluster_tpch_q1(
-            cluster, _shard(lineitem, self.NUM_DPUS, "lineitem")
-        )
-        assert result.value == reference
-        assert result.recovery.declared_dead == (1,)
 
 
 # -- per-job accounting across a recovered failure ----------------------------
