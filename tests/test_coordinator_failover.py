@@ -86,6 +86,20 @@ def _jobs(d):
     }
 
 
+@pytest.fixture(scope="module")
+def references(datasets):
+    """``reference(job)``: the job's fault-free one-DPU value, run once
+    per module rather than once per cluster size."""
+    cache = {}
+
+    def reference(job):
+        if job not in cache:
+            cache[job] = _jobs(datasets)[job](Cluster(1), 1).value
+        return cache[job]
+
+    return reference
+
+
 class TestCoordinatorKillMatrix:
     """Every job byte-equal with DPU 0 killed mid-job at 2/4/8 DPUs."""
 
@@ -93,9 +107,10 @@ class TestCoordinatorKillMatrix:
     @pytest.mark.parametrize(
         "job", ["hll", "filter_count", "groupby", "join", "topk", "tpch_q1"]
     )
-    def test_byte_equal_after_takeover(self, datasets, job, num_dpus):
+    def test_byte_equal_after_takeover(self, datasets, references, job,
+                                       num_dpus):
         run = _jobs(datasets)[job]
-        reference = run(Cluster(1), 1).value
+        reference = references(job)
         cluster = Cluster(num_dpus, fault_plan=_coordinator_kill())
         result = run(cluster, num_dpus)
         assert result.value == reference
