@@ -8,12 +8,14 @@ Three physical strategies, chosen by the partition planner:
   distinct groups is low ... a merge operator is added after the
   grouping operator").
 
-* **hardware-partitioned** (1 < partitions <= 32) — core 0 drives DMS
-  partition chains that scatter (key, payload) records straight into
-  all 32 cores' DMEMs; each core aggregates its own partition, so no
-  DRAM round trip is needed ("especially useful for moderately sized
-  hash tables"). Waves of chunks respect DMEM capacity, coordinated
-  over the mailbox.
+* **hardware-partitioned** (1 < partitions <= 32) — the DMS scatters
+  (key, payload) records straight into all 32 cores' DMEMs; each core
+  aggregates its own partition, so no DRAM round trip is needed
+  ("especially useful for moderately sized hash tables"). The waves,
+  their mailbox handshake and the record format are the shared
+  partition loop's (:func:`~repro.apps.streaming.partition_columns`,
+  which join, sort and the cluster exchange use too); this module
+  only sizes the waves and aggregates each wave's records.
 
 * **software round + hardware** (partitions <= 1024) — one
   read+write round through DRAM splits the table 32 ways by *other*
@@ -34,7 +36,7 @@ semijoin probe into the aggregation, see :mod:`repro.apps.sql.join`).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
 import numpy as np
@@ -51,7 +53,14 @@ from ...dms.descriptor import (
 from ...dms.partition import PartitionLayout
 from ...runtime.task import static_partition
 from ...obs import traced_op
-from ..streaming import WIDTH_DTYPE, ref_dtype, ref_width, stream_columns
+from ..streaming import (
+    parse_records,
+    partition_columns,
+    record_width,
+    ref_dtype,
+    ref_width,
+    stream_columns,
+)
 from .costs import (
     AGG_CYCLES_PER_ROW,
     MERGE_CYCLES_PER_GROUP,
@@ -477,49 +486,24 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
 # -- strategy 2: hardware partitioning straight into DMEMs ------------------
 
 
-def _record_layout(widths: List[int]) -> Tuple[int, List[int]]:
-    offsets = []
-    cursor = 0
-    for width in widths:
-        offsets.append(cursor)
-        cursor += width
-    return cursor, offsets
-
-
-def _parse_records(raw: np.ndarray, dtypes: List[np.dtype]) -> List[np.ndarray]:
-    """Split row-major records (from a DMS partition store) back into
-    columns."""
-    widths = [dtype.itemsize for dtype in dtypes]
-    record_width, offsets = _record_layout(widths)
-    count = len(raw) // record_width
-    matrix = raw[: count * record_width].reshape(count, record_width)
-    columns = []
-    for offset, dtype in zip(offsets, dtypes):
-        chunk = np.ascontiguousarray(
-            matrix[:, offset : offset + dtype.itemsize]
-        )
-        columns.append(chunk.view(dtype).ravel())
-    return columns
-
-
 def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
                             broadcasts=()):
-    """Core 0 drives DMS partition waves; all cores aggregate their
-    DMEM partitions."""
+    """The DMS partitions the rows 32 ways in waves; every core
+    aggregates its DMEM partition after each wave."""
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
     rows = dtable.num_rows
     dtypes = [ref_dtype(spec) for _addr, spec in refs]
-    widths = [dtype.itemsize for dtype in dtypes]
-    record_width, _offsets = _record_layout(widths)
+    width = record_width(dtypes)
     cores = list(dpu.config.core_ids)
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     agg_cycles = _agg_cycles(aggs)
 
-    # Wave sizing: a chunk fits a CMEM bank; the per-core DMEM output
-    # buffer bounds rows per wave (2x slack for hash skew); broadcasts
-    # occupy the space between the buffer and the count word.
-    chunk_rows = max(64, dpu.config.cmem_bank_bytes // record_width)
+    # Wave sizing: a chunk fits a CMEM bank; a wave fills the per-core
+    # DMEM output buffers half way on uniform keys (the partition loop
+    # ends it early where skew would overflow one); broadcasts occupy
+    # the space between the buffer and the count word.
+    chunk_rows = max(64, dpu.config.cmem_bank_bytes // width)
     bcast_bytes = _broadcast_bytes(broadcasts)
     buffer_capacity = 18 * 1024
     if bcast_bytes > 12 * 1024:
@@ -527,89 +511,35 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
             f"broadcast tables of {bcast_bytes} B do not fit alongside "
             "the partition buffer; materialize the join differently"
         )
-    count_offset = 31 * 1024
-    wave_rows = int(len(cores) * (buffer_capacity / record_width) / 2)
-    wave_chunks = max(1, wave_rows // chunk_rows)
+    wave_rows = int(len(cores) * (buffer_capacity / width) / 2)
+    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
 
     spec = PartitionSpec(mode=PartitionMode.HASH, radix_bits=5)
     layout = PartitionLayout(
         target_cores=tuple(cores),
         dmem_base=0,
         capacity=buffer_capacity,
-        count_offset=count_offset,
+        count_offset=31 * 1024,
     )
-    driver = cores[0]
 
     def kernel(ctx):
         groups: GroupTable = {}
-        is_driver = ctx.core_id == driver
         if broadcasts:
             yield from _load_broadcasts(ctx, broadcasts, buffer_capacity)
-        if is_driver:
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.HASH_CONFIG,
-                    partition=spec,
-                    partition_layout=layout,
-                )
-            )
-        chunk_starts = list(range(0, rows, chunk_rows))
-        wave_start = 0
-        while True:
-            wave = chunk_starts[wave_start : wave_start + wave_chunks]
-            if is_driver:
-                for start in wave:
-                    count = min(chunk_rows, rows - start)
-                    for col, (addr, _spec) in enumerate(refs):
-                        width = widths[col]
-                        ctx.push(
-                            Descriptor(
-                                dtype=DescriptorType.DDR_TO_DMS,
-                                rows=count,
-                                col_width=width,
-                                ddr_addr=addr + start * width,
-                                is_key_column=(col == 0),
-                            )
-                        )
-                    ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMS,
-                                        partition=spec))
-                    ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMEM,
-                                        partition=spec))
-                while not ctx.dmad.idle():
-                    yield from ctx.compute(200)
-                for core in cores:
-                    if core != driver:
-                        yield from ctx.mbox_send(core, ("wave", len(wave)))
-            else:
-                yield from ctx.mbox_receive()
-            # Aggregate this wave's partition buffer.
-            count = int(ctx.dmem.view(count_offset, 4, np.uint32)[0])
-            raw = ctx.dmem.view(0, count * record_width, np.uint8).copy()
-            columns = dict(zip(names, _parse_records(raw, dtypes)))
+
+        def aggregate(count):
+            raw = ctx.dmem.view(0, count * width, np.uint8)
+            columns = dict(zip(names, parse_records(raw, dtypes)))
             selected = _tile_update(groups, columns, key, aggs, row_filter)
             yield from ctx.compute(count * filter_cycles + selected * agg_cycles)
-            # Ack, reset, continue (or stop after the final wave).
-            done = wave_start + wave_chunks >= len(chunk_starts)
-            if is_driver:
-                for _ in range(len(cores) - 1):
-                    yield from ctx.mbox_receive()
-                layout.reset()
-                for core in cores:
-                    dpu.scratchpads[core].view(count_offset, 4, np.uint32)[0] = 0
-                for core in cores:
-                    if core != driver:
-                        yield from ctx.mbox_send(core, ("next", done))
-            else:
-                yield from ctx.mbox_send(driver, ("ack",))
-                yield from ctx.mbox_receive()
-            wave_start += wave_chunks
-            if done:
-                break
+
+        yield from partition_columns(ctx, refs, rows, spec, layout,
+                                     chunk_rows, wave_rows, aggregate)
         return groups
 
     launch = dpu.launch(kernel, cores=cores)
     merged = merge_groups(launch.values, aggs)  # disjoint keys: concat
-    nbytes = sum(rows * width for width in widths)
+    nbytes = rows * width
     return merged, launch.cycles, nbytes
 
 

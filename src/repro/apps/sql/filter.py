@@ -20,7 +20,7 @@ effective bandwidth.
 from __future__ import annotations
 
 from collections import deque
-from typing import Callable, Iterable, List, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -30,7 +30,7 @@ from ...core.dpu import DPU
 from ...obs import traced_op
 from ...dms.descriptor import Descriptor, DescriptorType
 from ...runtime.task import static_partition
-from ..streaming import WIDTH_DTYPE, ref_width, stream_columns
+from ..streaming import ref_width, stream_columns
 from .aggregate import Broadcast, RowFilter, _as_row_filter, _load_broadcasts
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate

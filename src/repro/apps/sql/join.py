@@ -17,20 +17,16 @@ the paper's general strategy.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
 from ...baseline.xeon import XeonModel
 from ...core.dpu import DPU
-from ...dms.descriptor import (
-    Descriptor,
-    DescriptorType,
-    PartitionMode,
-    PartitionSpec,
-)
+from ...dms.descriptor import PartitionMode, PartitionSpec
 from ...dms.partition import PartitionLayout
 from ...obs import traced_op
+from ..streaming import partition_columns, ref_dtype
 from .costs import JOIN_BUILD_CYCLES_PER_ROW, JOIN_PROBE_CYCLES_PER_ROW
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate
@@ -169,8 +165,6 @@ def dpu_partitioned_join_count(
     probe_capacity = 18 * 1024
     driver = cores[0]
 
-    from ..streaming import ref_dtype
-
     build_ref = build_dtable.column_ref(build_key)
     probe_ref = probe_dtable.column_ref(probe_key)
     build_rows = build_dtable.num_rows
@@ -191,34 +185,12 @@ def dpu_partitioned_join_count(
         capacity=probe_capacity,
         count_offset=count_offset + 4,
     )
-
-    def partition_waves(ctx, ref, rows, layout, wave_rows, phase_tag):
-        """Driver-side: push chunks of one table in capacity waves."""
-        addr = ref[0]
-        width = ref_dtype(ref[1]).itemsize
-        chunk_rows = min(2048, dpu.config.cmem_bank_bytes // width)
-        position = 0
-        while position < rows:
-            wave_end = min(rows, position + wave_rows)
-            while position < wave_end:
-                count = min(chunk_rows, wave_end - position)
-                ctx.push(
-                    Descriptor(
-                        dtype=DescriptorType.DDR_TO_DMS,
-                        rows=count,
-                        col_width=width,
-                        ddr_addr=addr + position * width,
-                        is_key_column=True,
-                    )
-                )
-                ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMS,
-                                    partition=spec))
-                ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMEM,
-                                    partition=spec))
-                position += count
-            while not ctx.dmad.idle():
-                yield from ctx.compute(200)
-            yield position  # wave boundary marker (consumed by kernel)
+    # Waves fill the per-core buffers half way on uniform keys; chunks
+    # fit a CMEM bank.
+    build_chunk_rows = min(2048, dpu.config.cmem_bank_bytes // build_width)
+    probe_chunk_rows = min(2048, dpu.config.cmem_bank_bytes // probe_width)
+    build_wave_rows = int(len(cores) * (build_capacity / build_width) / 2)
+    probe_wave_rows = int(len(cores) * (probe_capacity / probe_width) / 2)
 
     # Memory grant: each build row costs a key plus a count slot in
     # the per-core hash tables. Under pressure, shrink to build
@@ -236,97 +208,42 @@ def dpu_partitioned_join_count(
 
     def make_kernel(seg_ref, seg_build_rows):
         def kernel(ctx):
-            is_driver = ctx.core_id == driver
             matches = 0
             build_table = {}
 
-            # Phase 1: partition the build side (usually one wave).
-            build_wave_rows = int(
-                len(cores) * (build_capacity / build_width) / 2
-            )
-            probe_wave_rows = int(
-                len(cores) * (probe_capacity / probe_width) / 2
-            )
-
-            def run_phase(ref, rows, layout, wave_rows, consume):
-                if is_driver:
-                    ctx.push(
-                        Descriptor(
-                            dtype=DescriptorType.HASH_CONFIG,
-                            partition=spec,
-                            partition_layout=layout,
-                        )
-                    )
-                    driver_gen = partition_waves(
-                        ctx, ref, rows, layout, wave_rows, None
-                    )
-                    while True:
-                        try:
-                            step = next(driver_gen)
-                        except StopIteration:
-                            break
-                        if isinstance(step, int):
-                            # Wave complete: everyone consumes, then reset.
-                            for core in cores:
-                                if core != driver:
-                                    yield from ctx.mbox_send(core, ("wave",))
-                            yield from consume()
-                            for _ in range(len(cores) - 1):
-                                yield from ctx.mbox_receive()
-                            layout.reset()
-                            for core in cores:
-                                dpu.scratchpads[core].view(
-                                    layout.count_offset, 4, np.uint32
-                                )[0] = 0
-                            done = False
-                            for core in cores:
-                                if core != driver:
-                                    yield from ctx.mbox_send(core, ("go",))
-                        else:
-                            yield step
+            def phase_done():
+                # End-of-phase mailbox round after the last wave.
+                if ctx.core_id == driver:
                     for core in cores:
                         if core != driver:
                             yield from ctx.mbox_send(core, ("phase-done",))
                 else:
-                    while True:
-                        _src, message = yield from ctx.mbox_receive()
-                        if message[0] == "phase-done":
-                            break
-                        yield from consume()
-                        yield from ctx.mbox_send(driver, ("ack",))
-                        yield from ctx.mbox_receive()  # ("go",)
+                    yield from ctx.mbox_receive()
 
-            def consume_build():
-                count = int(
-                    ctx.dmem.view(build_layout.count_offset, 4, np.uint32)[0]
-                )
-                raw = ctx.dmem.view(0, count * build_width, np.uint8).copy()
-                keys = raw.view(build_dtype)
+            def build(count):
+                keys = ctx.dmem.view(0, count * build_width, build_dtype)
                 for key in keys.tolist():
                     build_table[key] = build_table.get(key, 0) + 1
                 yield from ctx.compute(count * JOIN_BUILD_CYCLES_PER_ROW)
 
-            def consume_probe():
+            def probe(count):
                 nonlocal matches
-                count = int(
-                    ctx.dmem.view(probe_layout.count_offset, 4, np.uint32)[0]
-                )
-                raw = ctx.dmem.view(
-                    build_capacity, count * probe_width, np.uint8
-                ).copy()
-                keys = raw.view(probe_dtype)
+                keys = ctx.dmem.view(build_capacity, count * probe_width,
+                                     probe_dtype)
                 for key in keys.tolist():
                     matches += build_table.get(key, 0)
                 yield from ctx.compute(count * JOIN_PROBE_CYCLES_PER_ROW)
 
-            yield from run_phase(
-                seg_ref, seg_build_rows, build_layout, build_wave_rows,
-                consume_build,
+            yield from partition_columns(
+                ctx, [seg_ref], seg_build_rows, spec, build_layout,
+                build_chunk_rows, build_wave_rows, build,
             )
-            yield from run_phase(
-                probe_ref, probe_rows, probe_layout, probe_wave_rows,
-                consume_probe,
+            yield from phase_done()
+            yield from partition_columns(
+                ctx, [probe_ref], probe_rows, spec, probe_layout,
+                probe_chunk_rows, probe_wave_rows, probe,
             )
+            yield from phase_done()
             return matches
 
         return kernel

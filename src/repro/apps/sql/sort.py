@@ -19,7 +19,7 @@ Ross), the comparison the paper's partitioning discussion builds on.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -33,7 +33,7 @@ from ...dms.descriptor import (
 )
 from ...dms.partition import PartitionLayout
 from ...obs import traced_op
-from ..streaming import WIDTH_DTYPE, ref_dtype
+from ..streaming import partition_columns, ref_dtype
 from .engine import DpuOpResult, XeonOpResult
 from .table import DpuTable, Table
 
@@ -118,10 +118,11 @@ def dpu_sort(
     driver = cores[0]
     chunk_rows = min(2040, dpu.config.cmem_bank_bytes // width)
     # Wave sizing against the most loaded core, from the sample's
-    # observed skew (2x safety margin for estimation error).
+    # observed skew (2x safety margin; the partition loop ends a wave
+    # early where the sample underestimated a range).
     per_core_rows = buffer_capacity // width
     wave_rows = int(per_core_rows / max(2.0 * max_share, 2.0 / len(cores)))
-    wave_chunks = max(1, wave_rows // chunk_rows)
+    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
 
     # Memory grant: the eager plan reserves a full column-size spill
     # per core. Under pressure, shrink to segments that fit the grant.
@@ -137,45 +138,17 @@ def dpu_sort(
 
     def run_segment(seg_row0: int, seg_rows: int, spill_addr, seg_descending):
         """Partition-sort rows [seg_row0, seg_row0+seg_rows)."""
+        column = [(ref[0] + seg_row0 * width, dtype)]
 
         def kernel(ctx):
-            is_driver = ctx.core_id == driver
             collected: List[np.ndarray] = []
             spilled = 0
-            if is_driver:
-                # Sampling pass to program the range engine.
-                yield from ctx.compute(sample_size * _SAMPLE_CYCLES_PER_VALUE)
-                ctx.push(Descriptor(dtype=DescriptorType.RANGE_CONFIG,
-                                    partition=spec, partition_layout=layout))
-            chunk_starts = list(range(0, seg_rows, chunk_rows))
-            wave_start = 0
-            while True:
-                wave = chunk_starts[wave_start : wave_start + wave_chunks]
-                if is_driver:
-                    for start in wave:
-                        count = min(chunk_rows, seg_rows - start)
-                        ctx.push(Descriptor(
-                            dtype=DescriptorType.DDR_TO_DMS, rows=count,
-                            col_width=width,
-                            ddr_addr=ref[0] + (seg_row0 + start) * width,
-                            is_key_column=True,
-                        ))
-                        ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMS,
-                                            partition=spec))
-                        ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMEM,
-                                            partition=spec))
-                    while not ctx.dmad.idle():
-                        yield from ctx.compute(200)
-                    for core in cores:
-                        if core != driver:
-                            yield from ctx.mbox_send(core, ("wave",))
-                else:
-                    yield from ctx.mbox_receive()
+
+            def spill(count):
                 # Spill this wave's partition rows to DDR scratch.
-                count = int(ctx.dmem.view(count_offset, 4, np.uint32)[0])
+                nonlocal spilled
                 if count:
-                    raw = ctx.dmem.view(0, count * width, np.uint8).copy()
-                    values = raw.view(dtype)
+                    values = ctx.dmem.view(0, count * width, dtype)
                     collected.append(values.copy())
                     ctx.push(Descriptor(
                         dtype=DescriptorType.DMEM_TO_DDR, rows=count,
@@ -186,24 +159,12 @@ def dpu_sort(
                     yield from ctx.wfe(6)
                     ctx.clear_event(6)
                     spilled += count
-                done = wave_start + wave_chunks >= len(chunk_starts)
-                if is_driver:
-                    for _ in range(len(cores) - 1):
-                        yield from ctx.mbox_receive()
-                    layout.reset()
-                    for core in cores:
-                        dpu.scratchpads[core].view(
-                            count_offset, 4, np.uint32
-                        )[0] = 0
-                    for core in cores:
-                        if core != driver:
-                            yield from ctx.mbox_send(core, ("next", done))
-                else:
-                    yield from ctx.mbox_send(driver, ("ack",))
-                    yield from ctx.mbox_receive()
-                wave_start += wave_chunks
-                if done:
-                    break
+
+            if ctx.core_id == driver:
+                # Sampling pass to program the range engine.
+                yield from ctx.compute(sample_size * _SAMPLE_CYCLES_PER_VALUE)
+            yield from partition_columns(ctx, column, seg_rows, spec, layout,
+                                         chunk_rows, wave_rows, spill)
             # Local sort: stream the spill back through DMEM in runs and
             # merge (charged as n log2 n element-levels + the re-read).
             mine = (np.concatenate(collected) if collected

@@ -12,6 +12,16 @@ The ``process`` callback does *functional* work with numpy views of
 DMEM and returns the dpCore cycle cost to charge for the tile, using
 constants derived from the ISA interpreter (see
 ``repro.apps.sql.costs``).
+
+``partition_columns`` is the other idiom: the DMS hash/range
+partitioning engine (§3.1-3.2, Fig. 13) scattering rows into the
+DMEMs of a :class:`~repro.dms.partition.PartitionLayout`'s target
+cores in waves that fit their buffers, with a mailbox handshake
+between waves. Group-by, join, sort and the cluster exchange all
+partition through it and differ only in what each core does with the
+records it receives (``consume``). The stored record format — each
+row's columns back to back, key first — is read back with
+``parse_records``.
 """
 
 from __future__ import annotations
@@ -21,9 +31,18 @@ from typing import Callable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from ..core.dpu import CoreContext
-from ..dms.descriptor import Descriptor, DescriptorType
+from ..dms.descriptor import (
+    Descriptor,
+    DescriptorType,
+    PartitionMode,
+    PartitionSpec,
+)
+from ..dms.partition import PartitionLayout, compute_cids
 
-__all__ = ["stream_columns", "ColumnRef", "WIDTH_DTYPE", "ref_dtype", "ref_width"]
+__all__ = [
+    "stream_columns", "partition_columns", "parse_records", "record_width",
+    "ColumnRef", "WIDTH_DTYPE", "ref_dtype", "ref_width",
+]
 
 WIDTH_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
 
@@ -165,3 +184,141 @@ def stream_columns(
         # Drain outstanding writes before returning.
         for event in _WRITE_EVENTS:
             yield from ctx.wfe(event)
+
+
+def record_width(dtypes: Sequence) -> int:
+    """Bytes per record the partition engine stores: the columns'
+    widths back to back."""
+    return sum(np.dtype(dtype).itemsize for dtype in dtypes)
+
+
+def parse_records(raw: np.ndarray, dtypes: Sequence) -> List[np.ndarray]:
+    """Split row-major partition records (raw bytes) back into one
+    array per column."""
+    dtypes = [np.dtype(dtype) for dtype in dtypes]
+    width = record_width(dtypes)
+    count = len(raw) // width
+    matrix = raw[: count * width].reshape(count, width)
+    columns = []
+    offset = 0
+    for dtype in dtypes:
+        field = matrix[:, offset : offset + dtype.itemsize].copy()
+        columns.append(field.view(dtype).ravel())
+        offset += dtype.itemsize
+    return columns
+
+
+def _wave_plan(
+    keys: np.ndarray, spec: PartitionSpec, layout: PartitionLayout,
+    width: int, chunk_rows: int, wave_rows: int,
+) -> List[Tuple[int, int]]:
+    """Row ranges of the partition waves: ``wave_rows`` each, but a
+    wave ends at an earlier chunk boundary when the next chunk would
+    overflow some target's buffer (judged on the host by the engine's
+    own CID math). A chunk fits one CMEM bank, smaller than every
+    buffer, so each wave moves at least one chunk."""
+    rows = len(keys)
+    targets = len(layout.target_cores)
+    # CIDs past the last target are never stored: count them apart.
+    cids = np.minimum(compute_cids(keys, spec), targets).astype(np.int64)
+    waves = []
+    lo = 0
+    while lo < rows:
+        hi = min(rows, lo + wave_rows)
+        chunk_of = np.arange(hi - lo) // chunk_rows
+        per_chunk = np.bincount(
+            chunk_of * (targets + 1) + cids[lo:hi],
+            minlength=(int(chunk_of[-1]) + 1) * (targets + 1),
+        ).reshape(-1, targets + 1)[:, :targets]
+        full = per_chunk.cumsum(axis=0).max(axis=1) > layout.capacity // width
+        if full.any():
+            hi = min(hi, lo + max(1, int(full.argmax())) * chunk_rows)
+        waves.append((lo, hi))
+        lo = hi
+    return waves
+
+
+def _stored_count(ctx: CoreContext, layout: PartitionLayout) -> int:
+    return int(ctx.dmem.view(layout.count_offset, 4, np.uint32)[0])
+
+
+def partition_columns(
+    ctx: CoreContext,
+    columns: Sequence[ColumnRef],
+    rows: int,
+    spec: PartitionSpec,
+    layout: PartitionLayout,
+    chunk_rows: int,
+    wave_rows: int,
+    consume: Callable,
+):
+    """Partition ``rows`` of ``columns`` (key column first) into the
+    DMEMs of ``layout``'s target cores, in waves; every target core
+    runs this loop.
+
+    The first target core drives the engine: it pushes the
+    ``HASH_CONFIG`` or ``RANGE_CONFIG`` descriptor for ``spec``, then
+    per wave a ``DDR_TO_DMS`` (one per column) -> ``DMS_TO_DMS`` ->
+    ``DMS_TO_DMEM`` chain per chunk of ``chunk_rows``, and polls its
+    DMAD until the wave has landed. Every target core then runs the
+    generator ``consume(count)`` over the ``count`` records stored in
+    its buffer at ``layout.dmem_base``; the driver collects the acks,
+    rewinds the layout, zeroes the count words and releases the next
+    wave. Waves span ``wave_rows`` rows, cut short at a chunk boundary
+    where skewed keys would overflow a buffer. Kernel usage::
+
+        yield from partition_columns(ctx, cols, rows, spec, layout,
+                                     chunk_rows, wave_rows, consume)
+    """
+    cores = layout.target_cores
+    driver = cores[0]
+    if ctx.core_id != driver:
+        done = rows <= 0
+        while not done:
+            yield from ctx.mbox_receive()
+            yield from consume(_stored_count(ctx, layout))
+            yield from ctx.mbox_send(driver, ("ack",))
+            _src, (_tag, done) = yield from ctx.mbox_receive()
+        return
+    config = (DescriptorType.RANGE_CONFIG if spec.mode is PartitionMode.RANGE
+              else DescriptorType.HASH_CONFIG)
+    ctx.push(Descriptor(dtype=config, partition=spec, partition_layout=layout))
+    if rows <= 0:
+        return
+    widths = [ref_width(dtype) for _addr, dtype in columns]
+    key_addr, key_width = columns[0][0], widths[0]
+    keys = ctx.dpu.ddr.view(key_addr, rows * key_width, WIDTH_DTYPE[key_width])
+    waves = _wave_plan(keys, spec, layout, sum(widths), chunk_rows, wave_rows)
+    followers = [core for core in cores if core != driver]
+    scratchpads = ctx.dpu.scratchpads
+    for wave, (lo, hi) in enumerate(waves, 1):
+        for start in range(lo, hi, chunk_rows):
+            count = min(chunk_rows, hi - start)
+            for col, (addr, _dtype) in enumerate(columns):
+                width = widths[col]
+                ctx.push(
+                    Descriptor(
+                        dtype=DescriptorType.DDR_TO_DMS,
+                        rows=count,
+                        col_width=width,
+                        ddr_addr=addr + start * width,
+                        is_key_column=(col == 0),
+                    )
+                )
+            ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMS,
+                                partition=spec))
+            ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMEM,
+                                partition=spec))
+        while not ctx.dmad.idle():
+            yield from ctx.compute(200)
+        for core in followers:
+            yield from ctx.mbox_send(core, ("wave",))
+        yield from consume(_stored_count(ctx, layout))
+        for _ in followers:
+            yield from ctx.mbox_receive()
+        layout.reset()
+        for core in cores:
+            scratchpads[core].view(layout.count_offset, 4, np.uint32)[0] = 0
+        done = wave == len(waves)
+        for core in followers:
+            yield from ctx.mbox_send(core, ("next", done))

@@ -949,7 +949,7 @@ class RecoveryManager:
         round's epoch and slot-owner map to its standbys so a takeover
         resumes the exchange instead of restarting it.
         """
-        from ..apps.sql.aggregate import _parse_records
+        from ..apps.streaming import parse_records
         from .shuffle import ShuffleResult, partition_source
 
         cluster = self.cluster
@@ -1122,7 +1122,7 @@ class RecoveryManager:
                     parts.append(raw)
             raw_all = (np.concatenate(parts) if parts
                        else np.empty(0, dtype=np.uint8))
-            arrays = _parse_records(raw_all, dtypes)
+            arrays = parse_records(raw_all, dtypes)
             columns.append(dict(zip(names, arrays)))
         return ShuffleResult(
             columns=columns,

@@ -9,13 +9,14 @@ DPU, then the shards cross the fabric all-to-all.
 The exchange reuses the hardware the paper provides for exactly this
 (§3.1's hash/range partitioning engine, Fig. 13):
 
-1. **Partition (per source DPU, DMS hardware).** Core 0 drives
-   DDR->DMS->DMEM partition chains with a ``PartitionSpec`` whose
-   fanout is the DPU count and whose ``radix_shift`` inspects *high*
-   CRC bits — the intra-DPU 32-way operators keep using the low bits,
-   so the two partitioning levels nest without correlation. Each
-   participating core drains its per-destination record buffer to a
-   per-destination DRAM region between waves (DMEM->DDR), exactly the
+1. **Partition (per source DPU, DMS hardware).** The shared partition
+   loop (:func:`~repro.apps.streaming.partition_columns`, the one the
+   §5.3 operators use) runs with a ``PartitionSpec`` whose fanout is
+   the DPU count and whose ``radix_shift`` inspects *high* CRC bits —
+   the intra-DPU 32-way operators keep using the low bits, so the two
+   partitioning levels nest without correlation. Each participating
+   core drains its per-destination record buffer to a per-destination
+   DRAM region between waves (DMEM->DDR), exactly the
    chained-output-buffer scheme of §5.3.
 
 2. **Exchange (concurrent, A9s).** Core 0 mailboxes the region
@@ -54,8 +55,7 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps.sql.aggregate import _record_layout
-from ..apps.streaming import ref_dtype
+from ..apps.streaming import partition_columns, record_width
 from ..dms.descriptor import (
     Descriptor,
     DescriptorType,
@@ -125,104 +125,6 @@ class ShuffleResult:
     bytes_moved: int
 
 
-def _partition_kernel(dpu, refs, rows, num_dests, region_addrs, spec, layout):
-    """Build the wave-driven partition kernel for one source DPU.
-
-    Mirrors the §5.3 hardware-partitioned group-by driver: core 0
-    pushes DDR->DMS (key first) -> DMS_TO_DMS -> DMS_TO_DMEM chains in
-    DMEM-capacity waves; after each wave every participating core
-    drains its record buffer to its destination's DRAM region."""
-    dtypes = [ref_dtype(spec_) for _addr, spec_ in refs]
-    widths = [dtype.itemsize for dtype in dtypes]
-    record_width, _offsets = _record_layout(widths)
-    cores = list(layout.target_cores)
-    driver = cores[0]
-    chunk_rows = max(64, dpu.config.cmem_bank_bytes // record_width)
-    wave_rows = int(num_dests * (_BUFFER_CAPACITY / record_width) / 2)
-    wave_chunks = max(1, wave_rows // chunk_rows)
-    chunk_starts = list(range(0, rows, chunk_rows))
-
-    def kernel(ctx):
-        slot = cores.index(ctx.core_id)
-        is_driver = ctx.core_id == driver
-        cursor = 0
-        if is_driver:
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.HASH_CONFIG,
-                    partition=spec,
-                    partition_layout=layout,
-                )
-            )
-        wave_start = 0
-        while True:
-            wave = chunk_starts[wave_start : wave_start + wave_chunks]
-            if is_driver:
-                for start in wave:
-                    count = min(chunk_rows, rows - start)
-                    for col, (addr, _spec) in enumerate(refs):
-                        width = widths[col]
-                        ctx.push(
-                            Descriptor(
-                                dtype=DescriptorType.DDR_TO_DMS,
-                                rows=count,
-                                col_width=width,
-                                ddr_addr=addr + start * width,
-                                is_key_column=(col == 0),
-                            )
-                        )
-                    ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMS,
-                                        partition=spec))
-                    ctx.push(Descriptor(dtype=DescriptorType.DMS_TO_DMEM,
-                                        partition=spec))
-                while not ctx.dmad.idle():
-                    yield from ctx.compute(200)
-                for core in cores:
-                    if core != driver:
-                        yield from ctx.mbox_send(core, ("wave",))
-            else:
-                yield from ctx.mbox_receive()
-            # Drain this core's per-destination record buffer to its
-            # destination region in DRAM (raw bytes: col_width=1).
-            count = int(ctx.dmem.view(_COUNT_OFFSET, 4, np.uint32)[0])
-            nbytes = count * record_width
-            if nbytes:
-                ctx.push(
-                    Descriptor(
-                        dtype=DescriptorType.DMEM_TO_DDR,
-                        rows=nbytes,
-                        col_width=1,
-                        ddr_addr=region_addrs[slot] + cursor,
-                        dmem_addr=0,
-                        notify_event=_DRAIN_EVENT,
-                    )
-                )
-                yield from ctx.wfe(_DRAIN_EVENT)
-                ctx.clear_event(_DRAIN_EVENT)
-                cursor += nbytes
-            done = wave_start + wave_chunks >= len(chunk_starts)
-            if is_driver:
-                for _ in range(len(cores) - 1):
-                    yield from ctx.mbox_receive()
-                layout.reset()
-                for core in cores:
-                    dpu.scratchpads[core].view(
-                        _COUNT_OFFSET, 4, np.uint32
-                    )[0] = 0
-                for core in cores:
-                    if core != driver:
-                        yield from ctx.mbox_send(core, ("next", done))
-            else:
-                yield from ctx.mbox_send(driver, ("ack",))
-                yield from ctx.mbox_receive()
-            wave_start += wave_chunks
-            if done:
-                break
-        return cursor
-
-    return kernel
-
-
 def partition_source(dpu, dtable, key: str, names: Sequence[str],
                      num_dests: int):
     """Partition one DPU-resident table into ``num_dests`` raw record
@@ -239,7 +141,7 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
     spec = shuffle_spec(num_dests)
     names = [key] + [name for name in names if name != key]
     dtypes = [dtable.table.column(name).dtype for name in names]
-    record_width = sum(dtype.itemsize for dtype in dtypes)
+    width = record_width(dtypes)
     rows = dtable.num_rows
     cores = list(dpu.config.core_ids)[:num_dests]
     if num_dests > len(dpu.config.core_ids):
@@ -251,7 +153,7 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
     cids = compute_cids(keys_host, spec)
     counts = np.bincount(cids, minlength=num_dests)
     region_addrs = [
-        dpu.alloc(max(int(counts[dst]) * record_width, 8))
+        dpu.alloc(max(int(counts[dst]) * width, 8))
         for dst in range(num_dests)
     ]
     cycles = 0.0
@@ -263,13 +165,44 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
             capacity=_BUFFER_CAPACITY,
             count_offset=_COUNT_OFFSET,
         )
-        kernel = _partition_kernel(
-            dpu, refs, rows, num_dests, region_addrs, spec, layout
-        )
+        # Waves fill the per-destination buffers half way on uniform
+        # keys, in whole CMEM-bank chunks.
+        chunk_rows = max(64, dpu.config.cmem_bank_bytes // width)
+        wave_rows = int(num_dests * (_BUFFER_CAPACITY / width) / 2)
+        wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
+
+        def kernel(ctx):
+            region = region_addrs[cores.index(ctx.core_id)]
+            cursor = 0
+
+            def drain(count):
+                # This core's records go to its destination's DRAM
+                # region as raw bytes (col_width=1).
+                nonlocal cursor
+                nbytes = count * width
+                if nbytes:
+                    ctx.push(
+                        Descriptor(
+                            dtype=DescriptorType.DMEM_TO_DDR,
+                            rows=nbytes,
+                            col_width=1,
+                            ddr_addr=region + cursor,
+                            dmem_addr=0,
+                            notify_event=_DRAIN_EVENT,
+                        )
+                    )
+                    yield from ctx.wfe(_DRAIN_EVENT)
+                    ctx.clear_event(_DRAIN_EVENT)
+                    cursor += nbytes
+
+            yield from partition_columns(ctx, refs, rows, spec, layout,
+                                         chunk_rows, wave_rows, drain)
+            return cursor
+
         launch = dpu.launch(kernel, cores=cores)
         cycles = launch.cycles
         for slot, written in enumerate(launch.values):
-            expected = int(counts[slot]) * record_width
+            expected = int(counts[slot]) * width
             if written != expected:
                 raise RuntimeError(
                     f"partition drain mismatch on {dpu.name} slot {slot}: "
@@ -277,10 +210,10 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
                 )
     raws = []
     for dst in range(num_dests):
-        nbytes = int(counts[dst]) * record_width
+        nbytes = int(counts[dst]) * width
         raws.append(dpu.load_array(region_addrs[dst], nbytes, np.uint8).copy())
         dpu.free(region_addrs[dst])
-    return raws, cycles, record_width, dtypes
+    return raws, cycles, width, dtypes
 
 
 def shuffle_exchange(

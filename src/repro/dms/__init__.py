@@ -17,7 +17,7 @@ from .dmac import Dmac, DmsHardwareError, PartitionChunk
 from .dmad import Dmad, DmadChannel
 from .dmax import Dmax
 from .events import EVENTS_PER_CORE, EventFile
-from .partition import PartitionLayout, compute_cids, partition_record_width
+from .partition import PartitionLayout, compute_cids
 
 __all__ = [
     "DESCRIPTOR_CAPABILITIES",
@@ -41,5 +41,4 @@ __all__ = [
     "ddr_to_dmem",
     "dmem_to_ddr",
     "loop",
-    "partition_record_width",
 ]

@@ -24,7 +24,7 @@ import numpy as np
 from ..core.crc32 import crc32_column
 from .descriptor import DescriptorError, PartitionMode, PartitionSpec
 
-__all__ = ["compute_cids", "PartitionLayout", "partition_record_width"]
+__all__ = ["compute_cids", "PartitionLayout"]
 
 
 def compute_cids(keys: np.ndarray, spec: PartitionSpec) -> np.ndarray:
@@ -49,11 +49,6 @@ def compute_cids(keys: np.ndarray, spec: PartitionSpec) -> np.ndarray:
     signed = keys.astype(np.int64, copy=False)
     cids = np.searchsorted(bounds, signed, side="left")
     return np.minimum(cids, len(bounds) - 1).astype(np.uint16)
-
-
-def partition_record_width(column_widths: Tuple[int, ...]) -> int:
-    """Bytes per row-major record emitted by the store engine."""
-    return int(sum(column_widths))
 
 
 @dataclass

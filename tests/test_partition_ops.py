@@ -29,7 +29,7 @@ from repro.apps.sql import (
 )
 from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
 from repro.apps.sql.planner import DmemBudget
-from repro.cluster import Cluster, shuffle_exchange
+from repro.cluster import Cluster, cluster_groupby, shuffle_exchange
 from repro.core import DPU
 from repro.runtime.admission import MemoryGovernor
 from test_equivalence import GOLDEN_DIR, digest
@@ -216,3 +216,67 @@ def test_partition_ops_golden(request):
         if golden[name][field] != observed[name][field]
     ]
     assert not diverged, "\n".join(diverged)
+
+
+# -- skewed keys ---------------------------------------------------------------
+
+
+def _hot(rng, rows, domain, share, hot_key=7):
+    """``rows`` keys over ``domain``, ``share`` of them equal to one key."""
+    keys = rng.integers(0, domain, rows)
+    keys[: int(rows * share)] = hot_key
+    return rng.permutation(keys)
+
+
+def _numpy_groups(keys, values):
+    unique, inverse = np.unique(keys, return_inverse=True)
+    sums = np.bincount(inverse, weights=values.astype(np.float64))
+    counts = np.bincount(inverse)
+    return {int(key): [float(total), int(count)]
+            for key, total, count in zip(unique, sums, counts)}
+
+
+class TestSkewedKeys:
+    """A hot key fills one target's buffer faster than the waves'
+    uniform sizing assumes; the wave plan must end such a wave early
+    instead of overflowing the buffer."""
+
+    def test_groupby_hot_key(self):
+        rng = np.random.default_rng(1)
+        keys = _hot(rng, 100_000, 5000, 0.05).astype(np.int32)
+        values = rng.integers(0, 100, 100_000).astype(np.int32)
+        dpu = DPU()
+        dtable = Table("t", {"g": keys, "v": values}).to_dpu(dpu)
+        result = dpu_groupby(dpu, dtable, "g",
+                             [AggSpec("sum", "v"), AggSpec("count")])
+        assert 1 < result.detail["partitions_needed"] <= 32
+        assert result.value == _numpy_groups(keys, values)
+
+    def test_join_hot_build_key(self):
+        rng = np.random.default_rng(2)
+        build = _hot(rng, 30_000, 20_000, 0.10).astype(np.int32)
+        probe = rng.integers(0, 20_000, 20_000).astype(np.int32)
+        dpu = DPU()
+        result = dpu_partitioned_join_count(
+            dpu, Table("b", {"k": build}).to_dpu(dpu), "k",
+            Table("p", {"k": probe}).to_dpu(dpu), "k",
+        )
+        unique, counts = np.unique(build, return_counts=True)
+        slot = np.minimum(np.searchsorted(unique, probe), len(unique) - 1)
+        assert result.value == int(
+            np.where(unique[slot] == probe, counts[slot], 0).sum())
+
+    def test_cluster_groupby_hot_key(self):
+        rng = np.random.default_rng(3)
+        shards = [
+            Table(f"s{index}", {
+                "k": _hot(rng, 20_000, 5000, 0.30).astype(np.int64),
+                "v": rng.integers(0, 100, 20_000).astype(np.int64),
+            })
+            for index in range(8)
+        ]
+        result = cluster_groupby(Cluster(8), shards, "k",
+                                 [AggSpec("sum", "v"), AggSpec("count")])
+        keys = np.concatenate([shard.column("k") for shard in shards])
+        values = np.concatenate([shard.column("v") for shard in shards])
+        assert result.value == _numpy_groups(keys, values)
