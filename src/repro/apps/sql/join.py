@@ -212,7 +212,9 @@ def dpu_partitioned_join_count(
             build_table = {}
 
             def phase_done():
-                # End-of-phase mailbox round after the last wave.
+                # End-of-phase mailbox round: redundant after the loop's
+                # last release, kept because dropping it moves the cycles
+                # of every join.
                 if ctx.core_id == driver:
                     for core in cores:
                         if core != driver:
