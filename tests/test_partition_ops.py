@@ -29,8 +29,10 @@ from repro.apps.sql import (
 )
 from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
 from repro.apps.sql.planner import DmemBudget
+from repro.apps.streaming import _wave_plan
 from repro.cluster import Cluster, cluster_groupby, shuffle_exchange
 from repro.core import DPU
+from repro.dms import PartitionLayout, PartitionMode, PartitionSpec, compute_cids
 from repro.runtime.admission import MemoryGovernor
 from test_equivalence import GOLDEN_DIR, digest
 
@@ -280,3 +282,33 @@ class TestSkewedKeys:
         keys = np.concatenate([shard.column("k") for shard in shards])
         values = np.concatenate([shard.column("v") for shard in shards])
         assert result.value == _numpy_groups(keys, values)
+
+
+class TestWavePlan:
+    """The engine stores a target's rows while they fit its buffer
+    exactly, so the plan cuts a wave only when a buffer would overflow,
+    and then at the last chunk boundary that still fits."""
+
+    SPEC = PartitionSpec(mode=PartitionMode.HASH, radix_bits=5)
+    LAYOUT = PartitionLayout(target_cores=tuple(range(32)), dmem_base=0,
+                             capacity=400, count_offset=1024)
+
+    def _keys(self, hot_rows):
+        candidates = np.arange(20_000, dtype=np.uint32)
+        cids = compute_cids(candidates, self.SPEC)
+        keys = np.concatenate([candidates[cids == 3][:hot_rows],
+                               candidates[cids != 3][:200]])
+        return np.random.default_rng(0).permutation(keys)
+
+    def test_full_buffer_is_not_cut(self):
+        keys = self._keys(100)  # exactly 400 B of 4-byte records on core 3
+        assert _wave_plan(keys, self.SPEC, self.LAYOUT, 4, 25, 300) == [(0, 300)]
+
+    def test_overflow_cuts_at_last_fitting_chunk(self):
+        keys = self._keys(101)
+        hot = compute_cids(keys, self.SPEC) == 3
+        waves = _wave_plan(keys, self.SPEC, self.LAYOUT, 4, 25, 301)
+        assert waves[0][0] == 0 and waves[-1][1] == len(keys)
+        assert all(a[1] == b[0] for a, b in zip(waves, waves[1:]))
+        end = waves[0][1]
+        assert end % 25 == 0 and hot[:end].sum() <= 100 < hot[:end + 25].sum()
