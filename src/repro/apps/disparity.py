@@ -32,11 +32,11 @@ import numpy as np
 
 from ..baseline.xeon import XeonModel
 from ..core.dpu import DPU
-from ..dms.descriptor import Descriptor, DescriptorType
 from ..runtime.parallel import AteBarrier
 from ..runtime.task import static_partition
 from ..workloads.stereo import StereoPair
 from .sql.engine import DpuOpResult, XeonOpResult
+from .streaming import load, store
 
 __all__ = [
     "compute_disparity_reference",
@@ -137,18 +137,8 @@ def dpu_disparity(
             if r_lo < r_hi:
                 # Load left and right row tiles (with halo) into DMEM.
                 for which, addr in ((0, left_addr), (1, right_addr)):
-                    ctx.push(
-                        Descriptor(
-                            dtype=DescriptorType.DDR_TO_DMEM,
-                            rows=tile_bytes,
-                            col_width=1,
-                            ddr_addr=addr + halo_lo * cols,
-                            dmem_addr=which * tile_bytes,
-                            notify_event=0,
-                        )
-                    )
-                    yield from ctx.wfe(0)
-                    ctx.clear_event(0)
+                    yield from load(ctx, addr + halo_lo * cols,
+                                    which * tile_bytes, tile_bytes, 1, 0)
                 left_tile = (
                     ctx.dmem.view(0, tile_bytes).reshape(tile_rows, cols)
                     .astype(np.int64)
@@ -185,19 +175,9 @@ def dpu_disparity(
             if r_lo < r_hi:
                 # Write the tile's disparity rows back via the DMS.
                 ctx.dmem.write(2 * tile_bytes, best_shift.astype("<i2"))
-                ctx.push(
-                    Descriptor(
-                        dtype=DescriptorType.DMEM_TO_DDR,
-                        rows=(r_hi - r_lo) * cols,
-                        col_width=2,
-                        ddr_addr=out_addr + r_lo * cols * 2,
-                        dmem_addr=2 * tile_bytes,
-                        notify_event=1,
-                    ),
-                    channel=1,
-                )
-                yield from ctx.wfe(1)
-                ctx.clear_event(1)
+                yield from store(ctx, 2 * tile_bytes,
+                                 out_addr + r_lo * cols * 2,
+                                 (r_hi - r_lo) * cols, 2, event=1, channel=1)
             return None
 
         launch = dpu.launch(kernel, cores=cores)
@@ -222,18 +202,8 @@ def dpu_disparity(
                     r_hi = min(rows, position + block_rows + half)
                     nbytes = (r_hi - r_lo) * cols
                     for which, addr in ((0, left_addr), (1, right_addr)):
-                        ctx.push(
-                            Descriptor(
-                                dtype=DescriptorType.DDR_TO_DMEM,
-                                rows=nbytes,
-                                col_width=1,
-                                ddr_addr=addr + r_lo * cols,
-                                dmem_addr=which * 12 * 1024,
-                                notify_event=0,
-                            )
-                        )
-                        yield from ctx.wfe(0)
-                        ctx.clear_event(0)
+                        yield from load(ctx, addr + r_lo * cols,
+                                        which * 12 * 1024, nbytes, 1, 0)
                     left_block = ctx.dmem.view(0, nbytes).reshape(
                         r_hi - r_lo, cols
                     ).astype(np.int64)
@@ -265,19 +235,8 @@ def dpu_disparity(
                 while written < len(raw):
                     piece = min(len(raw) - written, 8 * 1024)
                     ctx.dmem.write(24 * 1024, raw[written : written + piece])
-                    ctx.push(
-                        Descriptor(
-                            dtype=DescriptorType.DMEM_TO_DDR,
-                            rows=piece,
-                            col_width=1,
-                            ddr_addr=map_addr + written,
-                            dmem_addr=24 * 1024,
-                            notify_event=1,
-                        ),
-                        channel=1,
-                    )
-                    yield from ctx.wfe(1)
-                    ctx.clear_event(1)
+                    yield from store(ctx, 24 * 1024, map_addr + written,
+                                     piece, 1, event=1, channel=1)
                     written += piece
                 yield from ctx.mbox_send(cores[0], ("done", shift))
             if ctx.core_id == cores[0]:

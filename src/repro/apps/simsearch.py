@@ -37,7 +37,7 @@ from ..fixedpoint import FXP_ONE, to_fixed
 from ..runtime.task import static_partition
 from ..workloads.corpus import CsrMatrix, SimilarityWorkload
 from .sql.engine import DpuOpResult, XeonOpResult
-from .streaming import stream_columns
+from .streaming import load, stream_columns
 
 __all__ = ["TiledIndex", "build_tiled_index", "dpu_simsearch", "xeon_simsearch"]
 
@@ -250,8 +250,6 @@ def dpu_simsearch(
         else:
             # Naive: one fixed-size DMS fetch per (query, term, tile)
             # posting segment; the remainder of each buffer is waste.
-            from ..dms.descriptor import Descriptor, DescriptorType
-
             for tile in range(t_lo, t_hi):
                 base_doc = tile * tiled.tile_docs
                 for query in all_queries:
@@ -270,18 +268,8 @@ def dpu_simsearch(
                             _NAIVE_FETCH_BYTES // _POSTING_BYTES,
                             len(tiled.postings) - s_lo,
                         )
-                        ctx.push(
-                            Descriptor(
-                                dtype=DescriptorType.DDR_TO_DMEM,
-                                rows=fetch_rows,
-                                col_width=8,
-                                ddr_addr=postings_addr + s_lo * 8,
-                                dmem_addr=0,
-                                notify_event=0,
-                            )
-                        )
-                        yield from ctx.wfe(0)
-                        ctx.clear_event(0)
+                        yield from load(ctx, postings_addr + s_lo * 8, 0,
+                                        fetch_rows, 8, 0)
                         raw = ctx.dmem.view(0, fetch_rows * 8, np.uint32)
                         block = raw.reshape(-1, 2)[: s_hi - s_lo]
                         docs = block[:, 0].astype(np.int64) - base_doc

@@ -35,7 +35,6 @@ semijoin probe into the aggregation, see :mod:`repro.apps.sql.join`).
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from typing import Callable, Dict, Iterable, List, Optional, Tuple, Union
 
@@ -44,16 +43,13 @@ import numpy as np
 from ...baseline.xeon import XeonModel
 from ...core.crc32 import crc32_column
 from ...core.dpu import DPU
-from ...dms.descriptor import (
-    Descriptor,
-    DescriptorType,
-    PartitionMode,
-    PartitionSpec,
-)
+from ...dms.descriptor import PartitionMode, PartitionSpec
 from ...dms.partition import PartitionLayout
 from ...runtime.task import static_partition
 from ...obs import traced_op
 from ..streaming import (
+    StagedWrites,
+    load,
     parse_records,
     partition_columns,
     record_width,
@@ -334,18 +330,10 @@ def _load_broadcasts(ctx, broadcasts, dmem_offset: int):
         remaining = broadcast.nbytes
         while remaining > 0:
             piece = min(remaining, 8192)
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.DDR_TO_DMEM,
-                    rows=piece,
-                    col_width=1,
-                    ddr_addr=broadcast.addr + (broadcast.nbytes - remaining),
-                    dmem_addr=cursor,
-                    notify_event=_BROADCAST_EVENT,
-                )
+            yield from load(
+                ctx, broadcast.addr + (broadcast.nbytes - remaining), cursor,
+                piece, 1, _BROADCAST_EVENT,
             )
-            yield from ctx.wfe(_BROADCAST_EVENT)
-            ctx.clear_event(_BROADCAST_EVENT)
             cursor += piece
             remaining -= piece
         dmem_offset += broadcast.nbytes
@@ -635,7 +623,6 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
     core_slice_start = np.zeros((len(cores), num_buckets), dtype=np.int64)
     core_slice_start[1:] = np.cumsum(counts[:-1], axis=0)
 
-    staging_events = (8, 9, 10, 11)
     staging_slots = [24 * 1024 + i * staging_bytes for i in range(4)]
 
     def partition_kernel(ctx):
@@ -643,8 +630,7 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
         lo, hi = core_ranges[ctx.core_id]
         if lo >= hi:
             return None
-        for event in staging_events:
-            ctx.set_event(event)
+        out = StagedWrites(ctx, staging_slots, events=(8, 9, 10, 11))
         cursors = {
             (bucket, col): int(core_slice_start[index][bucket])
             for bucket in range(num_buckets)
@@ -658,20 +644,12 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
         # large enough to amortize per-burst overheads (the classic
         # software-managed partition buffer; its DMEM footprint is the
         # staging area plus the stream tiles budgeted above).
-        accum: Dict[Tuple[int, int], List[np.ndarray]] = {}
-        accum_bytes: Dict[Tuple[int, int], int] = {}
-        # FIFO of emitted runs awaiting write-back; a deque so the
-        # drain loop stays O(1) per item however long the backlog gets.
-        pending: deque = deque()
+        accum: Dict[Tuple[int, int], np.ndarray] = {}
 
-        def enqueue(slot_key) -> None:
-            bucket, col = slot_key
-            width = widths[col]
-            run = np.concatenate(accum.pop(slot_key))
-            accum_bytes.pop(slot_key)
-            address = bucket_col_addr[slot_key] + cursors[slot_key] * width
+        def emit(slot_key, run) -> None:
+            width = widths[slot_key[1]]
+            out.put(run, bucket_col_addr[slot_key] + cursors[slot_key] * width)
             cursors[slot_key] += len(run)
-            pending.append((run, width, address))
 
         def process(tile, tlo, thi, arrays):
             buckets_here = bucket_of[lo + tlo : lo + thi]
@@ -686,70 +664,25 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
                     continue
                 take = order[b_lo:b_hi]
                 for col, values in enumerate(arrays):
-                    width = widths[col]
                     slot_key = (bucket, col)
-                    accum.setdefault(slot_key, []).append(values[take].copy())
-                    accum_bytes[slot_key] = (
-                        accum_bytes.get(slot_key, 0) + len(take) * width
-                    )
-                    while accum_bytes.get(slot_key, 0) >= staging_bytes:
-                        # Emit a full staging run; keep the remainder.
-                        run = np.concatenate(accum[slot_key])
-                        emit_count = staging_bytes // width
-                        emit, rest = run[:emit_count], run[emit_count:]
-                        address = (
-                            bucket_col_addr[slot_key]
-                            + cursors[slot_key] * width
-                        )
-                        cursors[slot_key] += len(emit)
-                        pending.append((emit, width, address))
-                        if len(rest):
-                            accum[slot_key] = [rest]
-                            accum_bytes[slot_key] = len(rest) * width
-                        else:
-                            accum.pop(slot_key)
-                            accum_bytes.pop(slot_key, None)
-                            break
+                    run = values[take]
+                    if slot_key in accum:
+                        run = np.concatenate((accum.pop(slot_key), run))
+                    # Emit full staging runs; keep the remainder.
+                    emit_count = staging_bytes // widths[col]
+                    while len(run) >= emit_count:
+                        emit(slot_key, run[:emit_count])
+                        run = run[emit_count:]
+                    if len(run):
+                        accum[slot_key] = run
             return (thi - tlo) * SW_PARTITION_CYCLES_PER_ROW_COL * len(arrays)
 
-        stream = stream_columns(
+        yield from out.wrap(stream_columns(
             ctx, shifted, hi - lo, tile_rows, process, dmem_base=0
-        )
-        slot_rr = 0
-
-        def drain():
-            nonlocal slot_rr
-            while pending:
-                values, width, address = pending.popleft()
-                slot = slot_rr % 4
-                slot_rr += 1
-                yield from ctx.wfe(staging_events[slot])
-                ctx.clear_event(staging_events[slot])
-                ctx.dmem.write(staging_slots[slot], values)
-                ctx.push(
-                    Descriptor(
-                        dtype=DescriptorType.DMEM_TO_DDR,
-                        rows=len(values),
-                        col_width=width,
-                        ddr_addr=address,
-                        dmem_addr=staging_slots[slot],
-                        notify_event=staging_events[slot],
-                    ),
-                    channel=1,
-                )
-
-        while True:
-            try:
-                event = next(stream)
-            except StopIteration:
-                break
-            yield event
-            yield from drain()
-        for slot_key in sorted(accum):
-            enqueue(slot_key)
-        yield from drain()
-        for event in staging_events:
-            yield from ctx.wfe(event)
+        ))
+        for slot_key, run in sorted(accum.items()):
+            emit(slot_key, run)
+        yield from out.close()
         return None
 
     launch = dpu.launch(partition_kernel, cores=cores)

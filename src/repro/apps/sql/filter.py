@@ -19,7 +19,6 @@ effective bandwidth.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import Callable, Iterable, Optional, Tuple, Union
 
 import numpy as np
@@ -28,9 +27,8 @@ from ...baseline.xeon import XeonModel
 from ...core.bitvector import pack_bits, unpack_bits
 from ...core.dpu import DPU
 from ...obs import traced_op
-from ...dms.descriptor import Descriptor, DescriptorType
 from ...runtime.task import static_partition
-from ..streaming import ref_width, stream_columns
+from ..streaming import StagedWrites, ref_width, stream_columns
 from .aggregate import Broadcast, RowFilter, _as_row_filter, _load_broadcasts
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate
@@ -38,7 +36,6 @@ from .table import DpuTable, Table
 
 __all__ = ["dpu_filter", "xeon_filter", "dpu_scan_project"]
 
-_OUT_SLOT_EVENTS = (4, 5)  # write-back flow control for output slots
 _OUT_STAGING = (0, 2048)  # two 2 KB staging slots at DMEM offsets 0/2K
 _STREAM_BASE = 4096  # streaming buffers start above the staging area
 
@@ -94,51 +91,24 @@ def _streamed_scan(
             yield from _load_broadcasts(
                 ctx, broadcasts, ctx.dmem.size - bcast_bytes
             )
-        for event in _OUT_SLOT_EVENTS:
-            ctx.set_event(event)
+        out = StagedWrites(ctx, _OUT_STAGING, events=(4, 5))
         shifted = [
             (addr + row_lo * ref_width(spec), spec) for addr, spec in refs
         ]
-        # Output tiles awaiting DMEM->DDR write-back; deque keeps
-        # the drain O(1) per tile.
-        staged: deque = deque()
-        state = {"unit_cursor": unit_lo}
+        unit_cursor = unit_lo
 
         def process(tile, lo, hi, arrays):
-            columns = dict(zip(names, arrays))
-            out = make_output(columns)
-            staged.append((tile % 2, out, state["unit_cursor"]))
-            state["unit_cursor"] += len(out)
+            nonlocal unit_cursor
+            values = make_output(dict(zip(names, arrays)))
+            out.put(values, out_addr + unit_cursor * out_width)
+            unit_cursor += len(values)
             return (hi - lo) * cycles_per_row
 
-        stream = stream_columns(
+        yield from out.wrap(stream_columns(
             ctx, shifted, row_hi - row_lo, tile_rows, process,
             dmem_base=_STREAM_BASE,
-        )
-        while True:
-            try:
-                event = next(stream)
-            except StopIteration:
-                break
-            yield event
-            while staged:
-                slot, out, unit_at = staged.popleft()
-                yield from ctx.wfe(_OUT_SLOT_EVENTS[slot])
-                ctx.clear_event(_OUT_SLOT_EVENTS[slot])
-                ctx.dmem.write(_OUT_STAGING[slot], out)
-                ctx.push(
-                    Descriptor(
-                        dtype=DescriptorType.DMEM_TO_DDR,
-                        rows=len(out),
-                        col_width=out_width,
-                        ddr_addr=out_addr + unit_at * out_width,
-                        dmem_addr=_OUT_STAGING[slot],
-                        notify_event=_OUT_SLOT_EVENTS[slot],
-                    ),
-                    channel=1,
-                )
-        for event in _OUT_SLOT_EVENTS:
-            yield from ctx.wfe(event)
+        ))
+        yield from out.close()
         return row_hi - row_lo
 
     launch = dpu.launch(kernel, cores=core_list)

@@ -25,15 +25,10 @@ import numpy as np
 
 from ...baseline.xeon import XeonModel
 from ...core.dpu import DPU
-from ...dms.descriptor import (
-    Descriptor,
-    DescriptorType,
-    PartitionMode,
-    PartitionSpec,
-)
+from ...dms.descriptor import PartitionMode, PartitionSpec
 from ...dms.partition import PartitionLayout
 from ...obs import traced_op
-from ..streaming import partition_columns, ref_dtype
+from ..streaming import partition_columns, ref_dtype, store
 from .engine import DpuOpResult, XeonOpResult
 from .table import DpuTable, Table
 
@@ -150,14 +145,10 @@ def dpu_sort(
                 if count:
                     values = ctx.dmem.view(0, count * width, dtype)
                     collected.append(values.copy())
-                    ctx.push(Descriptor(
-                        dtype=DescriptorType.DMEM_TO_DDR, rows=count,
-                        col_width=width,
-                        ddr_addr=spill_addr[ctx.core_id] + spilled * width,
-                        dmem_addr=0, notify_event=6,
-                    ), channel=1)
-                    yield from ctx.wfe(6)
-                    ctx.clear_event(6)
+                    yield from store(
+                        ctx, 0, spill_addr[ctx.core_id] + spilled * width,
+                        count, width, event=6, channel=1,
+                    )
                     spilled += count
 
             if ctx.core_id == driver:

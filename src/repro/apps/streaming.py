@@ -1,31 +1,47 @@
-"""Double-buffered DMS tile streaming — the idiom every DPU app uses.
+"""The kernel-side DMS library: every DDR<->DMEM transfer a kernel
+makes goes through one of the four idioms here.
 
-The pattern from the paper's Listing 1: two DMEM buffers per input
-column, descriptors refilling one while the dpCore consumes the
-other, with DMS events for flow control. ``stream_columns`` wraps it
-for kernels that read N parallel columns tile by tile and charge a
-compute cost per tile; ``writeback`` optionally streams results out
-on the second DMS channel with its own event pair so refills never
-overwrite unwritten output.
+Kernels move data the way the paper's Listing 1 does: push
+descriptors that name a notify event, then ``wfe`` on it and clear it.
 
-The ``process`` callback does *functional* work with numpy views of
-DMEM and returns the dpCore cycle cost to charge for the tile, using
-constants derived from the ISA interpreter (see
-``repro.apps.sql.costs``).
+* ``load`` / ``store`` — one blocking copy: a single ``DDR_TO_DMEM``
+  (channel 0) or ``DMEM_TO_DDR`` (on the caller's channel), then wait
+  for and clear its event. The UPMEM SDK's ``mram_read`` /
+  ``mram_write`` are the same surface. Callers name their own event:
+  the broadcast loader in ``sql.aggregate`` uses 12, the sort spill 6
+  (channel 1), the exchange drain in ``cluster.shuffle`` 13 (channel
+  0), disparity 0 for loads and 1 for stores (channel 1), and the SVM
+  slice load and the naive similarity-search fetch 0.
+* ``stream_columns`` — the double-buffered stream: two DMEM buffers
+  per input column, descriptors refilling one while the dpCore
+  consumes the other. Reads notify events 0 and 1 on channel 0;
+  ``writeback`` streams the first column back on channel 1 with
+  events 2 and 3, so refills never overwrite unwritten output. The
+  ``process`` callback does *functional* work with numpy views of
+  DMEM and returns the dpCore cycle cost to charge for the tile,
+  using constants derived from the ISA interpreter (see
+  ``repro.apps.sql.costs``).
+* ``StagedWrites`` — output runs written back through round-robin
+  DMEM staging slots on channel 1, one event per slot, drained after
+  every wait of the stream it wraps. The scan filter stages through
+  two 2 KB slots with events 4 and 5; the group-by's software
+  partition round through four 1.5 KB slots with events 8 to 11.
+* ``partition_columns`` — the DMS hash/range partitioning engine
+  (§3.1-3.2, Fig. 13) scattering rows into the DMEMs of a
+  :class:`~repro.dms.partition.PartitionLayout`'s target cores in
+  waves that fit their buffers, with a mailbox handshake between
+  waves and no DMS event. Group-by, join, sort and the cluster
+  exchange all partition through it and differ only in what each
+  core does with the records it receives (``consume``). The stored
+  record format — each row's columns back to back, key first — is
+  read back with ``parse_records``.
 
-``partition_columns`` is the other idiom: the DMS hash/range
-partitioning engine (§3.1-3.2, Fig. 13) scattering rows into the
-DMEMs of a :class:`~repro.dms.partition.PartitionLayout`'s target
-cores in waves that fit their buffers, with a mailbox handshake
-between waves. Group-by, join, sort and the cluster exchange all
-partition through it and differ only in what each core does with the
-records it receives (``consume``). The stored record format — each
-row's columns back to back, key first — is read back with
-``parse_records``.
+No other module builds a descriptor.
 """
 
 from __future__ import annotations
 
+from collections import deque
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -40,8 +56,9 @@ from ..dms.descriptor import (
 from ..dms.partition import PartitionLayout, compute_cids
 
 __all__ = [
-    "stream_columns", "partition_columns", "parse_records", "record_width",
-    "ColumnRef", "WIDTH_DTYPE", "ref_dtype", "ref_width",
+    "load", "store", "stream_columns", "StagedWrites", "partition_columns",
+    "parse_records", "record_width", "ColumnRef", "WIDTH_DTYPE", "ref_dtype",
+    "ref_width",
 ]
 
 WIDTH_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -60,6 +77,33 @@ def ref_dtype(spec) -> np.dtype:
 
 def ref_width(spec) -> int:
     return ref_dtype(spec).itemsize
+
+
+def load(ctx: CoreContext, ddr_addr: int, dmem_addr: int, rows: int,
+         width: int, event: int):
+    """Copy ``rows`` elements of ``width`` bytes from DDR to DMEM and
+    wait for them: one ``DDR_TO_DMEM`` on channel 0 notifying
+    ``event``, then ``wfe`` and clear."""
+    ctx.push(Descriptor(
+        dtype=DescriptorType.DDR_TO_DMEM, rows=rows, col_width=width,
+        ddr_addr=ddr_addr, dmem_addr=dmem_addr, notify_event=event,
+    ))
+    yield from ctx.wfe(event)
+    ctx.clear_event(event)
+
+
+def store(ctx: CoreContext, dmem_addr: int, ddr_addr: int, rows: int,
+          width: int, event: int, channel: int):
+    """Copy ``rows`` elements of ``width`` bytes from DMEM to DDR and
+    wait for them: one ``DMEM_TO_DDR`` on ``channel`` notifying
+    ``event``, then ``wfe`` and clear."""
+    ctx.push(Descriptor(
+        dtype=DescriptorType.DMEM_TO_DDR, rows=rows, col_width=width,
+        ddr_addr=ddr_addr, dmem_addr=dmem_addr, notify_event=event,
+    ), channel=channel)
+    yield from ctx.wfe(event)
+    ctx.clear_event(event)
+
 
 _READ_EVENTS = (0, 1)
 _WRITE_EVENTS = (2, 3)
@@ -184,6 +228,65 @@ def stream_columns(
         # Drain outstanding writes before returning.
         for event in _WRITE_EVENTS:
             yield from ctx.wfe(event)
+
+
+class StagedWrites:
+    """Write output runs back to DDR through DMEM staging slots.
+
+    ``put(values, ddr_addr)`` queues a run. Each run takes the next
+    slot round-robin: wait for the slot's event, clear it, copy the
+    run into the slot and push a ``DMEM_TO_DDR`` on channel 1 that
+    sets the event again, so a slot is reused only once its last
+    write has landed. The events start set. ``wrap(stream)`` runs a
+    kernel generator (typically :func:`stream_columns`) and drains
+    the queue after each of its waits; ``close()`` drains the rest
+    and waits for the last writes. Kernel usage::
+
+        out = StagedWrites(ctx, slots=(0, 2048), events=(4, 5))
+        yield from out.wrap(stream_columns(ctx, cols, rows, tile, work))
+        yield from out.close()
+    """
+
+    def __init__(self, ctx: CoreContext, slots: Sequence[int],
+                 events: Sequence[int]):
+        self.ctx = ctx
+        self.slots = slots
+        self.events = events
+        # A deque keeps the drain O(1) per run however long the
+        # backlog grows.
+        self.queue: deque = deque()
+        self.turn = 0
+        for event in events:
+            ctx.set_event(event)
+
+    def put(self, values: np.ndarray, ddr_addr: int) -> None:
+        self.queue.append((values, ddr_addr))
+
+    def drain(self):
+        ctx = self.ctx
+        while self.queue:
+            values, ddr_addr = self.queue.popleft()
+            slot = self.turn % len(self.slots)
+            self.turn += 1
+            event = self.events[slot]
+            yield from ctx.wfe(event)
+            ctx.clear_event(event)
+            ctx.dmem.write(self.slots[slot], values)
+            ctx.push(Descriptor(
+                dtype=DescriptorType.DMEM_TO_DDR, rows=len(values),
+                col_width=values.itemsize, ddr_addr=ddr_addr,
+                dmem_addr=self.slots[slot], notify_event=event,
+            ), channel=1)
+
+    def wrap(self, stream):
+        for step in stream:
+            yield step
+            yield from self.drain()
+
+    def close(self):
+        yield from self.drain()
+        for event in self.events:
+            yield from self.ctx.wfe(event)
 
 
 def record_width(dtypes: Sequence) -> int:

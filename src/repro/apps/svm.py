@@ -36,6 +36,7 @@ from ..fixedpoint import FXP_ONE, from_fixed, to_fixed
 from ..runtime.task import static_partition
 from ..workloads.higgs import HiggsLike
 from .sql.engine import DpuOpResult, XeonOpResult
+from .streaming import load
 
 __all__ = [
     "SmoTrainer",
@@ -386,20 +387,8 @@ def dpu_svm_train(
         iterations = 0
         # Load the sample slice into DMEM once (resident case).
         if lo < hi and slice_resident:
-            from ..dms.descriptor import Descriptor, DescriptorType
-
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.DDR_TO_DMEM,
-                    rows=min((hi - lo) * num_features, 65535),
-                    col_width=4,
-                    ddr_addr=features_addr + lo * sample_bytes,
-                    dmem_addr=4096,
-                    notify_event=0,
-                )
-            )
-            yield from ctx.wfe(0)
-            ctx.clear_event(0)
+            yield from load(ctx, features_addr + lo * sample_bytes, 4096,
+                            min((hi - lo) * num_features, 65535), 4, 0)
         while True:
             # 1. Local extrema over the slice.
             if lo < hi:

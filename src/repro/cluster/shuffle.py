@@ -55,13 +55,8 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps.streaming import partition_columns, record_width
-from ..dms.descriptor import (
-    Descriptor,
-    DescriptorType,
-    PartitionMode,
-    PartitionSpec,
-)
+from ..apps.streaming import partition_columns, record_width, store
+from ..dms.descriptor import PartitionMode, PartitionSpec
 from ..dms.partition import PartitionLayout, compute_cids
 from .network import FabricConfig
 from .rack import Cluster
@@ -181,18 +176,8 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
                 nonlocal cursor
                 nbytes = count * width
                 if nbytes:
-                    ctx.push(
-                        Descriptor(
-                            dtype=DescriptorType.DMEM_TO_DDR,
-                            rows=nbytes,
-                            col_width=1,
-                            ddr_addr=region + cursor,
-                            dmem_addr=0,
-                            notify_event=_DRAIN_EVENT,
-                        )
-                    )
-                    yield from ctx.wfe(_DRAIN_EVENT)
-                    ctx.clear_event(_DRAIN_EVENT)
+                    yield from store(ctx, 0, region + cursor, nbytes, 1,
+                                     event=_DRAIN_EVENT, channel=0)
                     cursor += nbytes
 
             yield from partition_columns(ctx, refs, rows, spec, layout,
