@@ -93,6 +93,11 @@ def dpu_sort(
     width = dtype.itemsize
     rows = dtable.num_rows
     cores = list(dpu.config.core_ids)
+    if rows == 0:
+        return DpuOpResult(value=np.empty(0, dtype=dtype), cycles=0.0,
+                           config=dpu.config, bytes_streamed=0,
+                           detail={"bounds": 0, "rows": 0,
+                                   "spill_segments": 0})
     host_values = dtable.table.column(column)
     if host_values.min() < 0:
         raise ValueError(

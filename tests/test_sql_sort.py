@@ -48,6 +48,14 @@ class TestDpuSort:
         with pytest.raises(ValueError, match="unsigned"):
             dpu_sort(dpu, make_table(values).to_dpu(dpu), "v")
 
+    def test_empty_table(self):
+        dpu = DPU()
+        empty = make_table(np.empty(0, dtype=np.uint32)).to_dpu(dpu)
+        result = dpu_sort(dpu, empty, "v")
+        assert result.value.dtype == np.uint32 and len(result.value) == 0
+        assert result.cycles == 0.0
+        assert dpu.engine.now == 0  # nothing was launched
+
     def test_wider_keys(self):
         rng = np.random.default_rng(4)
         values = rng.integers(0, 2**60, 8192).astype(np.uint64)
