@@ -2,6 +2,10 @@
 
 Run:  python examples/sql_offload.py [scale]
 
+The default scale, 0.004, is the largest tested at which every plan's
+broadcast tables fit in DMEM beside its stream tiles (at 0.01 Q10's
+do not, and the group-by rejects the layout).
+
 Mirrors the paper's setup: a commercial in-memory columnar database
 offloads query plans to the DPU. Generates TPC-H data, loads it into
 DPU DRAM column by column, runs Q1/Q3/Q5/Q6/Q12/Q14 through the
@@ -24,7 +28,7 @@ from repro.core import DPU
 from repro.workloads.tpch import generate_tpch
 
 
-def main(scale=0.01):
+def main(scale=0.004):
     print(f"Generating TPC-H at scale factor {scale}...")
     data = generate_tpch(scale=scale)
     print(f"  lineitem: {data.num_rows('lineitem')} rows, "
@@ -55,4 +59,4 @@ def main(scale=0.01):
 
 
 if __name__ == "__main__":
-    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.01)
+    main(float(sys.argv[1]) if len(sys.argv) > 1 else 0.004)

@@ -26,7 +26,7 @@ generator's ground truth.
 
 from __future__ import annotations
 
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 

@@ -56,6 +56,7 @@ from ..streaming import (
     ref_dtype,
     ref_width,
     stream_columns,
+    stream_tile_rows,
 )
 from .costs import (
     AGG_CYCLES_PER_ROW,
@@ -324,23 +325,36 @@ _BROADCAST_EVENT = 12
 
 
 def _load_broadcasts(ctx, broadcasts, dmem_offset: int):
-    """DMS-load each broadcast table into this core's DMEM once."""
+    """DMS-load each broadcast table into this core's DMEM once, in
+    pieces of at most 8 KB."""
     for broadcast in broadcasts:
-        cursor = dmem_offset
-        remaining = broadcast.nbytes
-        while remaining > 0:
-            piece = min(remaining, 8192)
-            yield from load(
-                ctx, broadcast.addr + (broadcast.nbytes - remaining), cursor,
-                piece, 1, _BROADCAST_EVENT,
-            )
-            cursor += piece
-            remaining -= piece
+        for start in range(0, broadcast.nbytes, 8192):
+            piece = min(8192, broadcast.nbytes - start)
+            yield from load(ctx, broadcast.addr + start, dmem_offset + start,
+                            piece, 1, _BROADCAST_EVENT)
         dmem_offset += broadcast.nbytes
 
 
 def _broadcast_bytes(broadcasts) -> int:
     return sum(broadcast.nbytes for broadcast in broadcasts)
+
+
+def fit_broadcasts(partitions_needed: int, row_bytes: int, bcast_bytes: int,
+                   tile_rows: int = 2048) -> int:
+    """The low-NDV stream's tile rows (at most ``tile_rows``) for
+    ``row_bytes``-byte rows; ValueError when ``bcast_bytes`` of
+    broadcasts do not fit beside the group-by's DMEM buffers for
+    ``partitions_needed`` partitions: the low-NDV path streams below
+    them in 30 KB, the hardware path keeps 12 KB above its partition
+    buffer. The compiler asks the same question of a plan."""
+    if partitions_needed <= 1:
+        return stream_tile_rows(tile_rows, row_bytes, 30 * 1024 - bcast_bytes)
+    if bcast_bytes > 12 * 1024:
+        raise ValueError(
+            f"broadcast tables of {bcast_bytes} B do not fit alongside "
+            "the partition buffer; materialize the join differently"
+        )
+    return tile_rows
 
 
 @traced_op("sql.groupby")
@@ -382,6 +396,11 @@ def dpu_groupby(
             f"this key needs {plan.partitions_needed} partitions — "
             "materialize the key column first"
         )
+    refs = dtable.column_refs(_needed_columns(key, aggs, filt))
+    tile_rows = fit_broadcasts(
+        plan.partitions_needed, sum(ref_width(spec) for _addr, spec in refs),
+        _broadcast_bytes(broadcasts), tile_rows,
+    )
     if plan.partitions_needed <= 1:
         result, cycles, nbytes = _groupby_low_ndv(
             dpu, dtable, key, aggs, filt, tile_rows, broadcasts
@@ -427,12 +446,8 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
+    # Broadcasts live at the top of DMEM, above the stream tiles.
     bcast_bytes = _broadcast_bytes(broadcasts)
-    # Broadcasts live at the top of DMEM; shrink stream tiles to fit.
-    stream_budget = 30 * 1024 - bcast_bytes
-    row_bytes = sum(ref_width(spec) for _addr, spec in refs)
-    tile_rows = min(tile_rows,
-                    max(64, (stream_budget // (2 * row_bytes)) // 64 * 64))
 
     def kernel(ctx):
         lo, hi = static_partition(rows, len(cores), ctx.core_id)
@@ -492,13 +507,7 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
     # ends it early where skew would overflow one); broadcasts occupy
     # the space between the buffer and the count word.
     chunk_rows = max(64, dpu.config.cmem_bank_bytes // width)
-    bcast_bytes = _broadcast_bytes(broadcasts)
     buffer_capacity = 18 * 1024
-    if bcast_bytes > 12 * 1024:
-        raise ValueError(
-            f"broadcast tables of {bcast_bytes} B do not fit alongside "
-            "the partition buffer; materialize the join differently"
-        )
     wave_rows = int(len(cores) * (buffer_capacity / width) / 2)
     wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
 

@@ -28,7 +28,7 @@ from ...core.bitvector import pack_bits, unpack_bits
 from ...core.dpu import DPU
 from ...obs import traced_op
 from ...runtime.task import static_partition
-from ..streaming import StagedWrites, ref_width, stream_columns
+from ..streaming import StagedWrites, ref_width, stream_columns, stream_tile_rows
 from .aggregate import Broadcast, RowFilter, _as_row_filter, _load_broadcasts
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate
@@ -63,11 +63,11 @@ def _streamed_scan(
     names = list(row_filter.columns)
     refs = dtable.column_refs(names)
     cycles_per_row = row_filter.dpu_cycles_per_row
+    # Broadcasts live at the top of DMEM, above the stream tiles.
     bcast_bytes = sum(b.nbytes for b in broadcasts)
     row_bytes = sum(ref_width(spec) for _addr, spec in refs)
-    stream_budget = dpu.config.dmem_size - _STREAM_BASE - bcast_bytes
-    tile_rows = min(
-        tile_rows, max(64, (stream_budget // (2 * row_bytes)) // 64 * 64)
+    tile_rows = stream_tile_rows(
+        tile_rows, row_bytes, dpu.config.dmem_size - _STREAM_BASE - bcast_bytes
     )
     # A tile's output must fit one staging slot.
     max_out_tile = (_OUT_STAGING[1] // out_width) * rows_per_out_unit

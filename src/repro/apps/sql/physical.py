@@ -40,6 +40,7 @@ from .aggregate import (
     RowFilter,
     _needed_columns,
     dpu_groupby,
+    fit_broadcasts,
     xeon_groupby,
 )
 from .costs import AGG_CYCLES_PER_ROW, FILTER_CYCLES_PER_TUPLE
@@ -72,8 +73,6 @@ from .table import Table
 __all__ = ["CompiledQuery", "lower_plan", "tpch_catalog"]
 
 _XEON_PROBE_OPS_PER_ROW = 4.0
-_HW_BROADCAST_LIMIT = 12 * 1024  # aggregate.py's hw-partitioned ceiling
-_LOW_NDV_STREAM_BYTES = 30 * 1024  # low-NDV streaming DMEM budget
 _EXCHANGE_FANOUT = 8  # the cluster width the exchange choice targets
 
 
@@ -958,21 +957,18 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
     record_bytes = 8 + 8 * len(slots)
     partition_plan = plan_partitioning(ndv, record_bytes, DmemBudget())
     broadcast_bytes = sum(arr.nbytes for _name, arr in ctx.broadcasts)
-    if partition_plan.partitions_needed > 1:
-        if isinstance(key, GroupKey):
-            raise PlanError(
-                f"computed group key needs {partition_plan.partitions_needed}"
-                " hardware partitions, which the DMS partitioner cannot "
-                "drive", query=plan.text, clause="group by")
-        if broadcast_bytes > _HW_BROADCAST_LIMIT:
-            raise PlanError(
-                f"broadcast footprint {broadcast_bytes}B exceeds the "
-                f"{_HW_BROADCAST_LIMIT}B hardware-partitioned budget",
-                query=plan.text, clause="broadcast footprint")
-    elif broadcast_bytes >= _LOW_NDV_STREAM_BYTES - 4096:
+    if partition_plan.partitions_needed > 1 and isinstance(key, GroupKey):
         raise PlanError(
-            f"broadcast footprint {broadcast_bytes}B leaves no streaming "
-            "DMEM", query=plan.text, clause="broadcast footprint")
+            f"computed group key needs {partition_plan.partitions_needed}"
+            " hardware partitions, which the DMS partitioner cannot "
+            "drive", query=plan.text, clause="group by")
+    try:
+        fit_broadcasts(partition_plan.partitions_needed,
+                       sum(fact_columns[name].itemsize for name in needed),
+                       broadcast_bytes)
+    except ValueError as error:
+        raise PlanError(str(error), query=plan.text,
+                        clause="broadcast footprint") from None
 
     # -- cost model: offload decision -----------------------------------
     nbytes = sum(fact_columns[name].nbytes for name in needed)

@@ -1,42 +1,33 @@
 """The kernel-side DMS library: every DDR<->DMEM transfer a kernel
-makes goes through one of the four idioms here.
+makes goes through one of four idioms, each the paper's Listing 1
+pattern of pushing descriptors that name a notify event and waiting
+on it with ``wfe``.
 
-Kernels move data the way the paper's Listing 1 does: push
-descriptors that name a notify event, then ``wfe`` on it and clear it.
-
-* ``load`` / ``store`` — one blocking copy: a single ``DDR_TO_DMEM``
-  (channel 0) or ``DMEM_TO_DDR`` (on the caller's channel), then wait
-  for and clear its event. The UPMEM SDK's ``mram_read`` /
-  ``mram_write`` are the same surface. Callers name their own event:
-  the broadcast loader in ``sql.aggregate`` uses 12, the sort spill 6
-  (channel 1), the exchange drain in ``cluster.shuffle`` 13 (channel
-  0), disparity 0 for loads and 1 for stores (channel 1), and the SVM
+* ``load`` / ``store`` — one blocking copy (the UPMEM SDK's
+  ``mram_read`` / ``mram_write``): a ``DDR_TO_DMEM`` on channel 0 or a
+  ``DMEM_TO_DDR`` on the caller's channel, then wait and clear. Event
+  ids: broadcast loads 12; sort spill 6 (channel 1); exchange drain 13
+  (channel 0); disparity loads 0 and stores 1 (channel 1); the SVM
   slice load and the naive similarity-search fetch 0.
 * ``stream_columns`` — the double-buffered stream: two DMEM buffers
-  per input column, descriptors refilling one while the dpCore
-  consumes the other. Reads notify events 0 and 1 on channel 0;
-  ``writeback`` streams the first column back on channel 1 with
-  events 2 and 3, so refills never overwrite unwritten output. The
-  ``process`` callback does *functional* work with numpy views of
-  DMEM and returns the dpCore cycle cost to charge for the tile,
-  using constants derived from the ISA interpreter (see
-  ``repro.apps.sql.costs``).
-* ``StagedWrites`` — output runs written back through round-robin
-  DMEM staging slots on channel 1, one event per slot, drained after
-  every wait of the stream it wraps. The scan filter stages through
-  two 2 KB slots with events 4 and 5; the group-by's software
-  partition round through four 1.5 KB slots with events 8 to 11.
+  per input column, one refilling while the dpCore consumes the other
+  (reads notify events 0 and 1 on channel 0; ``writeback`` streams the
+  first column back on channel 1 with events 2 and 3). ``process``
+  does the functional work on numpy views of DMEM and returns the
+  tile's dpCore cycles, from constants derived from the ISA
+  interpreter (see ``repro.apps.sql.costs``).
+* ``StagedWrites`` — output runs written back through round-robin DMEM
+  staging slots on channel 1, drained after every wait of the stream
+  it wraps: the scan filter's two 2 KB slots (events 4 and 5) and the
+  group-by software round's four 1.5 KB slots (events 8 to 11).
 * ``partition_columns`` — the DMS hash/range partitioning engine
   (§3.1-3.2, Fig. 13) scattering rows into the DMEMs of a
   :class:`~repro.dms.partition.PartitionLayout`'s target cores in
-  waves that fit their buffers, with a mailbox handshake between
-  waves and no DMS event. Group-by, join, sort and the cluster
-  exchange all partition through it and differ only in what each
-  core does with the records it receives (``consume``). The stored
-  record format — each row's columns back to back, key first — is
-  read back with ``parse_records``.
-
-No other module builds a descriptor.
+  waves, with a mailbox handshake between waves and no DMS event.
+  Group-by, join, sort and the cluster exchange differ only in what
+  each core does with its records (``consume``); ``parse_records``
+  reads the stored format (each row's columns back to back, key
+  first).
 """
 
 from __future__ import annotations
@@ -56,9 +47,9 @@ from ..dms.descriptor import (
 from ..dms.partition import PartitionLayout, compute_cids
 
 __all__ = [
-    "load", "store", "stream_columns", "StagedWrites", "partition_columns",
-    "parse_records", "record_width", "ColumnRef", "WIDTH_DTYPE", "ref_dtype",
-    "ref_width",
+    "load", "store", "stream_columns", "stream_tile_rows", "StagedWrites",
+    "partition_columns", "parse_records", "record_width", "ColumnRef",
+    "WIDTH_DTYPE", "ref_dtype", "ref_width",
 ]
 
 WIDTH_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
@@ -81,9 +72,8 @@ def ref_width(spec) -> int:
 
 def load(ctx: CoreContext, ddr_addr: int, dmem_addr: int, rows: int,
          width: int, event: int):
-    """Copy ``rows`` elements of ``width`` bytes from DDR to DMEM and
-    wait for them: one ``DDR_TO_DMEM`` on channel 0 notifying
-    ``event``, then ``wfe`` and clear."""
+    """Copy ``rows`` elements of ``width`` bytes from DDR to DMEM: one
+    ``DDR_TO_DMEM`` on channel 0 notifying ``event``; wait, clear."""
     ctx.push(Descriptor(
         dtype=DescriptorType.DDR_TO_DMEM, rows=rows, col_width=width,
         ddr_addr=ddr_addr, dmem_addr=dmem_addr, notify_event=event,
@@ -94,9 +84,8 @@ def load(ctx: CoreContext, ddr_addr: int, dmem_addr: int, rows: int,
 
 def store(ctx: CoreContext, dmem_addr: int, ddr_addr: int, rows: int,
           width: int, event: int, channel: int):
-    """Copy ``rows`` elements of ``width`` bytes from DMEM to DDR and
-    wait for them: one ``DMEM_TO_DDR`` on ``channel`` notifying
-    ``event``, then ``wfe`` and clear."""
+    """Copy ``rows`` elements of ``width`` bytes from DMEM to DDR: one
+    ``DMEM_TO_DDR`` on ``channel`` notifying ``event``; wait, clear."""
     ctx.push(Descriptor(
         dtype=DescriptorType.DMEM_TO_DDR, rows=rows, col_width=width,
         ddr_addr=ddr_addr, dmem_addr=dmem_addr, notify_event=event,
@@ -113,6 +102,20 @@ _WRITE_EVENTS = (2, 3)
 # Negligible for 8 KB tiles; visible at the small-tile end of the
 # paper's Figure 15 sweep.
 BUFFER_SWAP_CYCLES = 24.0
+
+
+def stream_tile_rows(tile_rows: int, row_bytes: int, room: int) -> int:
+    """Rows per tile (at most ``tile_rows``, a multiple of 64) of a
+    double-buffered stream of ``row_bytes``-byte rows in ``room`` bytes
+    of DMEM; ValueError when two 64-row tiles do not fit."""
+    fit = room // (2 * row_bytes) // 64 * 64
+    if fit < 64:
+        raise ValueError(
+            f"two 64-row tiles of {row_bytes} B rows need "
+            f"{128 * row_bytes} B of DMEM; the broadcast tables leave "
+            f"{max(room, 0)} B"
+        )
+    return min(tile_rows, fit)
 
 
 def stream_columns(
@@ -169,17 +172,11 @@ def stream_columns(
         buf_offsets = offsets[buf]
         for col, (addr, _spec) in enumerate(columns):
             width = widths[col]
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.DDR_TO_DMEM,
-                    rows=count,
-                    col_width=width,
-                    ddr_addr=addr + lo * width,
-                    dmem_addr=buf_offsets[col],
-                    notify_event=_READ_EVENTS[buf] if col == last_col else None,
-                ),
-                channel=0,
-            )
+            ctx.push(Descriptor(
+                dtype=DescriptorType.DDR_TO_DMEM, rows=count, col_width=width,
+                ddr_addr=addr + lo * width, dmem_addr=buf_offsets[col],
+                notify_event=_READ_EVENTS[buf] if col == last_col else None,
+            ), channel=0)
 
     writeback_width = ref_width(writeback[1]) if writeback is not None else 0
     if writeback is not None:
@@ -206,20 +203,14 @@ def stream_columns(
         if cycles:
             yield from ctx.compute(cycles)
         if writeback is not None:
-            out_addr, out_width = writeback[0], writeback_width
             yield from ctx.wfe(_WRITE_EVENTS[buf])
             ctx.clear_event(_WRITE_EVENTS[buf])
-            ctx.push(
-                Descriptor(
-                    dtype=DescriptorType.DMEM_TO_DDR,
-                    rows=hi - lo,
-                    col_width=out_width,
-                    ddr_addr=out_addr + lo * out_width,
-                    dmem_addr=offsets[buf][0],
-                    notify_event=_WRITE_EVENTS[buf],
-                ),
-                channel=1,
-            )
+            ctx.push(Descriptor(
+                dtype=DescriptorType.DMEM_TO_DDR, rows=hi - lo,
+                col_width=writeback_width,
+                ddr_addr=writeback[0] + lo * writeback_width,
+                dmem_addr=offsets[buf][0], notify_event=_WRITE_EVENTS[buf],
+            ), channel=1)
         ctx.clear_event(_READ_EVENTS[buf])
         if tile + 2 < num_tiles:
             issue(tile + 2, buf)
@@ -234,17 +225,11 @@ class StagedWrites:
     """Write output runs back to DDR through DMEM staging slots.
 
     ``put(values, ddr_addr)`` queues a run. Each run takes the next
-    slot round-robin: wait for the slot's event, clear it, copy the
-    run into the slot and push a ``DMEM_TO_DDR`` on channel 1 that
-    sets the event again, so a slot is reused only once its last
-    write has landed. The events start set. ``wrap(stream)`` runs a
-    kernel generator (typically :func:`stream_columns`) and drains
-    the queue after each of its waits; ``close()`` drains the rest
-    and waits for the last writes. Kernel usage::
-
-        out = StagedWrites(ctx, slots=(0, 2048), events=(4, 5))
-        yield from out.wrap(stream_columns(ctx, cols, rows, tile, work))
-        yield from out.close()
+    slot round-robin: wait for the slot's event (events start set),
+    clear it, copy the run in and push a ``DMEM_TO_DDR`` on channel 1
+    that sets it again. ``wrap(stream)`` runs a kernel generator and
+    drains the queue after each of its waits; ``close()`` drains the
+    rest and waits for the last writes.
     """
 
     def __init__(self, ctx: CoreContext, slots: Sequence[int],
@@ -252,9 +237,7 @@ class StagedWrites:
         self.ctx = ctx
         self.slots = slots
         self.events = events
-        # A deque keeps the drain O(1) per run however long the
-        # backlog grows.
-        self.queue: deque = deque()
+        self.queue: deque = deque()  # O(1) drains however long it grows
         self.turn = 0
         for event in events:
             ctx.set_event(event)

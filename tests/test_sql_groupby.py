@@ -9,11 +9,14 @@ from repro.apps.sql import (
     DmemBudget,
     GroupKey,
     Table,
+    dpu_filter,
     dpu_groupby,
     merge_groups,
     plan_partitioning,
     xeon_groupby,
 )
+from repro.apps.sql.filter import dpu_scan_project
+from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
 from repro.baseline import XeonModel
 from repro.core import DPU
 
@@ -209,6 +212,64 @@ class TestSwRound:
         )
         assert result.detail["sw_rounds"] == 1
         check_against_host(result.value, host_groupby(table, "g", "v"))
+
+
+class TestBroadcastFit:
+    """Broadcast tables sit at the top of DMEM, above the stream tiles;
+    a layout that leaves less than two 64-row tiles is an error, not a
+    silent overlap."""
+
+    @staticmethod
+    def _setup(bitmap_bytes):
+        dpu = DPU()
+        rng = np.random.default_rng(3)
+        domain = bitmap_bytes * 8
+        words = key_bitmap(np.arange(0, domain, 5), domain)
+        broadcast, _host = broadcast_array(dpu, "bits", words)
+        dtable = Table("t", {
+            "k": rng.integers(0, domain, 4000).astype(np.int32),
+            "g": rng.integers(0, 8, 4000).astype(np.int32),
+        }).to_dpu(dpu)
+        return dpu, dtable, bitmap_filter("k", words), broadcast
+
+    def test_low_ndv_groupby_rejects_overlap(self):
+        dpu, dtable, row_filter, broadcast = self._setup(30_000)
+        with pytest.raises(ValueError, match="two 64-row tiles"):
+            dpu_groupby(dpu, dtable, "g", [AggSpec("count")],
+                        row_filter=row_filter, broadcasts=(broadcast,))
+        assert dpu.engine.now == 0
+
+    def test_filter_rejects_overlap(self):
+        dpu, dtable, row_filter, broadcast = self._setup(30_000)
+        with pytest.raises(ValueError, match="two 64-row tiles"):
+            dpu_filter(dpu, dtable, row_filter, broadcasts=(broadcast,))
+        with pytest.raises(ValueError, match="two 64-row tiles"):
+            dpu_scan_project(dpu, dtable, row_filter,
+                             lambda columns: columns["g"], np.int32,
+                             broadcasts=(broadcast,))
+        assert dpu.engine.now == 0
+
+    def test_largest_fitting_broadcast_runs(self):
+        from repro.apps.sql.aggregate import fit_broadcasts
+
+        # Two 64-row tiles of 8-byte rows: 1,024 B of the 30 KB.
+        dpu, dtable, row_filter, broadcast = self._setup(29_696)
+        assert fit_broadcasts(1, 8, broadcast.nbytes) == 64
+        result = dpu_groupby(dpu, dtable, "g", [AggSpec("count")],
+                             row_filter=row_filter, broadcasts=(broadcast,))
+        keys = dtable.table.column("g")[row_filter.mask_fn(
+            {"k": dtable.table.column("k")})]
+        assert result.value == {
+            int(g): [int(n)] for g, n in zip(*np.unique(keys,
+                                                        return_counts=True))
+        }
+
+    def test_hardware_path_limit(self):
+        from repro.apps.sql.aggregate import fit_broadcasts
+
+        assert fit_broadcasts(8, 8, 12 * 1024, tile_rows=512) == 512
+        with pytest.raises(ValueError, match="partition buffer"):
+            fit_broadcasts(8, 8, 12 * 1024 + 1)
 
 
 class TestMergeAndXeon:
