@@ -231,13 +231,11 @@ def dpu_disparity(
                 # the coarse variant's bandwidth tax).
                 map_addr = sad_maps_addr + shift * rows * cols * 4
                 raw = sad_map.astype("<i4").view(np.uint8).ravel()
-                written = 0
-                while written < len(raw):
-                    piece = min(len(raw) - written, 8 * 1024)
-                    ctx.dmem.write(24 * 1024, raw[written : written + piece])
-                    yield from store(ctx, 24 * 1024, map_addr + written,
-                                     piece, 1, event=1, channel=1)
-                    written += piece
+                for start in range(0, len(raw), 8 * 1024):
+                    piece = raw[start : start + 8 * 1024]
+                    ctx.dmem.write(24 * 1024, piece)
+                    yield from store(ctx, 24 * 1024, map_addr + start,
+                                     len(piece), 1, event=1, channel=1)
                 yield from ctx.mbox_send(cores[0], ("done", shift))
             if ctx.core_id == cores[0]:
                 for _ in range(len(active)):

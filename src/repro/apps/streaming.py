@@ -33,6 +33,7 @@ on it with ``wfe``.
 from __future__ import annotations
 
 from collections import deque
+from itertools import cycle
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -172,11 +173,17 @@ def stream_columns(
         buf_offsets = offsets[buf]
         for col, (addr, _spec) in enumerate(columns):
             width = widths[col]
-            ctx.push(Descriptor(
-                dtype=DescriptorType.DDR_TO_DMEM, rows=count, col_width=width,
-                ddr_addr=addr + lo * width, dmem_addr=buf_offsets[col],
-                notify_event=_READ_EVENTS[buf] if col == last_col else None,
-            ), channel=0)
+            ctx.push(
+                Descriptor(
+                    dtype=DescriptorType.DDR_TO_DMEM,
+                    rows=count,
+                    col_width=width,
+                    ddr_addr=addr + lo * width,
+                    dmem_addr=buf_offsets[col],
+                    notify_event=_READ_EVENTS[buf] if col == last_col else None,
+                ),
+                channel=0,
+            )
 
     writeback_width = ref_width(writeback[1]) if writeback is not None else 0
     if writeback is not None:
@@ -203,14 +210,20 @@ def stream_columns(
         if cycles:
             yield from ctx.compute(cycles)
         if writeback is not None:
+            out_addr, out_width = writeback[0], writeback_width
             yield from ctx.wfe(_WRITE_EVENTS[buf])
             ctx.clear_event(_WRITE_EVENTS[buf])
-            ctx.push(Descriptor(
-                dtype=DescriptorType.DMEM_TO_DDR, rows=hi - lo,
-                col_width=writeback_width,
-                ddr_addr=writeback[0] + lo * writeback_width,
-                dmem_addr=offsets[buf][0], notify_event=_WRITE_EVENTS[buf],
-            ), channel=1)
+            ctx.push(
+                Descriptor(
+                    dtype=DescriptorType.DMEM_TO_DDR,
+                    rows=hi - lo,
+                    col_width=out_width,
+                    ddr_addr=out_addr + lo * out_width,
+                    dmem_addr=offsets[buf][0],
+                    notify_event=_WRITE_EVENTS[buf],
+                ),
+                channel=1,
+            )
         ctx.clear_event(_READ_EVENTS[buf])
         if tile + 2 < num_tiles:
             issue(tile + 2, buf)
@@ -235,10 +248,9 @@ class StagedWrites:
     def __init__(self, ctx: CoreContext, slots: Sequence[int],
                  events: Sequence[int]):
         self.ctx = ctx
-        self.slots = slots
         self.events = events
+        self.ring = cycle(zip(slots, events))
         self.queue: deque = deque()  # O(1) drains however long it grows
-        self.turn = 0
         for event in events:
             ctx.set_event(event)
 
@@ -249,16 +261,14 @@ class StagedWrites:
         ctx = self.ctx
         while self.queue:
             values, ddr_addr = self.queue.popleft()
-            slot = self.turn % len(self.slots)
-            self.turn += 1
-            event = self.events[slot]
+            slot, event = next(self.ring)
             yield from ctx.wfe(event)
             ctx.clear_event(event)
-            ctx.dmem.write(self.slots[slot], values)
+            ctx.dmem.write(slot, values)
             ctx.push(Descriptor(
                 dtype=DescriptorType.DMEM_TO_DDR, rows=len(values),
                 col_width=values.itemsize, ddr_addr=ddr_addr,
-                dmem_addr=self.slots[slot], notify_event=event,
+                dmem_addr=slot, notify_event=event,
             ), channel=1)
 
     def wrap(self, stream):
