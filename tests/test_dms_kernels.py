@@ -5,8 +5,10 @@ Each run below drives one kernel whose DDR<->DMEM transfers are plain
 blocking copies or write-backs staged through DMEM slots (paper §3,
 Listing 1): disparity (fine and coarse), the SVM's DMEM-resident
 slice, the naive similarity search, the scan filter and scan-project
-with a broadcast table, a low-NDV group-by whose broadcast spans three
-8 KB pieces, and a hardware-path group-by with a broadcast.
+with a broadcast table (also in small tiles, so each core stages
+several write-backs), a low-NDV group-by whose broadcast spans three
+8 KB pieces, a hardware-path group-by with a broadcast, and the
+group-by's software partition round in small tiles.
 ``tests/goldens/dms_kernels.json`` records, per run, the modelled
 cycles, a digest of the result and the ``dms.*``, ``ddr.*``,
 ``dmad.*`` and ``dmac.*`` counters of the DPU. Regenerate deliberately
@@ -23,9 +25,10 @@ import numpy as np
 
 from repro.apps.disparity import dpu_disparity
 from repro.apps.simsearch import build_tiled_index, dpu_simsearch
-from repro.apps.sql import AggSpec, Table, dpu_filter, dpu_groupby
+from repro.apps.sql import AggSpec, DmemBudget, Table, dpu_filter, dpu_groupby
 from repro.apps.sql.filter import dpu_scan_project
 from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
+from repro.apps.streaming import StagedWrites, load, store
 from repro.apps.svm import dpu_svm_train
 from repro.core import DPU
 from repro.workloads.corpus import generate_corpus
@@ -92,14 +95,15 @@ def _bitmap_table(dpu, seed, rows, domain):
     return dtable, bitmap_filter("k", words), broadcast
 
 
-def run_filter_broadcast():
+def run_filter_broadcast(tile_rows=2048):
     dpu = DPU()
     dtable, row_filter, broadcast = _bitmap_table(dpu, 1, 20_000, 100_000)
-    result = dpu_filter(dpu, dtable, row_filter, broadcasts=(broadcast,))
+    result = dpu_filter(dpu, dtable, row_filter, broadcasts=(broadcast,),
+                        tile_rows=tile_rows)
     return _record(dpu, result.cycles, result.value)
 
 
-def run_scan_project_broadcast():
+def run_scan_project_broadcast(tile_rows=2048):
     dpu = DPU()
     dtable, row_filter, broadcast = _bitmap_table(dpu, 2, 12_000, 100_000)
 
@@ -107,7 +111,7 @@ def run_scan_project_broadcast():
         return np.where(row_filter.mask_fn(columns), columns["k"] % 251, 0)
 
     result = dpu_scan_project(dpu, dtable, row_filter, project, np.uint16,
-                              broadcasts=(broadcast,))
+                              broadcasts=(broadcast,), tile_rows=tile_rows)
     return _record(dpu, result.cycles, result.value)
 
 
@@ -133,15 +137,37 @@ def run_groupby_hw_broadcast():
     return _record(dpu, result.cycles, (result.value, result.detail))
 
 
+def run_groupby_sw_round_small_tiles():
+    # 512 rows per core in 128-row tiles over two keys: each core
+    # stages full runs while its stream is still reading.
+    dpu = DPU()
+    rng = np.random.default_rng(5)
+    dtable = Table("t", {
+        "g": rng.integers(0, 2, 16 * 1024).astype(np.int64),
+        "v": rng.integers(0, 100, 16 * 1024).astype(np.int64),
+    }).to_dpu(dpu)
+    result = dpu_groupby(
+        dpu, dtable, "g", [AggSpec("sum", "v"), AggSpec("count")],
+        ndv_hint=9000, tile_rows=128,
+        budget=DmemBudget(total=32 * 1024, io_buffers=28 * 1024, metadata=1024),
+    )
+    assert result.detail["sw_rounds"] == 1
+    return _record(dpu, result.cycles, (result.value, result.detail))
+
+
 RUNS = {
     "disparity_fine": lambda: _disparity("fine"),
     "disparity_coarse": lambda: _disparity("coarse"),
     "svm_resident": run_svm_resident,
     "simsearch_naive": run_simsearch_naive,
     "filter_broadcast": run_filter_broadcast,
+    "filter_broadcast_small_tiles": lambda: run_filter_broadcast(128),
     "scan_project_broadcast": run_scan_project_broadcast,
+    "scan_project_broadcast_small_tiles":
+        lambda: run_scan_project_broadcast(128),
     "groupby_low_ndv_broadcast": run_groupby_low_ndv_broadcast,
     "groupby_hw_broadcast": run_groupby_hw_broadcast,
+    "groupby_sw_round_small_tiles": run_groupby_sw_round_small_tiles,
 }
 
 
@@ -162,3 +188,58 @@ def test_dms_kernels_golden(request):
         if golden[name][field] != observed[name][field]
     ]
     assert not diverged, "\n".join(diverged)
+
+
+class TestPrimitives:
+    """``load`` and ``store`` copy on their channels and leave their
+    event clear; ``StagedWrites`` writes each run back as the wrapped
+    stream waits, not only when it is closed."""
+
+    def test_load_and_store(self):
+        dpu = DPU()
+        values = np.arange(300, dtype=np.uint32)
+        src = dpu.store_array(values)
+        dst = dpu.alloc(values.nbytes)
+        seen = {}
+
+        def kernel(ctx):
+            yield from load(ctx, src, 512, len(values), 4, 9)
+            seen["after_load"] = [ch is not None for ch in ctx.dmad.channels]
+            seen["event_set"] = ctx.dpu.event_files[0].is_set(9)
+            yield from store(ctx, 512, dst, len(values), 4, 9, channel=1)
+            seen["after_store"] = [ch is not None for ch in ctx.dmad.channels]
+
+        dpu.launch(kernel, cores=[0])
+        assert np.array_equal(dpu.load_array(dst, len(values), np.uint32),
+                              values)
+        assert seen["after_load"][:2] == [True, False]
+        assert seen["after_store"][:2] == [True, True]
+        assert not seen["event_set"]
+
+    def test_staged_writes_drain_while_the_stream_waits(self):
+        dpu = DPU()
+        dst = dpu.alloc(4 * 64 * 8)
+        landed = []
+
+        def kernel(ctx):
+            out = StagedWrites(ctx, slots=(0, 1024), events=(4, 5))
+
+            def stream():
+                for run in range(4):
+                    out.put(np.full(64, run + 1, dtype=np.uint64),
+                            dst + run * 64 * 8)
+                    yield from ctx.compute(10_000)
+                    if run:
+                        # The previous run was pushed after the previous
+                        # wait and has landed during this one.
+                        landed.append(int(dpu.load_array(
+                            dst + (run - 1) * 64 * 8, 1, np.uint64)[0]))
+
+            yield from out.wrap(stream())
+            yield from out.close()
+
+        dpu.launch(kernel, cores=[0])
+        assert landed == [1, 2, 3]
+        expected = np.repeat(np.arange(1, 5, dtype=np.uint64), 64)
+        assert np.array_equal(dpu.load_array(dst, 4 * 64, np.uint64),
+                              expected)
