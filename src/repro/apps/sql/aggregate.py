@@ -446,17 +446,15 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
-    # Broadcasts live at the top of DMEM, above the stream tiles.
-    bcast_bytes = _broadcast_bytes(broadcasts)
 
     def kernel(ctx):
         lo, hi = static_partition(rows, len(cores), ctx.core_id)
         groups: GroupTable = {}
         if lo < hi:
             if broadcasts:
-                yield from _load_broadcasts(
-                    ctx, broadcasts, ctx.dmem.size - bcast_bytes
-                )
+                # Broadcasts live at the top of DMEM, above the tiles.
+                top = ctx.dmem.size - _broadcast_bytes(broadcasts)
+                yield from _load_broadcasts(ctx, broadcasts, top)
             shifted = [
                 (addr + lo * ref_width(spec), spec) for addr, spec in refs
             ]

@@ -240,8 +240,9 @@ class StagedWrites:
     ``put(values, ddr_addr)`` queues a run. Each run takes the next
     slot round-robin: wait for the slot's event (events start set),
     clear it, copy the run in and push a ``DMEM_TO_DDR`` on channel 1
-    that sets it again. ``wrap(stream)`` runs a kernel generator and
-    drains the queue after each of its waits; ``close()`` drains the
+    that sets it again. ``wrap(stream)`` runs a kernel generator that
+    takes no values back from its waits (such as :func:`stream_columns`)
+    and drains the queue after each of them; ``close()`` drains the
     rest and waits for the last writes.
     """
 
