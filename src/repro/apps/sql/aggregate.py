@@ -341,12 +341,13 @@ def _broadcast_bytes(broadcasts) -> int:
 
 def fit_broadcasts(partitions_needed: int, row_bytes: int, bcast_bytes: int,
                    tile_rows: int = 2048) -> int:
-    """The low-NDV stream's tile rows (at most ``tile_rows``) for
-    ``row_bytes``-byte rows; ValueError when ``bcast_bytes`` of
-    broadcasts do not fit beside the group-by's DMEM buffers for
-    ``partitions_needed`` partitions: the low-NDV path streams below
-    them in 30 KB, the hardware path keeps 12 KB above its partition
-    buffer. The compiler asks the same question of a plan."""
+    """Check that ``bcast_bytes`` of broadcast tables fit in DMEM beside
+    the group-by's buffers for ``partitions_needed`` partitions, and
+    return the low-NDV path's stream tile rows (at most ``tile_rows``)
+    for ``row_bytes``-byte rows. The low-NDV path streams below the
+    broadcasts in 30 KB; the hardware path keeps 12 KB for them above
+    its partition buffer. Raises ValueError when they do not fit; the
+    compiler asks the same of a plan."""
     if partitions_needed <= 1:
         return stream_tile_rows(tile_rows, row_bytes, 30 * 1024 - bcast_bytes)
     if bcast_bytes > 12 * 1024:
@@ -446,14 +447,14 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
+    # Broadcasts live at the top of DMEM, above the stream tiles.
+    top = dpu.config.dmem_size - _broadcast_bytes(broadcasts)
 
     def kernel(ctx):
         lo, hi = static_partition(rows, len(cores), ctx.core_id)
         groups: GroupTable = {}
         if lo < hi:
             if broadcasts:
-                # Broadcasts live at the top of DMEM, above the tiles.
-                top = ctx.dmem.size - _broadcast_bytes(broadcasts)
                 yield from _load_broadcasts(ctx, broadcasts, top)
             shifted = [
                 (addr + lo * ref_width(spec), spec) for addr, spec in refs
