@@ -141,21 +141,25 @@ _CAP = {
 }
 DESCRIPTOR_CAPABILITIES: Dict[DescriptorType, FrozenSet[str]] = _CAP
 
-# Table 1 keyed by id() of the data types, for the checks every
+# Table 1 indexed by each type's value, for the checks every
 # descriptor runs: hashing an enum member calls the Python-level
 # ``Enum.__hash__`` and ``.value`` goes through a slow descriptor
-# protocol, while id() and an int-keyed lookup stay in C. Members are
-# singletons, so identity is equality. Each entry is the type's
-# capabilities and whether it must move at least one row.
+# protocol, while a member's ``_value_`` is a plain attribute and a
+# tuple index stays in C. Each data type's entry is its capabilities
+# and whether it must move at least one row; a control type's is None.
 _NEEDS_ROWS = (
     DescriptorType.DDR_TO_DMEM,
     DescriptorType.DMEM_TO_DDR,
     DescriptorType.DDR_TO_DMS,
     DescriptorType.DMEM_TO_DMS,
 )
-_DATA_RULES: Dict[int, Tuple[FrozenSet[str], bool]] = {
-    id(dtype): (caps, dtype in _NEEDS_ROWS) for dtype, caps in _CAP.items()
+_RULES_BY_VALUE = {
+    dtype.value: (caps, dtype in _NEEDS_ROWS) for dtype, caps in _CAP.items()
 }
+_DATA_RULES: Tuple[Optional[Tuple[FrozenSet[str], bool]], ...] = tuple(
+    _RULES_BY_VALUE.get(value)
+    for value in range(max(dtype.value for dtype in DescriptorType) + 1)
+)
 _INTERNAL_MEMS = ("cmem", "crc", "cid", "bv")
 _COL_WIDTHS = (1, 2, 4, 8)
 
@@ -215,7 +219,7 @@ class Descriptor:
         breaks several rules always reports the same one."""
         if self.internal_mem not in _INTERNAL_MEMS:
             raise DescriptorError(f"unknown internal memory {self.internal_mem!r}")
-        rule = _DATA_RULES.get(id(self.dtype))
+        rule = _DATA_RULES[self.dtype._value_]
         if rule is not None:
             caps, needs_rows = rule
             if (self.ddr_stride is not None or self.gather_src

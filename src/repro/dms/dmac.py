@@ -26,7 +26,9 @@ software must apply the paper's serialize-gathers workaround.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+import heapq
+import math
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -50,6 +52,8 @@ from .partition import PartitionLayout, compute_cids
 __all__ = ["Dmac", "DmsHardwareError", "PartitionChunk"]
 
 _WIDTH_DTYPE = {1: np.uint8, 2: np.uint16, 4: np.uint32, 8: np.uint64}
+
+_heappush = heapq.heappush
 
 # Counter paths of each SRAM slot pool: occupancy and queue high-water
 # marks, stall cycles and stalls.
@@ -126,6 +130,8 @@ class Dmac:
 
     # The owning DPU's counter store, handed over when it wires its units.
     counters: CounterRegistry
+    # Each data descriptor type's first stage (set after the class).
+    first_stage: Tuple[Optional[Callable], ...]
 
     def __init__(
         self,
@@ -229,35 +235,23 @@ class Dmac:
     #
     # A data descriptor runs as a chain of stages, each a heap callback
     # taking its DescriptorRun (see repro.dms.dmad). A stage books the
-    # transfer it issues and hands the next stage to ``run.at(finish,
-    # stage)``, at the heap key a Timeout for that transfer would take,
+    # transfer it issues and schedules the next stage at the heap key a
+    # Timeout for that transfer would take, ``now + (finish - now)``,
     # or waits with ``run.wait(event, stage)``; the last stage calls
     # ``run.done()``. Stages therefore interleave with same-instant
     # processes and timers exactly as a process waiting on those
     # timeouts and events would.
+    #
+    # The plain DDR <-> DMEM stages are flat functions of the run,
+    # after this class; ``Dmac.first_stage`` names each type's first
+    # stage. The stages here go through ``run.at`` / ``run.after`` /
+    # ``run.wait``, which run them under ``DescriptorRun._resume``.
 
-    def start(self, run) -> None:
-        """First stage of ``run``'s data descriptor."""
-        dtype = run.descriptor.dtype
-        if dtype is DescriptorType.DDR_TO_DMEM:
-            self._ddr_to_dmem(run)
-        elif dtype is DescriptorType.DMEM_TO_DDR:
-            self._dmem_to_ddr(run)
-        elif dtype is DescriptorType.DDR_TO_DMS:
-            self._load(run)
-        elif dtype is DescriptorType.DMS_TO_DMS:
-            self._hash(run)
-        elif dtype is DescriptorType.DMS_TO_DMEM:
-            self._store(run)
-        elif dtype is DescriptorType.DMEM_TO_DMS:
-            # The register contents were snapshotted at dispatch, in
-            # program order; charge the crossbar time of the RID/BV load.
-            run.at(self._core_dmax[run.core].book(run.descriptor.transfer_bytes),
-                   self._counted)
-        elif dtype is DescriptorType.DMS_TO_DDR:
-            self._drain(run)
-        else:
-            raise DescriptorError(f"{dtype.name} is not a data descriptor")
+    def _bv_load(self, run) -> None:
+        # The register contents were snapshotted at dispatch, in
+        # program order; charge the crossbar time of the RID/BV load.
+        run.at(self._core_dmax[run.core].book(run.descriptor.transfer_bytes),
+               self._counted)
 
     def _counted(self, run) -> None:
         self.counters.values["dms.descriptors"] += 1
@@ -265,51 +259,24 @@ class Dmac:
 
     # -- DDR <-> DMEM streaming -------------------------------------------
 
-    def _ddr_to_dmem(self, run) -> None:
-        descriptor = run.descriptor
-        if descriptor.rle:
-            raise DescriptorError("RLE decode is not modelled")
-        target = descriptor.dmem_core
-        run.dmem = self.scratchpads[run.core if target is None else target]
-        width = descriptor.col_width
-        if descriptor.gather_src:
-            run.gather_began = self.engine.now
-            self._active_gathers += 1
-            if self._active_gathers > 1 and self.config.rtl_gather_bug:
-                active = self._active_gathers
-                self._active_gathers -= 1
-                raise DmsHardwareError(
-                    "gather bit-vector count FIFO overflow: more than one "
-                    "dpCore has a gather in flight on first-silicon "
-                    "hardware; apply the software workaround (serialize "
-                    "gathers) or disable rtl_gather_bug (paper §3.4, "
-                    "Figure 12)",
-                    site="dmac.gather",
-                    sim_time=self.engine.now,
-                    occupancy={"active_gathers": active},
-                )
-            run.gathering = True
-            run.after(0, self._gather)
-        elif descriptor.ddr_stride is not None and descriptor.ddr_stride != width:
-            # Strided reads touch a DRAM burst per element.
-            run.at(self.ddr_channel.book(
-                descriptor.ddr_addr, descriptor.rows * max(width, 16),
-                extra_overhead_cycles=self._decode_cycles,
-            ), self._strided_read)
-        else:
-            run.at(self.ddr_channel.book(
-                descriptor.ddr_addr, descriptor.transfer_bytes,
-                extra_overhead_cycles=self._decode_cycles,
-            ), self._read)
-
-    def _read(self, run) -> None:
-        descriptor = run.descriptor
-        nbytes = descriptor.transfer_bytes
-        run.data = self.ddr_memory.read(descriptor.ddr_addr, nbytes)
-        # A DDR -> DMEM descriptor moves at least one row, so this is
-        # the nonzero booking Dmax.book would make.
-        run.at(self._core_dmax[run.core].server.book(
-            nbytes if nbytes < 256 else 256), self._landed)
+    def _start_gather(self, run) -> None:
+        run.gather_began = self.engine.now
+        self._active_gathers += 1
+        if self._active_gathers > 1 and self.config.rtl_gather_bug:
+            active = self._active_gathers
+            self._active_gathers -= 1
+            raise DmsHardwareError(
+                "gather bit-vector count FIFO overflow: more than one "
+                "dpCore has a gather in flight on first-silicon "
+                "hardware; apply the software workaround (serialize "
+                "gathers) or disable rtl_gather_bug (paper §3.4, "
+                "Figure 12)",
+                site="dmac.gather",
+                sim_time=self.engine.now,
+                occupancy={"active_gathers": active},
+            )
+        run.gathering = True
+        run.after(0, self._gather)
 
     def _strided_read(self, run) -> None:
         descriptor = run.descriptor
@@ -321,7 +288,7 @@ class Dmac:
         element = np.arange(width)
         run.data = raw[offsets[:, None] + element[None, :]].ravel()
         run.at(self._core_dmax[run.core].book(min(len(run.data), 256)),
-               self._landed)
+               _landed)
 
     def _gather(self, run) -> None:
         descriptor = run.descriptor
@@ -342,79 +309,7 @@ class Dmac:
         )
         run.data = source[run.rows]
         run.at(self._core_dmax[run.core].book(min(len(run.rows) * width, 256)),
-               self._landed)
-
-    def _landed(self, run) -> None:
-        """The DDR -> DMEM payload crossed the DMAX: write it."""
-        descriptor = run.descriptor
-        run.dmem.write(descriptor.dmem_addr, run.data)
-        if run.gathering:
-            run.gathering = False
-            self._active_gathers -= 1
-            moved = len(run.rows) * descriptor.col_width
-            if self.trace.enabled:
-                self.trace.complete_async(
-                    "dms.gather", "dmac", run.gather_began, core=run.core,
-                    rows=int(len(run.rows)), bytes=int(moved),
-                    cycles=self.engine.now - run.gather_began,
-                )
-        else:
-            moved = descriptor.transfer_bytes
-        counts = self.counters.values
-        counts["dms.bytes_read"] += moved
-        counts["dms.descriptors"] += 1
-        run.done()
-
-    def _dmem_to_ddr(self, run) -> None:
-        descriptor = run.descriptor
-        if descriptor.rle:
-            raise DescriptorError("RLE encode is not modelled")
-        target = descriptor.dmem_core
-        dmem = self.scratchpads[run.core if target is None else target]
-        width = descriptor.col_width
-        if descriptor.scatter_dst:
-            indices = run.rows = self._gather_indices(descriptor, run.core)
-            run.data = dmem.view(
-                descriptor.dmem_addr, len(indices) * width, _WIDTH_DTYPE[width]
-            )
-            nbytes = len(indices) * width
-        else:
-            nbytes = descriptor.transfer_bytes
-            run.data = dmem.read(descriptor.dmem_addr, nbytes)
-        run.at(self._core_dmax[run.core].book(min(nbytes, 256)), self._write)
-
-    def _write(self, run) -> None:
-        """The DMEM -> DDR payload crossed the DMAX: issue the write."""
-        descriptor = run.descriptor
-        if run.rows is not None:
-            indices = run.rows
-            nbytes = len(indices) * descriptor.col_width + len(indices) * int(
-                self.config.dms_gather_row_penalty_bytes
-            )
-        else:
-            nbytes = descriptor.transfer_bytes
-        run.at(self.ddr_channel.book(
-            descriptor.ddr_addr, nbytes,
-            extra_overhead_cycles=self._decode_cycles, is_write=True,
-        ), self._written)
-
-    def _written(self, run) -> None:
-        descriptor = run.descriptor
-        if run.rows is not None:
-            width = descriptor.col_width
-            target = self.ddr_memory.view(
-                descriptor.ddr_addr, descriptor.rows * width,
-                _WIDTH_DTYPE[width],
-            )
-            target[run.rows] = run.data
-            moved = len(run.rows) * width
-        else:
-            self.ddr_memory.write(descriptor.ddr_addr, run.data)
-            moved = descriptor.transfer_bytes
-        counts = self.counters.values
-        counts["dms.bytes_written"] += moved
-        counts["dms.descriptors"] += 1
-        run.done()
+               _landed)
 
     def _gather_indices(self, descriptor: Descriptor, core_id: int) -> np.ndarray:
         register = self._bv_registers.get(core_id)
@@ -651,3 +546,207 @@ class Dmac:
         counts["dms.bytes_written"] += len(run.data)
         counts["dms.descriptors"] += 1
         run.done()
+
+
+# -- flat DDR <-> DMEM stages -------------------------------------------------
+#
+# Nearly every descriptor is a plain DDR <-> DMEM copy, so its stages
+# are plain functions of the run (no bound method per heap entry): each
+# books the next transfer on its unit and pushes the next stage with
+# the run as argument, at ``now + (finish - now)``, and fails the run
+# on an error; the last one retires the run outside that guard, so
+# work its retirement runs in place is not taken for the run's own.
+
+
+def _ddr_to_dmem(run) -> None:
+    """First stage of a DDR -> DMEM descriptor: book the DDR read."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        if descriptor.rle:
+            raise DescriptorError("RLE decode is not modelled")
+        target = descriptor.dmem_core
+        run.dmem = dmac.scratchpads[run.core if target is None else target]
+        if descriptor.gather_src:
+            dmac._start_gather(run)
+            return
+        stride = descriptor.ddr_stride
+        if stride is not None and stride != descriptor.col_width:
+            # Strided reads touch a DRAM burst per element.
+            run.at(dmac.ddr_channel.book(
+                descriptor.ddr_addr,
+                descriptor.rows * max(descriptor.col_width, 16),
+                dmac._decode_cycles,
+            ), dmac._strided_read)
+            return
+        finish = dmac.ddr_channel.book(
+            descriptor.ddr_addr, descriptor.transfer_bytes, dmac._decode_cycles)
+        engine = dmac.engine
+        now = engine.now
+        _heappush(engine._queue, (now + (finish - now), engine._next_seq(),
+                                  _read, run))
+    except BaseException as error:
+        run._abort(error)
+
+
+def _read(run) -> None:
+    """The DDR read completed: take the bytes, cross the DMAX."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        nbytes = descriptor.transfer_bytes
+        run.data = dmac.ddr_memory.read(descriptor.ddr_addr, nbytes)
+        # Book the crossbar in place, as Dmax.book does for the nonzero
+        # AXI-sized burst a DDR -> DMEM descriptor moves.
+        server = dmac._core_dmax[run.core].server
+        burst = nbytes if nbytes < 256 else 256
+        service = server.overhead_cycles + math.ceil(
+            burst / server.bytes_per_cycle)
+        engine = dmac.engine
+        now = engine.now
+        free_at = server._free_at
+        finish = (now if now > free_at else free_at) + service
+        server._free_at = finish
+        server.busy_cycles += service
+        server.bytes_served += burst
+        server.transfers_served += 1
+        _heappush(engine._queue, (now + (finish - now), engine._next_seq(),
+                                  _landed, run))
+    except BaseException as error:
+        run._abort(error)
+
+
+def _landed(run) -> None:
+    """The DDR -> DMEM payload crossed the DMAX: write it."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        if run.gathering:
+            run.dmem.write(descriptor.dmem_addr, run.data)
+            run.gathering = False
+            dmac._active_gathers -= 1
+            moved = len(run.rows) * descriptor.col_width
+            if dmac.trace.enabled:
+                dmac.trace.complete_async(
+                    "dms.gather", "dmac", run.gather_began, core=run.core,
+                    rows=int(len(run.rows)), bytes=int(moved),
+                    cycles=dmac.engine.now - run.gather_began,
+                )
+        else:
+            # A plain or strided read: a flat uint8 copy.
+            run.dmem.land(descriptor.dmem_addr, run.data)
+            moved = descriptor.transfer_bytes
+        counts = dmac.counters.values
+        counts["dms.bytes_read"] += moved
+        counts["dms.descriptors"] += 1
+    except BaseException as error:
+        run._abort(error)
+        return
+    run.done()
+
+
+def _dmem_to_ddr(run) -> None:
+    """First stage of a DMEM -> DDR descriptor: take the bytes, cross
+    the DMAX."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        if descriptor.rle:
+            raise DescriptorError("RLE encode is not modelled")
+        target = descriptor.dmem_core
+        dmem = dmac.scratchpads[run.core if target is None else target]
+        if descriptor.scatter_dst:
+            width = descriptor.col_width
+            indices = run.rows = dmac._gather_indices(descriptor, run.core)
+            run.data = dmem.view(
+                descriptor.dmem_addr, len(indices) * width, _WIDTH_DTYPE[width]
+            )
+            nbytes = len(indices) * width
+        else:
+            nbytes = descriptor.transfer_bytes
+            run.data = dmem.read(descriptor.dmem_addr, nbytes)
+        finish = dmac._core_dmax[run.core].book(min(nbytes, 256))
+        engine = dmac.engine
+        now = engine.now
+        _heappush(engine._queue, (now + (finish - now), engine._next_seq(),
+                                  _write, run))
+    except BaseException as error:
+        run._abort(error)
+
+
+def _write(run) -> None:
+    """The DMEM -> DDR payload crossed the DMAX: book the DDR write."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        if run.rows is not None:
+            indices = run.rows
+            nbytes = len(indices) * descriptor.col_width + len(indices) * int(
+                dmac.config.dms_gather_row_penalty_bytes
+            )
+        else:
+            nbytes = descriptor.transfer_bytes
+        finish = dmac.ddr_channel.book(
+            descriptor.ddr_addr, nbytes, dmac._decode_cycles, True)
+        engine = dmac.engine
+        now = engine.now
+        _heappush(engine._queue, (now + (finish - now), engine._next_seq(),
+                                  _written, run))
+    except BaseException as error:
+        run._abort(error)
+
+
+def _written(run) -> None:
+    """The DDR write completed: store the bytes."""
+    try:
+        dmac = run.dmac
+        descriptor = run.descriptor
+        if run.rows is not None:
+            width = descriptor.col_width
+            target = dmac.ddr_memory.view(
+                descriptor.ddr_addr, descriptor.rows * width,
+                _WIDTH_DTYPE[width],
+            )
+            target[run.rows] = run.data
+            moved = len(run.rows) * width
+        else:
+            dmac.ddr_memory.write(descriptor.ddr_addr, run.data)
+            moved = descriptor.transfer_bytes
+        counts = dmac.counters.values
+        counts["dms.bytes_written"] += moved
+        counts["dms.descriptors"] += 1
+    except BaseException as error:
+        run._abort(error)
+        return
+    run.done()
+
+
+def _failing_run(stage: Callable) -> Callable:
+    """The DMAC method ``stage`` as a first stage: an error it raises
+    fails the run, as under ``DescriptorRun._resume``."""
+    def first(run) -> None:
+        try:
+            stage(run.dmac, run)
+        except BaseException as error:
+            run._abort(error)
+    return first
+
+
+# The first stage of each data descriptor type, indexed by the type's
+# value (``dtype._value_``, as repro.dms.descriptor indexes Table 1)
+# and read once per descriptor when the DMAD issues it. Each takes the
+# run and fails it on an error. Plain functions, so a DMAC holds no
+# reference to itself through it.
+_FIRST_STAGES = {
+    DescriptorType.DDR_TO_DMEM.value: _ddr_to_dmem,
+    DescriptorType.DMEM_TO_DDR.value: _dmem_to_ddr,
+    DescriptorType.DDR_TO_DMS.value: _failing_run(Dmac._load),
+    DescriptorType.DMS_TO_DMS.value: _failing_run(Dmac._hash),
+    DescriptorType.DMS_TO_DMEM.value: _failing_run(Dmac._store),
+    DescriptorType.DMEM_TO_DMS.value: _failing_run(Dmac._bv_load),
+    DescriptorType.DMS_TO_DDR.value: _failing_run(Dmac._drain),
+}
+Dmac.first_stage = tuple(
+    _FIRST_STAGES.get(value)
+    for value in range(max(dtype.value for dtype in DescriptorType) + 1)
+)

@@ -45,11 +45,20 @@ class EventFile:
             event = self.events[event_id] = BinaryEvent(self.engine, event_id)
         return event
 
+    # set, clear and wait run once per DMS buffer: they look the event
+    # up themselves and call ``event`` only to build it.
+
     def set(self, event_id: int) -> None:
-        self.event(event_id).set()
+        event = self.events.get(event_id)
+        if event is None:
+            event = self.event(event_id)
+        event.set()
 
     def clear(self, event_id: int) -> None:
-        self.event(event_id).clear()
+        event = self.events.get(event_id)
+        if event is None:
+            event = self.event(event_id)
+        event.clear()
 
     def is_set(self, event_id: int) -> bool:
         return self.event(event_id).is_set
@@ -59,4 +68,7 @@ class EventFile:
 
         This is the hardware side of the ``wfe`` instruction.
         """
-        return self.event(event_id).wait()
+        event = self.events.get(event_id)
+        if event is None:
+            event = self.event(event_id)
+        return event.wait()

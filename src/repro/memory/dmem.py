@@ -75,6 +75,12 @@ class Scratchpad:
         if not (type(payload) is np.ndarray and payload.dtype is _UINT8
                 and payload.ndim == 1 and payload.flags.c_contiguous):
             payload = np.ascontiguousarray(payload).view(np.uint8).ravel()
+        self.land(offset, payload)
+
+    def land(self, offset: int, payload: np.ndarray) -> None:
+        """Store ``payload``, a flat contiguous ``uint8`` array (what a
+        DMS read lands), at ``offset``: :meth:`write` without turning
+        other payloads into one."""
         length = payload.size
         end = offset + length
         if offset < 0 or end > self.size:

@@ -211,3 +211,42 @@ def test_negative_timeout_rejected():
     engine = Engine()
     with pytest.raises(SimulationError):
         engine.timeout(-1)
+
+
+def test_runs_next_only_when_nothing_else_is_due_now():
+    """``runs_next`` holds inside a run loop when no entry is due at
+    the current instant, and not once one is, outside a loop, under a
+    watchdog or after the awaited process finished."""
+    from repro.sim import Watchdog
+
+    engine = Engine()
+    seen = []
+
+    def probe(tag):
+        seen.append((tag, engine.runs_next()))
+
+    assert engine.runs_next() is False  # no run loop
+    engine._schedule(5, probe, "alone")
+    engine._schedule(7, probe, "tied")
+    engine._schedule(7, lambda _arg: None, None)
+    engine.run()
+    assert seen == [("alone", True), ("tied", False)]
+
+    seen.clear()
+    engine.watchdog = Watchdog(max_events=100)
+    engine._schedule(1, probe, "watched")
+    engine.run()
+    assert seen == [("watched", False)]
+
+    seen.clear()
+    engine.watchdog = None
+    awaited = engine.event()
+
+    def finish(_arg):
+        probe("before")
+        awaited.succeed()
+        probe("after")
+
+    engine._schedule(1, finish, None)
+    engine.run_until_complete(awaited)
+    assert seen == [("before", True), ("after", False)]
