@@ -85,6 +85,23 @@ class TestDDRMemory:
             ddr.read((1 << 20) - 4, 8)
 
 
+    def test_backing_is_a_zeroed_private_mmap(self):
+        """DDR contents lie over an anonymous mmap (4 KB pages, no
+        huge-page advice): they read as zeros and keep what is
+        written."""
+        import mmap
+
+        ddr = DDRMemory(make_map())
+        assert isinstance(ddr.data.base, memoryview)
+        assert isinstance(ddr.data.base.obj, mmap.mmap)
+        assert ddr.data.flags.writeable
+        assert ddr.data.size == ddr.capacity
+        assert not ddr.read(ddr.capacity - 4096, 4096).any()
+        ddr.write(12345, np.arange(8, dtype=np.uint8))
+        assert list(ddr.read(12345, 8)) == list(range(8))
+        assert ddr.read_u64(ddr.capacity - 8) == 0
+
+
 class TestScratchpad:
     def test_size_is_32k(self):
         assert Scratchpad(0).size == 32 * 1024
