@@ -51,6 +51,7 @@ from ..streaming import (
     StagedWrites,
     load,
     parse_records,
+    partition_chunk_rows,
     partition_columns,
     record_width,
     ref_dtype,
@@ -505,7 +506,7 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
     # DMEM output buffers half way on uniform keys (the partition loop
     # ends it early where skew would overflow one); broadcasts occupy
     # the space between the buffer and the count word.
-    chunk_rows = max(64, dpu.config.cmem_bank_bytes // width)
+    chunk_rows = partition_chunk_rows(width, dpu.config.cmem_bank_bytes)
     buffer_capacity = 18 * 1024
     wave_rows = int(len(cores) * (buffer_capacity / width) / 2)
     wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows

@@ -55,7 +55,9 @@ from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..apps.streaming import partition_columns, record_width, store
+from ..apps.streaming import (
+    partition_chunk_rows, partition_columns, record_width, store,
+)
 from ..dms.descriptor import PartitionMode, PartitionSpec
 from ..dms.partition import PartitionLayout, compute_cids
 from .network import FabricConfig
@@ -137,6 +139,11 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
     names = [key] + [name for name in names if name != key]
     dtypes = [dtable.table.column(name).dtype for name in names]
     width = record_width(dtypes)
+    # Waves fill the per-destination buffers half way on uniform keys,
+    # in whole CMEM-bank chunks.
+    chunk_rows = partition_chunk_rows(width, dpu.config.cmem_bank_bytes)
+    wave_rows = int(num_dests * (_BUFFER_CAPACITY / width) / 2)
+    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
     rows = dtable.num_rows
     cores = list(dpu.config.core_ids)[:num_dests]
     if num_dests > len(dpu.config.core_ids):
@@ -160,11 +167,6 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
             capacity=_BUFFER_CAPACITY,
             count_offset=_COUNT_OFFSET,
         )
-        # Waves fill the per-destination buffers half way on uniform
-        # keys, in whole CMEM-bank chunks.
-        chunk_rows = max(64, dpu.config.cmem_bank_bytes // width)
-        wave_rows = int(num_dests * (_BUFFER_CAPACITY / width) / 2)
-        wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
 
         def kernel(ctx):
             region = region_addrs[cores.index(ctx.core_id)]

@@ -104,7 +104,30 @@ class TestShuffleExchange:
         assert result.bytes_moved == result.rows_moved * 8  # two u32 cols
 
 
+def _wide_table(rows, seed, value_columns=19, groups=4000):
+    """An int64 key and ``value_columns`` int64 columns: with all of
+    them summed, each partitioned record is 8 * (1 + value_columns)
+    bytes."""
+    rng = np.random.default_rng(seed)
+    columns = {"k": rng.integers(0, groups, rows).astype(np.int64)}
+    for index in range(value_columns):
+        columns[f"c{index}"] = rng.integers(-1000, 1000, rows).astype(np.int64)
+    return columns
+
+
 class TestClusterGroupby:
+    def test_records_wider_than_128_bytes(self):
+        """160 B records overflowed a CMEM bank in the shuffle's
+        partition pass when chunks held at least 64 of them; on two
+        DPUs the group-by now equals one DPU's."""
+        data = _wide_table(3000, seed=9)
+        aggs = [AggSpec("sum", f"c{index}") for index in range(19)]
+        single = DPU(DPU_40NM)
+        reference = dpu_groupby(
+            single, Table("t", data).to_dpu(single), "k", aggs).value
+        result = cluster_groupby(Cluster(2), _shard(data, 2), "k", aggs)
+        assert result.value == reference
+
     @pytest.mark.parametrize("num_dpus", [2, 4, 8])
     def test_byte_equal_to_single_dpu(self, groupby_data, num_dpus):
         aggs = [AggSpec("sum", "v"), AggSpec("count")]

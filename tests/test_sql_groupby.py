@@ -315,3 +315,45 @@ class TestMergeAndXeon:
         x = xeon_groupby(model, low, "g", aggs)
         low_gain = efficiency_gain(d, x)
         assert 4.0 < low_gain < 9.0  # around the paper's 6.7x
+
+
+class TestWideRecords:
+    """The hardware partitioner sizes chunks to whole records per CMEM
+    bank, so records wider than 128 B partition, and one wider than a
+    bank is refused before anything runs."""
+
+    @staticmethod
+    def _table(rows, value_columns, seed=4):
+        rng = np.random.default_rng(seed)
+        columns = {"k": rng.integers(0, 4000, rows).astype(np.int64)}
+        for index in range(value_columns):
+            columns[f"c{index}"] = rng.integers(
+                -1000, 1000, rows).astype(np.int64)
+        return Table("wide", columns)
+
+    def test_160_byte_records_equal_numpy(self):
+        table = self._table(6000, 19)
+        aggs = [AggSpec("sum", f"c{index}") for index in range(19)]
+        dpu = DPU()
+        result = dpu_groupby(dpu, table.to_dpu(dpu), "k", aggs,
+                             ndv_hint=4000)
+        keys = table.column("k")
+        uniq, inverse = np.unique(keys, return_inverse=True)
+        assert sorted(result.value) == [int(key) for key in uniq]
+        for index in range(19):
+            sums = np.zeros(len(uniq), dtype=np.int64)
+            np.add.at(sums, inverse, table.column(f"c{index}"))
+            assert [result.value[int(key)][index] for key in uniq] == \
+                sums.tolist()
+
+    def test_record_wider_than_a_bank_is_refused(self):
+        table = self._table(64, 1024)  # 8 * 1025 = 8200 B records
+        # One aggregate reading every column: the groups stay small, the
+        # partitioned records do not.
+        aggs = [AggSpec("sum", expr=lambda columns: columns["c0"],
+                        expr_columns=tuple(f"c{i}" for i in range(1024)))]
+        dpu = DPU()
+        dtable = table.to_dpu(dpu)
+        with pytest.raises(ValueError, match="8200 B record"):
+            dpu_groupby(dpu, dtable, "k", aggs, ndv_hint=4000)
+        assert dpu.engine.now == 0
