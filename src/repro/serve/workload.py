@@ -13,6 +13,7 @@ interarrival)`` and two runs replay byte-identical request streams.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Dict, List, Sequence
 
@@ -60,6 +61,13 @@ class OpenLoopWorkload:
         )
         self._tenant_names = list(self.tenants)
         self._tenant_probs = weights / weights.sum()
+        # The tenant draw is numpy's own for a scalar ``rng.choice(n,
+        # p=probs)``: one ``rng.random()`` placed in this CDF (cumsum,
+        # then divided by its last entry) with a right-side search. It
+        # takes the same bits, without re-checking ``p`` every draw.
+        cdf = np.cumsum(self._tenant_probs)
+        cdf /= cdf[-1]
+        self._tenant_cdf = cdf.tolist()
 
     def generate(
         self,
@@ -74,14 +82,13 @@ class OpenLoopWorkload:
                 f"{mean_interarrival_cycles}"
             )
         rng = np.random.default_rng(self.seed)
+        names = self._tenant_names
+        cdf = self._tenant_cdf
         requests: List[QueryRequest] = []
         arrival = 0.0
         for index in range(num_requests):
             arrival += float(rng.exponential(mean_interarrival_cycles))
-            tenant = self._tenant_names[
-                int(rng.choice(len(self._tenant_names),
-                               p=self._tenant_probs))
-            ]
+            tenant = names[bisect_right(cdf, rng.random())]
             query = self.query_mix[int(rng.integers(len(self.query_mix)))]
             requests.append(QueryRequest(
                 index=index,

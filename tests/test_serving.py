@@ -93,6 +93,43 @@ def _reference_rows(query_texts, catalog, data, name, num_dpus=4,
                                   projected).value
 
 
+# -- request streams ---------------------------------------------------------
+
+
+def _generate_with_choice(workload, num_requests, mean_interarrival):
+    """The request loop as first written, drawing each tenant with
+    ``rng.choice(n, p=probs)``: the reference the CDF draw must match."""
+    rng = np.random.default_rng(workload.seed)
+    names = list(workload.tenants)
+    requests = []
+    arrival = 0.0
+    for index in range(num_requests):
+        arrival += float(rng.exponential(mean_interarrival))
+        tenant = names[int(rng.choice(len(names),
+                                      p=workload._tenant_probs))]
+        query = workload.query_mix[int(rng.integers(len(workload.query_mix)))]
+        requests.append(QueryRequest(index, tenant, workload.tenants[tenant],
+                                     query, arrival))
+    return requests
+
+
+class TestRequestStreams:
+    @pytest.mark.parametrize("zipf_s", [0.0, 0.6, 1.1, 2.5])
+    @pytest.mark.parametrize("num_tenants", [1, 2, 3, 5, 8])
+    def test_cdf_draw_equals_choice(self, num_tenants, zipf_s):
+        """Placing one ``rng.random()`` in the tenant CDF reproduces
+        ``rng.choice(n, p=probs)`` draw for draw, over seeds and
+        stream lengths."""
+        tenants = {f"t{i}": ("gold", "silver", "bronze")[i % 3]
+                   for i in range(num_tenants)}
+        for seed in range(6):
+            workload = OpenLoopWorkload(tenants, QUERIES, seed=seed,
+                                        zipf_s=zipf_s)
+            for count in (0, 1, 37, 400):
+                assert workload.generate(count, 3_000.0) == \
+                    _generate_with_choice(workload, count, 3_000.0)
+
+
 # -- shared-default-config bugfix sweep (B006/B008) ------------------------
 
 
