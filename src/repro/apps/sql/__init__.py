@@ -3,6 +3,7 @@
 from .aggregate import (
     AggSpec,
     Broadcast,
+    DeliveryMismatchError,
     GroupKey,
     RowFilter,
     dpu_groupby,
@@ -49,6 +50,7 @@ __all__ = [
     "Broadcast",
     "Catalog",
     "CompiledQuery",
+    "DeliveryMismatchError",
     "DmemBudget",
     "DpuOpResult",
     "DpuTable",

@@ -23,8 +23,13 @@ Three physical strategies, chosen by the partition planner:
   alongside the hardware partitioner, §3.4's 1024-way claim); each
   bucket then takes the hardware path.
 
-All three paths move real bytes: the group tables the tests check are
-aggregated from data that traveled through the simulated DMS.
+All three paths move real bytes. The hardware paths aggregate the
+records the simulated DMS delivered into each DMEM. The low-NDV path
+aggregates the stored columns once per launch, in bulk, while its
+streams still move every tile; after the launch it checks every byte
+the streams delivered against the bytes it aggregated and raises
+:class:`DeliveryMismatchError` at the first that differs, so its
+tables too are aggregated from data that traveled through the DMS.
 
 The operator is deliberately general: aggregates may be arithmetic
 expressions over several columns (Q1's ``sum(price * (1-disc))``) and
@@ -72,6 +77,7 @@ from .table import DpuTable, Table
 __all__ = [
     "AggSpec",
     "Broadcast",
+    "DeliveryMismatchError",
     "GroupKey",
     "RowFilter",
     "dpu_groupby",
@@ -95,6 +101,12 @@ class AggSpec:
     ``AggSpec("sum", expr=lambda c: c["p"] * (100 - c["d"]),
     expr_columns=("p", "d"), expr_cycles_per_row=2.0)`` — the cycle
     hint charges the dpCore for evaluating the expression.
+
+    ``expr`` must be row-wise: one value per row, each a function of
+    that row's inputs only, by the same arithmetic however many rows
+    it is handed. The low-NDV group-by evaluates it once over all
+    selected rows of a launch, where the other paths evaluate it per
+    tile or per wave.
     """
 
     op: str
@@ -155,6 +167,11 @@ class GroupKey:
     it reads; ``cycles_per_row`` charges the dpCore for the lookup
     arithmetic. Computed keys cannot drive the DMS hardware
     partitioner, so they are limited to the low-NDV strategy.
+
+    ``fn`` must be row-wise (see :class:`AggSpec`) and return an
+    integer array: ``dpu_groupby`` and ``xeon_groupby`` raise
+    ``ValueError`` naming a key of any other dtype before anything
+    runs, as they do for a key column that is not an integer type.
     """
 
     fn: Callable[[Columns], np.ndarray]
@@ -168,7 +185,10 @@ class RowFilter:
     """A row mask over streamed columns, with its dpCore/x86 costs.
 
     Wraps either a scan :class:`Predicate` or an arbitrary function
-    (e.g. a semijoin bitmap probe).
+    (e.g. a semijoin bitmap probe). ``mask_fn`` must be row-wise (see
+    :class:`AggSpec`) and return a boolean array: the low-NDV group-by
+    evaluates it once over a launch's rows, the other paths per tile
+    or wave.
     """
 
     mask_fn: Callable[[Columns], np.ndarray]
@@ -301,6 +321,19 @@ def _needed_columns(
     return names
 
 
+def _check_integer_key(key, key_values: np.ndarray) -> None:
+    """Group keys are integers (SQL keys are dictionary codes): with a
+    float key, NaN would be one group per tile on one path and a single
+    group on another."""
+    key_values = np.asarray(key_values)
+    if key_values.dtype.kind not in "iu":
+        name = key.name if isinstance(key, GroupKey) else key
+        raise ValueError(
+            f"group key {name!r} is {key_values.dtype}, not an integer "
+            "type; encode it as integer codes first"
+        )
+
+
 def _tile_update(
     groups: GroupTable,
     columns: Columns,
@@ -388,6 +421,7 @@ def dpu_groupby(
         key_values = key.fn(host_columns)
     else:
         key_values = dtable.table.column(key)
+    _check_integer_key(key, key_values)
     ndv = int(ndv_hint) if ndv_hint is not None else len(np.unique(key_values))
     record_bytes = 8 + 8 * len(aggs)
     plan = plan_partitioning(ndv, record_bytes, budget)
@@ -439,49 +473,234 @@ def dpu_groupby(
 # -- strategy 1: low NDV --------------------------------------------------
 
 
+class DeliveryMismatchError(RuntimeError):
+    """A low-NDV group-by launch's DMS delivered bytes that differ from
+    the stored column its bulk pass aggregated.
+
+    ``column`` names the column, ``core`` the core whose stream
+    delivered the row, ``row`` the table row; ``stored`` and
+    ``delivered`` are that row's bytes.
+    """
+
+    def __init__(self, column: str, core: int, row: int, stored: bytes,
+                 delivered: bytes) -> None:
+        self.column = column
+        self.core = core
+        self.row = row
+        self.stored = stored
+        self.delivered = delivered
+        super().__init__(
+            f"column {column!r} row {row} reached core {core} as "
+            f"{delivered.hex()}, stored as {stored.hex()}"
+        )
+
+
+# Each op's empty cell: what a tile without the group adds to a fold.
+_EMPTY_CELL = {"sum": 0.0, "min": np.inf, "max": -np.inf}
+
+
+def _fold(parts: np.ndarray, op: str) -> np.ndarray:
+    """Fold ``parts`` along its first axis, in order, from the op's
+    empty cell, with the slot arithmetic of :func:`_update_groups` and
+    :func:`merge_groups`: ``a + b`` for sums, and Python's ``min(a, b)``
+    / ``max(a, b)``, which keep ``a`` unless ``b`` is smaller / larger
+    (so a NaN ``b`` never replaces ``a``)."""
+    acc = np.full(parts.shape[1:], _EMPTY_CELL[op])
+    with np.errstate(invalid="ignore", over="ignore"):  # as Python floats
+        for part in parts:
+            if op == "min":
+                acc = np.where(part < acc, part, acc)
+            elif op == "max":
+                acc = np.where(part > acc, part, acc)
+            else:
+                acc = acc + part
+    return acc
+
+
+class _LowNdvPass:
+    """The functional half of one low-NDV launch, done once, in bulk.
+
+    It reads the needed columns as stored in DDR, cuts their rows into
+    the (core, tile) segments the launch's streams use, and evaluates
+    the row filter, the group key and the aggregate inputs over all
+    selected rows at once. Every aggregate then takes one ``bincount``
+    (or ``minimum.at`` / ``maximum.at``) over (core, tile, group)
+    cells: each cell holds exactly what the per-tile update made of
+    that tile's rows of that group. Folding the cells tile by tile
+    gives each core's partial table, and folding the partials in the
+    order they reached core 0 gives the merged table, with the merge
+    operator's arithmetic, key order and slot types
+    (docs/PERFORMANCE.md, "One functional pass per low-NDV launch").
+
+    This is exact only for row-wise filters, keys and aggregate
+    expressions (see :class:`RowFilter`), over columns the launch does
+    not write. The kernel copies every tile the DMS delivers into
+    ``captures``, and :meth:`check` proves they equal the stored bytes.
+    """
+
+    def __init__(self, dpu, refs, names, rows, cores, tile_rows, key, aggs,
+                 row_filter) -> None:
+        self.names = names
+        self.cores = cores
+        self.aggs = aggs
+        count = len(cores)
+        self.bounds = [static_partition(rows, count, index)
+                       for index in range(count)]
+        self.stored = [
+            dpu.ddr.read(addr, rows * ref_width(spec)).view(ref_dtype(spec))
+            for addr, spec in refs
+        ]
+        self.captures = [np.empty_like(values) for values in self.stored]
+
+        # Each row's (core, tile) segment, numbered core by core.
+        sizes = np.array([hi - lo for lo, hi in self.bounds], dtype=np.int64)
+        tiles = int(-(-sizes.max() // tile_rows))
+        starts = np.array([lo for lo, _hi in self.bounds], dtype=np.int64)
+        owner = np.repeat(np.arange(count, dtype=np.int64), sizes)
+        segment = (owner * tiles
+                   + (np.arange(rows, dtype=np.int64) - starts[owner])
+                   // tile_rows)
+
+        columns = dict(zip(names, self.stored))
+        if row_filter is not None:
+            mask = row_filter.mask_fn(columns)
+            columns = {name: values[mask] for name, values in columns.items()}
+            segment = segment[mask]
+        keys = key.fn(columns) if isinstance(key, GroupKey) else columns[key]
+        self.keys, inverse = np.unique(keys, return_inverse=True)
+        groups = len(self.keys)
+        cells = segment * groups + inverse
+        shape = (count, tiles, groups)
+        size = count * tiles * groups
+        counts = np.bincount(cells, minlength=size).reshape(shape)
+        self.selected = counts.sum(axis=2).tolist()
+        self.occupied = counts > 0
+        self.group_counts = self.occupied.any(axis=1).sum(axis=1).tolist()
+
+        # Each core's partial slots, folded tile by tile.
+        self.partials: List[np.ndarray] = []
+        for agg in aggs:
+            if agg.op == "count":
+                self.partials.append(counts.sum(axis=1))
+                continue
+            values = agg.values(columns)
+            if agg.op == "sum":
+                cell_values = np.bincount(
+                    cells, weights=values.astype(np.float64), minlength=size
+                )
+            else:
+                cell_values = np.full(size, _EMPTY_CELL[agg.op])
+                ufunc = np.minimum if agg.op == "min" else np.maximum
+                ufunc.at(cell_values, cells, values)
+            self.partials.append(
+                _fold(np.moveaxis(cell_values.reshape(shape), 1, 0), agg.op)
+            )
+
+    def check(self) -> None:
+        """Raise :class:`DeliveryMismatchError` at the first row whose
+        delivered bytes differ from the stored ones."""
+        for name, stored, captured in zip(self.names, self.stored,
+                                          self.captures):
+            expected = stored.view(np.uint8)
+            delivered = captured.view(np.uint8)
+            if np.array_equal(expected, delivered):
+                continue
+            width = stored.itemsize
+            row = int(np.flatnonzero(expected != delivered)[0]) // width
+            index = next(index for index, (lo, hi) in enumerate(self.bounds)
+                         if lo <= row < hi)
+            raise DeliveryMismatchError(
+                name, self.cores[index], row,
+                stored[row:row + 1].tobytes(),
+                captured[row:row + 1].tobytes(),
+            )
+
+    def merge(self, arrivals: List[int]) -> GroupTable:
+        """Fold the partials in the order they reached core 0 (the
+        launch's core indexes, core 0's own first)."""
+        count, tiles, groups = self.occupied.shape
+        position = np.empty(count, dtype=np.int64)
+        position[arrivals] = np.arange(count)
+        # A group's place is the first (arrival, tile) cell it occupies;
+        # groups first met in one tile keep key order, as each tile's
+        # keys are sorted.
+        cell = (position[:, None] * tiles
+                + np.arange(tiles, dtype=np.int64)).reshape(-1, 1)
+        first = np.where(self.occupied.reshape(count * tiles, groups), cell,
+                         count * tiles).min(axis=0, initial=count * tiles)
+        order = np.argsort(first, kind="stable")
+        slots = []
+        for agg, partial in zip(self.aggs, self.partials):
+            if agg.op == "count":
+                merged = partial.sum(axis=0)
+            else:
+                merged = _fold(partial[arrivals], agg.op)
+            slots.append(merged[order].tolist())
+        keys = self.keys[order].tolist()
+        if not slots:
+            return {key: [] for key in keys}
+        return {key: list(row) for key, row in zip(keys, zip(*slots))}
+
+
 def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
                      broadcasts=()):
+    """Each core of the launch streams its static share of rows
+    through the DMS and mails its index to core 0, which pays the
+    merge of each partial as it arrives and returns the arrival order.
+    The values come from one bulk pass (:class:`_LowNdvPass`) built on
+    the launch's first kernel step and checked against every byte the
+    streams delivered."""
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
     rows = dtable.num_rows
-    cores = list(dpu.config.core_ids)
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
     # Broadcasts live at the top of DMEM, above the stream tiles.
     top = dpu.config.dmem_size - _broadcast_bytes(broadcasts)
+    bulk: Optional[_LowNdvPass] = None
 
     def kernel(ctx):
-        lo, hi = static_partition(rows, len(cores), ctx.core_id)
-        groups: GroupTable = {}
+        nonlocal bulk
+        cores = ctx.cores
+        if bulk is None:
+            bulk = _LowNdvPass(dpu, refs, names, rows, cores, tile_rows, key,
+                               aggs, row_filter)
+        index = cores.index(ctx.core_id)
+        lo, hi = bulk.bounds[index]
         if lo < hi:
             if broadcasts:
                 yield from _load_broadcasts(ctx, broadcasts, top)
             shifted = [
                 (addr + lo * ref_width(spec), spec) for addr, spec in refs
             ]
+            captures = bulk.captures
+            selected = bulk.selected[index]
 
             def process(tile, tlo, thi, arrays):
-                columns = dict(zip(names, arrays))
-                selected = _tile_update(groups, columns, key, aggs, row_filter)
-                return (thi - tlo) * filter_cycles + selected * agg_cycles
+                for captured, values in zip(captures, arrays):
+                    captured[lo + tlo:lo + thi] = values
+                return (thi - tlo) * filter_cycles + selected[tile] * agg_cycles
 
             yield from stream_columns(
                 ctx, shifted, hi - lo, tile_rows, process, dmem_base=0
             )
-        # Merge at core 0: everyone ships its partial table.
+        # Merge at core 0: every other core mails its index, and core 0
+        # pays for merging that core's partial table.
         if ctx.core_id != cores[0]:
-            yield from ctx.mbox_send(cores[0], groups)
+            yield from ctx.mbox_send(cores[0], index)
             return None
-        merged = groups
+        arrivals = [index]
+        group_counts = bulk.group_counts
         for _ in range(len(cores) - 1):
-            _src, payload_groups = yield from ctx.mbox_receive()
-            merged = merge_groups([merged, payload_groups], aggs)
-            yield from ctx.compute(MERGE_CYCLES_PER_GROUP * len(payload_groups))
-        return merged
+            _src, sender = yield from ctx.mbox_receive()
+            arrivals.append(sender)
+            yield from ctx.compute(MERGE_CYCLES_PER_GROUP * group_counts[sender])
+        return arrivals
 
-    launch = dpu.launch(kernel, cores=cores)
-    merged = launch.values[0]
+    launch = dpu.launch(kernel)
+    bulk.check()
+    merged = bulk.merge(launch.values[0])
     nbytes = dtable.nbytes(names)
     return merged, launch.cycles, nbytes
 
@@ -757,6 +976,7 @@ def xeon_groupby(
         key_values = key.fn({name: table.column(name) for name in key.columns})
     else:
         key_values = table.column(key)
+    _check_integer_key(key, key_values)
     ndv = int(ndv_hint) if ndv_hint is not None else len(np.unique(key_values))
     record_bytes = 8 + 8 * len(aggs)
     plan = plan_partitioning(ndv, record_bytes, budget)

@@ -215,8 +215,11 @@ class DPU:
 
     # -- kernel launch ----------------------------------------------------------
 
-    def context(self, core_id: int) -> "CoreContext":
-        return CoreContext(self, core_id)
+    def context(self, core_id: int,
+                cores: Optional[Sequence[int]] = None) -> "CoreContext":
+        """``core_id``'s context; ``cores`` is the launch's core list
+        (every core when ``None``)."""
+        return CoreContext(self, core_id, cores)
 
     def _core_list(self, cores: Optional[Iterable[int]]) -> List[int]:
         """The cores one launch runs on: every core by default. A core
@@ -292,19 +295,7 @@ class DPU:
             # Re-arm the periodic sampler (it goes dormant when the
             # engine queue holds nothing but sampler ticks).
             metrics.touch()
-        processes = []
-        for core_id in core_list:
-            context = self.context(core_id)
-            kernel_args = (
-                per_core_args[core_id]
-                if per_core_args is not None and core_id in per_core_args
-                else args
-            )
-            processes.append(
-                self.engine.process(
-                    kernel(context, *kernel_args), name=f"core{core_id}"
-                )
-            )
+        processes = self.spawn_kernels(kernel, args, core_list, per_core_args)
         gate = self.engine.all_of(processes)
         values = self.engine.run_until_complete(gate, limit=limit_cycles)
         if metrics.enabled:
@@ -382,12 +373,14 @@ class DPU:
 
         For multi-DPU simulations sharing one engine: spawn kernels on
         every DPU first, then run the engine once (e.g. via
-        ``engine.run_until_complete(engine.all_of(processes))``).
+        ``engine.run_until_complete(engine.all_of(processes))``). Each
+        kernel's ``ctx.cores`` is the tuple of cores it was started on.
         """
         core_list = self._core_list(cores)
+        launch_cores = tuple(core_list)
         processes = []
         for core_id in core_list:
-            context = self.context(core_id)
+            context = self.context(core_id, launch_cores)
             kernel_args = (
                 per_core_args[core_id]
                 if per_core_args is not None and core_id in per_core_args
@@ -571,13 +564,22 @@ class DPU:
 
 
 class CoreContext:
-    """Software's view of one dpCore (the runtime utility layer)."""
+    """Software's view of one dpCore (the runtime utility layer).
 
-    def __init__(self, dpu: DPU, core_id: int) -> None:
+    ``cores`` is the tuple of cores the kernel's launch runs on, in
+    launch order: every core by default, fewer when the launch names
+    them or an admission controller degrades its fanout. A kernel that
+    splits work across its launch reads it instead of the DPU's
+    ``core_ids``.
+    """
+
+    def __init__(self, dpu: DPU, core_id: int,
+                 cores: Optional[Sequence[int]] = None) -> None:
         if core_id not in dpu.scratchpads:
             raise SimulationError(f"no such core {core_id}")
         self.dpu = dpu
         self.core_id = core_id
+        self.cores = dpu.config.core_ids if cores is None else tuple(cores)
         self.engine = dpu.engine
         self.config = dpu.config
         self._unit = f"core{core_id}"

@@ -238,6 +238,32 @@ class TestDpuLaunchGate:
         assert launch.values == [0, 1]  # half the requested cores
         controller.release()
 
+    def test_degraded_low_ndv_groupby_equals_ungated(self):
+        """A degraded launch runs on half the cores; the low-NDV
+        group-by splits its rows and counts its partials over the
+        launch's cores (``ctx.cores``), not the DPU's 32."""
+        rng = np.random.default_rng(0)
+        table = Table("t", {
+            "g": rng.integers(0, 4, 4000).astype(np.int32),
+            "v": rng.integers(0, 100, 4000).astype(np.int32),
+        })
+        aggs = [AggSpec("sum", "v"), AggSpec("count")]
+        ungated = DPU()
+        expected = dpu_groupby(ungated, table.to_dpu(ungated), "g", aggs)
+        dpu = DPU()
+        controller = AdmissionController(dpu.engine, max_concurrent=1,
+                                         rate_per_kcycle=0.001,
+                                         policy="degrade")
+        dpu.set_admission(controller)
+        dtable = table.to_dpu(dpu)
+        first = dpu_groupby(dpu, dtable, "g", aggs)  # takes the one token
+        second = dpu_groupby(dpu, dtable, "g", aggs)  # runs on 16 cores
+        assert controller.counters.get("degraded") == 1
+        assert first.value == expected.value
+        assert second.value == expected.value
+        assert first.cycles == expected.cycles
+        assert second.cycles != expected.cycles
+
     def test_spawn_job_runs_gated_jobs_concurrently(self):
         dpu = DPU()
         controller = AdmissionController(dpu.engine, max_concurrent=2,

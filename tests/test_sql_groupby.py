@@ -317,6 +317,39 @@ class TestMergeAndXeon:
         assert 4.0 < low_gain < 9.0  # around the paper's 6.7x
 
 
+class TestIntegerKeys:
+    """Group keys are integers; a float key (where NaN would be a
+    group per tile on the DPU and one group on the Xeon) is refused by
+    name before anything runs."""
+
+    @staticmethod
+    def _table():
+        rng = np.random.default_rng(9)
+        keys = np.where(rng.random(4000) < 0.5, 1.0, np.nan)
+        return Table("t", {"g": keys, "v": np.ones(4000, dtype=np.int32)})
+
+    def test_float_key_is_refused(self):
+        table = self._table()
+        dpu = DPU()
+        dtable = table.to_dpu(dpu)
+        with pytest.raises(ValueError, match="group key 'g' is float64"):
+            dpu_groupby(dpu, dtable, "g", [AggSpec("count")], tile_rows=64)
+        assert dpu.engine.now == 0
+        with pytest.raises(ValueError, match="group key 'g' is float64"):
+            xeon_groupby(XeonModel(), table, "g", [AggSpec("count")])
+
+    def test_float_computed_key_is_refused(self):
+        table = self._table()
+        key = GroupKey(fn=lambda c: c["g"] * 2, columns=("g",), name="twice")
+        dpu = DPU()
+        dtable = table.to_dpu(dpu)
+        with pytest.raises(ValueError, match="group key 'twice'"):
+            dpu_groupby(dpu, dtable, key, [AggSpec("count")])
+        assert dpu.engine.now == 0
+        with pytest.raises(ValueError, match="group key 'twice'"):
+            xeon_groupby(XeonModel(), table, key, [AggSpec("count")])
+
+
 class TestWideRecords:
     """The hardware partitioner sizes chunks to whole records per CMEM
     bank, so records wider than 128 B partition, and one wider than a
