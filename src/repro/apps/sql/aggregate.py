@@ -54,7 +54,8 @@ from ...runtime.task import static_partition
 from ...obs import traced_op
 from ..streaming import (
     StagedWrites,
-    load,
+    broadcast_loads,
+    load_shared,
     parse_records,
     partition_chunk_rows,
     partition_columns,
@@ -355,18 +356,15 @@ def _agg_cycles(aggs: List[AggSpec]) -> float:
     return AGG_CYCLES_PER_ROW + sum(agg.expr_cycles_per_row for agg in aggs)
 
 
-_BROADCAST_EVENT = 12
-
-
-def _load_broadcasts(ctx, broadcasts, dmem_offset: int):
-    """DMS-load each broadcast table into this core's DMEM once, in
-    pieces of at most 8 KB."""
-    for broadcast in broadcasts:
-        for start in range(0, broadcast.nbytes, 8192):
-            piece = min(8192, broadcast.nbytes - start)
-            yield from load(ctx, broadcast.addr + start, dmem_offset + start,
-                            piece, 1, _BROADCAST_EVENT)
-        dmem_offset += broadcast.nbytes
+def _broadcast_loads(broadcasts, dmem_offset: int):
+    """The descriptors that DMS-load each broadcast table into a core's
+    DMEM at ``dmem_offset``, in pieces of at most 8 KB: built once per
+    launch, pushed by each of its cores with
+    :func:`~repro.apps.streaming.load_shared`."""
+    return broadcast_loads(
+        [(broadcast.addr, broadcast.nbytes) for broadcast in broadcasts],
+        dmem_offset,
+    )
 
 
 def _broadcast_bytes(broadcasts) -> int:
@@ -504,16 +502,26 @@ def _fold(parts: np.ndarray, op: str) -> np.ndarray:
     empty cell, with the slot arithmetic of :func:`_update_groups` and
     :func:`merge_groups`: ``a + b`` for sums, and Python's ``min(a, b)``
     / ``max(a, b)``, which keep ``a`` unless ``b`` is smaller / larger
-    (so a NaN ``b`` never replaces ``a``)."""
-    acc = np.full(parts.shape[1:], _EMPTY_CELL[op])
+    (so a NaN ``b`` never replaces ``a``).
+
+    A sum is one ``np.add.accumulate`` over the parts with a 0.0 row
+    placed first. An accumulation is sequential by definition (each
+    output adds one part to the output before it), so it repeats
+    ``acc = acc + part`` from 0.0 bit for bit. The 0.0 row matters: a
+    lone -0.0 part folds to 0.0, where ``np.add.reduce``, which starts
+    from the first part, would keep -0.0."""
     with np.errstate(invalid="ignore", over="ignore"):  # as Python floats
+        if op == "sum":
+            rows = np.empty((len(parts) + 1,) + parts.shape[1:])
+            rows[0] = 0.0
+            rows[1:] = parts
+            return np.add.accumulate(rows, axis=0, out=rows)[-1]
+        acc = np.full(parts.shape[1:], _EMPTY_CELL[op])
         for part in parts:
             if op == "min":
                 acc = np.where(part < acc, part, acc)
-            elif op == "max":
-                acc = np.where(part > acc, part, acc)
             else:
-                acc = acc + part
+                acc = np.where(part > acc, part, acc)
     return acc
 
 
@@ -538,8 +546,8 @@ class _LowNdvPass:
     ``captures``, and :meth:`check` proves they equal the stored bytes.
     """
 
-    def __init__(self, dpu, refs, names, rows, cores, tile_rows, key, aggs,
-                 row_filter) -> None:
+    def __init__(self, dpu, refs, dtypes, names, rows, cores, tile_rows,
+                 key, aggs, row_filter) -> None:
         self.names = names
         self.cores = cores
         self.aggs = aggs
@@ -547,8 +555,8 @@ class _LowNdvPass:
         self.bounds = [static_partition(rows, count, index)
                        for index in range(count)]
         self.stored = [
-            dpu.ddr.read(addr, rows * ref_width(spec)).view(ref_dtype(spec))
-            for addr, spec in refs
+            dpu.ddr.read(addr, rows * dtype.itemsize).view(dtype)
+            for (addr, _spec), dtype in zip(refs, dtypes)
         ]
         self.captures = [np.empty_like(values) for values in self.stored]
 
@@ -649,31 +657,39 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
     merge of each partial as it arrives and returns the arrival order.
     The values come from one bulk pass (:class:`_LowNdvPass`) built on
     the launch's first kernel step and checked against every byte the
-    streams delivered."""
+    streams delivered. What the cores share is built once per launch:
+    the column dtypes, each core's column bases and the broadcast
+    loads."""
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
+    dtypes = [ref_dtype(spec) for _addr, spec in refs]
     rows = dtable.num_rows
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
     # Broadcasts live at the top of DMEM, above the stream tiles.
-    top = dpu.config.dmem_size - _broadcast_bytes(broadcasts)
+    loads = _broadcast_loads(
+        broadcasts, dpu.config.dmem_size - _broadcast_bytes(broadcasts))
     bulk: Optional[_LowNdvPass] = None
+    core_refs: List[List[Tuple[int, object]]] = []
 
     def kernel(ctx):
-        nonlocal bulk
+        nonlocal bulk, core_refs
         cores = ctx.cores
         if bulk is None:
-            bulk = _LowNdvPass(dpu, refs, names, rows, cores, tile_rows, key,
-                               aggs, row_filter)
+            bulk = _LowNdvPass(dpu, refs, dtypes, names, rows, cores,
+                               tile_rows, key, aggs, row_filter)
+            # Each core's columns from its first row on.
+            core_refs = [
+                [(addr + lo * dtype.itemsize, spec)
+                 for (addr, spec), dtype in zip(refs, dtypes)]
+                for lo, _hi in bulk.bounds
+            ]
         index = cores.index(ctx.core_id)
         lo, hi = bulk.bounds[index]
         if lo < hi:
-            if broadcasts:
-                yield from _load_broadcasts(ctx, broadcasts, top)
-            shifted = [
-                (addr + lo * ref_width(spec), spec) for addr, spec in refs
-            ]
+            if loads:
+                yield from load_shared(ctx, loads)
             captures = bulk.captures
             selected = bulk.selected[index]
 
@@ -683,7 +699,7 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
                 return (thi - tlo) * filter_cycles + selected[tile] * agg_cycles
 
             yield from stream_columns(
-                ctx, shifted, hi - lo, tile_rows, process, dmem_base=0
+                ctx, core_refs[index], hi - lo, tile_rows, process, dmem_base=0
             )
         # Merge at core 0: every other core mails its index, and core 0
         # pays for merging that core's partial table.
@@ -738,10 +754,12 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
         count_offset=31 * 1024,
     )
 
+    loads = _broadcast_loads(broadcasts, buffer_capacity)
+
     def kernel(ctx):
         groups: GroupTable = {}
-        if broadcasts:
-            yield from _load_broadcasts(ctx, broadcasts, buffer_capacity)
+        if loads:
+            yield from load_shared(ctx, loads)
 
         def aggregate(count):
             raw = ctx.dmem.view(0, count * width, np.uint8)

@@ -28,8 +28,14 @@ from ...core.bitvector import pack_bits, unpack_bits
 from ...core.dpu import DPU
 from ...obs import traced_op
 from ...runtime.task import static_partition
-from ..streaming import StagedWrites, ref_width, stream_columns, stream_tile_rows
-from .aggregate import Broadcast, RowFilter, _as_row_filter, _load_broadcasts
+from ..streaming import (
+    StagedWrites,
+    load_shared,
+    ref_width,
+    stream_columns,
+    stream_tile_rows,
+)
+from .aggregate import Broadcast, RowFilter, _as_row_filter, _broadcast_loads
 from .engine import DpuOpResult, XeonOpResult
 from .expr import Predicate
 from .table import DpuTable, Table
@@ -73,24 +79,21 @@ def _streamed_scan(
     max_out_tile = (_OUT_STAGING[1] // out_width) * rows_per_out_unit
     tile_rows = max(rows_per_out_unit, min(tile_rows, max_out_tile))
 
-    # Cores own disjoint ranges aligned to the output unit so output
-    # words never straddle cores.
+    # The launch's cores own disjoint ranges aligned to the output unit
+    # so output words never straddle cores.
     num_units = -(-rows // rows_per_out_unit)
-    unit_ranges = {
-        core: static_partition(num_units, len(core_list), index)
-        for index, core in enumerate(core_list)
-    }
+    loads = _broadcast_loads(broadcasts, dpu.config.dmem_size - bcast_bytes)
 
     def kernel(ctx):
-        unit_lo, unit_hi = unit_ranges[ctx.core_id]
+        cores = ctx.cores
+        unit_lo, unit_hi = static_partition(
+            num_units, len(cores), cores.index(ctx.core_id))
         row_lo = unit_lo * rows_per_out_unit
         row_hi = min(rows, unit_hi * rows_per_out_unit)
         if row_lo >= row_hi:
             return 0
-        if broadcasts:
-            yield from _load_broadcasts(
-                ctx, broadcasts, ctx.dmem.size - bcast_bytes
-            )
+        if loads:
+            yield from load_shared(ctx, loads)
         out = StagedWrites(ctx, _OUT_STAGING, events=(4, 5))
         shifted = [
             (addr + row_lo * ref_width(spec), spec) for addr, spec in refs

@@ -42,10 +42,10 @@ def dpu_topk(
         raise ValueError(f"k must be positive: {k}")
     rows = dtable.num_rows
     ref = dtable.column_ref(column)
-    cores = list(dpu.config.core_ids)
 
     def kernel(ctx):
-        lo, hi = static_partition(rows, len(cores), ctx.core_id)
+        cores = ctx.cores
+        lo, hi = static_partition(rows, len(cores), cores.index(ctx.core_id))
         heap: List[Tuple[float, int]] = []  # (value, row_id) min-heap
         if lo < hi:
             width = ref_width(ref[1])
@@ -97,7 +97,7 @@ def dpu_topk(
         merged.sort(reverse=True)
         return merged[:k]
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = dpu.launch(kernel)
     top = launch.values[0]
     return DpuOpResult(
         value=top,

@@ -6,9 +6,12 @@ on it with ``wfe``.
 * ``load`` / ``store`` — one blocking copy (the UPMEM SDK's
   ``mram_read`` / ``mram_write``): a ``DDR_TO_DMEM`` on channel 0 or a
   ``DMEM_TO_DDR`` on the caller's channel, then wait and clear. Event
-  ids: broadcast loads 12; sort spill 6 (channel 1); exchange drain 13
-  (channel 0); disparity loads 0 and stores 1 (channel 1); the SVM
-  slice load and the naive similarity-search fetch 0.
+  ids: sort spill 6 (channel 1); exchange drain 13 (channel 0);
+  disparity loads 0 and stores 1 (channel 1); the SVM slice load and
+  the naive similarity-search fetch 0. Broadcast tables load through
+  ``load_shared``, the same copy over descriptors a launch builds
+  once with ``broadcast_loads`` (8 KB pieces notifying event 12,
+  ``BROADCAST_EVENT``) and all its cores push.
 * ``stream_columns`` — the double-buffered stream: two DMEM buffers
   per input column, one refilling while the dpCore consumes the other
   (reads notify events 0 and 1 on channel 0; ``writeback`` streams the
@@ -33,6 +36,7 @@ on it with ``wfe``.
 from __future__ import annotations
 
 from collections import deque
+from functools import lru_cache
 from itertools import cycle
 from typing import Callable, List, Optional, Sequence, Tuple
 
@@ -48,7 +52,8 @@ from ..dms.descriptor import (
 from ..dms.partition import PartitionLayout, compute_cids
 
 __all__ = [
-    "load", "store", "stream_columns", "stream_tile_rows", "StagedWrites",
+    "load", "store", "broadcast_loads", "load_shared", "BROADCAST_EVENT",
+    "stream_columns", "stream_tile_rows", "StagedWrites",
     "partition_columns", "partition_chunk_rows", "parse_records",
     "record_width", "ColumnRef", "WIDTH_DTYPE", "ref_dtype", "ref_width",
 ]
@@ -95,6 +100,42 @@ def store(ctx: CoreContext, dmem_addr: int, ddr_addr: int, rows: int,
     ctx.clear_event(event)
 
 
+# The notify event of every broadcast-table load.
+BROADCAST_EVENT = 12
+
+
+def broadcast_loads(tables: Sequence[Tuple[int, int]],
+                    dmem_offset: int) -> Tuple[Descriptor, ...]:
+    """The loads that copy each ``(ddr_addr, nbytes)`` table into DMEM,
+    back to back from ``dmem_offset``, in pieces of at most 8 KB: one
+    ``DDR_TO_DMEM`` of 1-byte rows per piece, notifying
+    ``BROADCAST_EVENT``. A launch builds them once; every core pushes
+    the same ones with :func:`load_shared`."""
+    loads = []
+    for ddr_addr, nbytes in tables:
+        for start in range(0, nbytes, 8192):
+            loads.append(Descriptor(
+                dtype=DescriptorType.DDR_TO_DMEM,
+                rows=min(8192, nbytes - start), col_width=1,
+                ddr_addr=ddr_addr + start, dmem_addr=dmem_offset + start,
+                notify_event=BROADCAST_EVENT,
+            ))
+        dmem_offset += nbytes
+    return tuple(loads)
+
+
+def load_shared(ctx: CoreContext, loads: Sequence[Descriptor]):
+    """:func:`load` over descriptors built once: push each on channel
+    0, wait for its notify event and clear it, one at a time. The DMS
+    never changes a pushed descriptor, so the cores of a launch can
+    all push the same ones."""
+    for descriptor in loads:
+        ctx.push(descriptor)
+        event = descriptor.notify_event
+        yield from ctx.wfe(event)
+        ctx.clear_event(event)
+
+
 _READ_EVENTS = (0, 1)
 _WRITE_EVENTS = (2, 3)
 _DDR_TO_DMEM = DescriptorType.DDR_TO_DMEM
@@ -118,6 +159,33 @@ def stream_tile_rows(tile_rows: int, row_bytes: int, room: int) -> int:
             f"{max(room, 0)} B"
         )
     return min(tile_rows, fit)
+
+
+@lru_cache(maxsize=1024)
+def _stream_layout(specs: Tuple, tile_rows: int, dmem_base: int):
+    """The DMEM layout of a double-buffered stream of columns of
+    ``specs``: ``[buf0: col0 col1 ...][buf1: col0 col1 ...]`` from
+    ``dmem_base``. Returns the bytes of one buffer set and, per buffer,
+    each column's ``(width, DMEM offset, tile bytes, dtype, notify
+    event)``; the last column's read notifies the buffer's event.
+
+    It is a function of its arguments alone (no scratchpad, no view),
+    so every core of every launch streaming the same column types
+    shares one."""
+    dtypes = [ref_dtype(spec) for spec in specs]
+    tile_bytes = [tile_rows * dtype.itemsize for dtype in dtypes]
+    set_bytes = sum(tile_bytes)
+    last_col = len(specs) - 1
+    buffers = []
+    for buf in (0, 1):
+        cursor = dmem_base + buf * set_bytes
+        columns = []
+        for col, (dtype, nbytes) in enumerate(zip(dtypes, tile_bytes)):
+            columns.append((dtype.itemsize, cursor, nbytes, dtype,
+                            _READ_EVENTS[buf] if col == last_col else None))
+            cursor += nbytes
+        buffers.append(tuple(columns))
+    return set_bytes, tuple(buffers)
 
 
 def stream_columns(
@@ -148,38 +216,28 @@ def stream_columns(
     if tile_rows <= 0:
         raise ValueError(f"tile_rows must be positive: {tile_rows}")
     num_tiles = -(-rows // tile_rows)
-    dtypes = [ref_dtype(spec) for _addr, spec in columns]
-    widths = [dtype.itemsize for dtype in dtypes]
-    tile_bytes = [tile_rows * width for width in widths]
-    # DMEM layout: [buf0: col0 col1 ...][buf1: col0 col1 ...]
-    set_bytes = sum(tile_bytes)
+    set_bytes, buffers = _stream_layout(
+        tuple([spec for _addr, spec in columns]), tile_rows, dmem_base)
+    # Both buffers count against DMEM, even when one tile fills only
+    # the first.
     if dmem_base + 2 * set_bytes > ctx.dmem.size:
         raise ValueError(
             f"streaming needs {2 * set_bytes} B of DMEM at {dmem_base}, "
             f"have {ctx.dmem.size}"
         )
-    # DMEM offset of each column's buffer in each buffer set, and a
-    # view of each buffer as a full tile of its column's type.
-    offsets: List[List[int]] = [[], []]
-    cursor = 0
-    for nbytes in tile_bytes:
-        for buf in (0, 1):
-            offsets[buf].append(dmem_base + buf * set_bytes + cursor)
-        cursor += nbytes
-    views = [
-        [ctx.dmem.view(offset, nbytes, dtype)
-         for offset, nbytes, dtype in zip(offsets[buf], tile_bytes, dtypes)]
-        for buf in (0, 1)
-    ]
-    # Per buffer, each column's read: DDR base, width, DMEM address and
-    # notify event (the last column's read notifies the buffer's event).
-    last_col = len(columns) - 1
-    reads = [
-        [(addr, widths[col], offsets[buf][col],
-          _READ_EVENTS[buf] if col == last_col else None)
-         for col, (addr, _spec) in enumerate(columns)]
-        for buf in (0, 1)
-    ]
+    # Per buffer filled, each column's read (DDR base, width, DMEM
+    # address, notify event) and a view of its DMEM as a full tile.
+    view = ctx.dmem.view
+    reads = []
+    views = []
+    for layout in buffers[:2 if num_tiles > 1 else 1]:
+        reads.append([
+            (addr, width, offset, notify)
+            for (addr, _spec), (width, offset, _nbytes, _dtype, notify)
+            in zip(columns, layout)
+        ])
+        views.append([view(offset, nbytes, dtype)
+                      for _width, offset, nbytes, dtype, _notify in layout])
     push = ctx.dmad.push
 
     def issue(tile: int, buf: int) -> None:
@@ -221,7 +279,7 @@ def stream_columns(
             push(Descriptor(dtype=DescriptorType.DMEM_TO_DDR, rows=hi - lo,
                             col_width=out_width,
                             ddr_addr=out_addr + lo * out_width,
-                            dmem_addr=offsets[buf][0],
+                            dmem_addr=buffers[buf][0][1],
                             notify_event=_WRITE_EVENTS[buf]), 1)
         ctx.clear_event(_READ_EVENTS[buf])
         if tile + 2 < num_tiles:

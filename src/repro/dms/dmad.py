@@ -28,6 +28,14 @@ flow-control tails can still wait on it and deadlock reports still
 name a stuck one ``dmad<core>.desc``. A finished run lets go of every
 unit, so a DPU nobody references is freed by reference counting.
 
+**Plain descriptors.** A data descriptor with neither a wait nor a
+notify event has nothing to check before its setup delay, so the
+walker pushes the setup step itself, at the key ``_admit`` would use;
+the step takes a free outstanding slot in place, under
+``Resource.acquire_or_queue``'s rule (never ahead of a queued walker),
+and dispatches the run. Only a walker that found no free slot holds
+its descriptor in ``DmadChannel.held`` until a slot is granted.
+
 **Same-instant hand-offs.** A walker waiting for an outstanding slot
 queues a plain ``(callback, channel)`` on the slot resource, not an
 event. Two hand-offs at the current instant skip the heap when
@@ -256,6 +264,15 @@ class Dmad:
             elif dtype is _HASH_CONFIG or dtype is _RANGE_CONFIG:
                 self.dmac.configure_partition(descriptor)
                 chan.pc += 1
+            elif (descriptor.wait_event is None
+                  and descriptor.notify_event is None):
+                # Nothing to wait for: the setup delay starts now, at
+                # the key ``_admit`` would push it at.
+                engine = self.engine
+                _heappush(engine._queue, (
+                    engine.now + self._setup_cycles, engine._next_seq(),
+                    self._setup_done, chan))
+                return
             else:
                 self._admit(chan, descriptor, _WAIT)
                 return
@@ -303,6 +320,11 @@ class Dmad:
                                   engine._next_seq(), self._setup_done, chan))
 
     def _setup_done(self, chan: DmadChannel) -> None:
+        """The setup delay is over: dispatch the descriptor if an
+        outstanding slot is free, else hold it and queue for one.
+
+        The slot is taken in place under ``acquire_or_queue``'s rule:
+        free only with no walker queued ahead."""
         descriptor = chan.program[chan.pc]
         if descriptor.src_addr_inc or descriptor.dst_addr_inc:
             descriptor = self._resolve_addresses(chan, descriptor)
@@ -311,20 +333,29 @@ class Dmad:
             prep = _NO_PREP
         else:
             prep = self.dmac.prepare(descriptor, self.core_id)
-        chan.held = (descriptor, prep)
-        if self.outstanding.acquire_or_queue(self._issue, chan):
-            self._issue(chan)
+        outstanding = self.outstanding
+        if outstanding.in_use < outstanding.capacity and not outstanding._waiters:
+            outstanding.in_use += 1
+            self._dispatch(chan, descriptor, prep)
+        else:
+            chan.held = (descriptor, prep)
+            outstanding._waiters.append((self._issue, chan))
 
     def _issue(self, chan: DmadChannel) -> None:
-        """Dispatch the descriptor ``chan`` holds, now that it has an
-        outstanding slot, as a run starting now, and walk on.
-
-        Runs when the setup delay ends with a slot free, or when a
-        retiring descriptor hands its slot over. The run's start goes
-        on the heap, unless it is the next entry anyway
-        (``Engine.runs_next``): then it runs here, after the walk."""
+        """A retiring descriptor handed ``chan``'s walker its
+        outstanding slot: dispatch the descriptor it holds."""
         descriptor, prep = chan.held
         chan.held = None
+        self._dispatch(chan, descriptor, prep)
+
+    def _dispatch(self, chan: DmadChannel, descriptor: Descriptor,
+                  prep) -> None:
+        """Dispatch ``descriptor``, which holds an outstanding slot, as
+        a run starting now, and walk on.
+
+        The run's start goes on the heap, unless it is the next entry
+        anyway (``Engine.runs_next``): then it runs here, after the
+        walk."""
         self._inflight += 1
         run = DescriptorRun(self, descriptor, prep)
         if descriptor.notify_event is not None:
@@ -434,7 +465,7 @@ class DescriptorRun(SimEvent):
     stages and its DDR <-> DMEM stages instead take the run as the heap
     argument and fail it themselves (see ``Dmac.first_stage``).
 
-    The DMAD issues a run and starts it (:meth:`Dmad._issue`); the
+    The DMAD issues a run and starts it (:meth:`Dmad._dispatch`); the
     DMAC starts executing at once, unless the fault plan checks
     descriptor CRCs, when :meth:`_fetch` runs first.
 
@@ -479,7 +510,11 @@ class DescriptorRun(SimEvent):
             self._exec_trace = dmad.dmac.trace
             self._exec_began = now
         self._replays = 0
-        engine._register_process(self)
+        # Engine._register_process, in place.
+        engine._processes.append(self)
+        engine._process_room -= 1
+        if not engine._process_room:
+            engine._prune_processes()
         if engine.tracer is not None:
             engine.tracer.process_started(self)
 

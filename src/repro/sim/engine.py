@@ -584,10 +584,14 @@ class Engine:
         self._processes.append(process)
         self._process_room -= 1
         if not self._process_room:
-            alive = self._processes = [
-                p for p in self._processes if p.callbacks is not None
-            ]
-            self._process_room = max(256, 2 * len(alive)) - len(alive)
+            self._prune_processes()
+
+    def _prune_processes(self) -> None:
+        """Drop finished processes once the list has used up its room."""
+        alive = self._processes = [
+            p for p in self._processes if p.callbacks is not None
+        ]
+        self._process_room = max(256, 2 * len(alive)) - len(alive)
 
     def blocked_processes(self) -> List["Process"]:
         """Pending non-daemon processes (for deadlock diagnosis)."""

@@ -10,10 +10,12 @@ no controller attached, timings must be bit-identical to the seed.
 import numpy as np
 import pytest
 
-from repro.apps.sql import Table
-from repro.apps.sql.aggregate import AggSpec, DmemBudget, dpu_groupby
+from repro.apps.sql import Between, Table
+from repro.apps.sql.aggregate import AggSpec, DmemBudget, RowFilter, dpu_groupby
+from repro.apps.sql.filter import dpu_filter, dpu_scan_project
 from repro.apps.sql.join import dpu_partitioned_join_count
 from repro.apps.sql.sort import dpu_sort
+from repro.apps.sql.topk import dpu_topk
 from repro.apps.streaming import stream_columns
 from repro.core.dpu import DPU
 from repro.runtime.admission import (
@@ -238,31 +240,68 @@ class TestDpuLaunchGate:
         assert launch.values == [0, 1]  # half the requested cores
         controller.release()
 
-    def test_degraded_low_ndv_groupby_equals_ungated(self):
-        """A degraded launch runs on half the cores; the low-NDV
-        group-by splits its rows and counts its partials over the
-        launch's cores (``ctx.cores``), not the DPU's 32."""
+    @staticmethod
+    def _ungated_then_degraded(op):
+        """``op(dpu, dtable)`` over one 4,000-row table on an ungated
+        DPU, then twice on a DPU whose ``degrade`` controller holds one
+        token: the first call takes it and the second runs on 16 of the
+        32 cores. Kernels split their rows and count their messages
+        over the launch's cores (``ctx.cores``), not the DPU's."""
         rng = np.random.default_rng(0)
         table = Table("t", {
             "g": rng.integers(0, 4, 4000).astype(np.int32),
             "v": rng.integers(0, 100, 4000).astype(np.int32),
+            "w": rng.permutation(4000).astype(np.int32),
         })
-        aggs = [AggSpec("sum", "v"), AggSpec("count")]
         ungated = DPU()
-        expected = dpu_groupby(ungated, table.to_dpu(ungated), "g", aggs)
+        expected = op(ungated, table.to_dpu(ungated))
         dpu = DPU()
         controller = AdmissionController(dpu.engine, max_concurrent=1,
                                          rate_per_kcycle=0.001,
                                          policy="degrade")
         dpu.set_admission(controller)
         dtable = table.to_dpu(dpu)
-        first = dpu_groupby(dpu, dtable, "g", aggs)  # takes the one token
-        second = dpu_groupby(dpu, dtable, "g", aggs)  # runs on 16 cores
+        first = op(dpu, dtable)  # takes the one token
+        second = op(dpu, dtable)  # runs on 16 cores
         assert controller.counters.get("degraded") == 1
-        assert first.value == expected.value
-        assert second.value == expected.value
         assert first.cycles == expected.cycles
         assert second.cycles != expected.cycles
+        return expected, first, second
+
+    def test_degraded_low_ndv_groupby_equals_ungated(self):
+        aggs = [AggSpec("sum", "v"), AggSpec("count")]
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_groupby(dpu, dtable, "g", aggs))
+        assert first.value == expected.value
+        assert second.value == expected.value
+
+    def test_degraded_filter_equals_ungated(self):
+        predicate = Between("v", 0, 40)
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_filter(dpu, dtable, predicate))
+        assert np.array_equal(first.value, expected.value)
+        assert np.array_equal(second.value, expected.value)
+        assert second.detail["selected"] == 1661
+
+    def test_degraded_scan_project_equals_ungated(self):
+        row_filter = RowFilter.from_predicate(Between("v", 0, 40))
+
+        def project(columns):
+            return columns["v"].astype(np.int64) * 3 + 1
+
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_scan_project(dpu, dtable, row_filter,
+                                                 project, np.int64))
+        assert np.array_equal(first.value, expected.value)
+        assert np.array_equal(second.value, expected.value)
+
+    def test_degraded_topk_equals_ungated(self):
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_topk(dpu, dtable, "w", 10))
+        assert [value for value, _row in expected.value] == [
+            float(3999 - i) for i in range(10)]
+        assert first.value == expected.value
+        assert second.value == expected.value
 
     def test_spawn_job_runs_gated_jobs_concurrently(self):
         dpu = DPU()

@@ -11,8 +11,9 @@ cycles and the same counters.
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from repro.apps.sql import AggSpec, Between, GroupKey, RowFilter, Table
 from repro.apps.sql import dpu_groupby
@@ -21,7 +22,7 @@ from repro.apps.sql.aggregate import (
     _agg_cycles,
     _as_row_filter,
     _broadcast_bytes,
-    _load_broadcasts,
+    _fold,
     _needed_columns,
     _tile_update,
     fit_broadcasts,
@@ -29,10 +30,21 @@ from repro.apps.sql.aggregate import (
 )
 from repro.apps.sql.costs import MERGE_CYCLES_PER_GROUP
 from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
-from repro.apps.streaming import ref_width, stream_columns
+from repro.apps.streaming import BROADCAST_EVENT, load, ref_width, stream_columns
 from repro.core import DPU
 from repro.memory.dmem import Scratchpad
 from repro.runtime.task import static_partition
+
+
+def _load_broadcasts(ctx, broadcasts, dmem_offset):
+    """Each core building its own broadcast loads, as the per-tile
+    kernel did."""
+    for broadcast in broadcasts:
+        for start in range(0, broadcast.nbytes, 8192):
+            piece = min(8192, broadcast.nbytes - start)
+            yield from load(ctx, broadcast.addr + start, dmem_offset + start,
+                            piece, 1, BROADCAST_EVENT)
+        dmem_offset += broadcast.nbytes
 
 
 def _per_tile_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
@@ -239,3 +251,54 @@ class TestDeliveryCheck:
         assert (error.column, error.core, error.row) == ("g", 5, row)
         assert error.stored == columns["g"][row:row + 1].tobytes()
         assert error.delivered != error.stored
+
+
+def _loop_fold(parts, op):
+    """The fold as one ``acc = acc op part`` per part, from the op's
+    empty cell, kept as the reference for ``_fold``."""
+    empty = {"sum": 0.0, "min": np.inf, "max": -np.inf}[op]
+    acc = np.full(parts.shape[1:], empty)
+    with np.errstate(invalid="ignore", over="ignore"):
+        for part in parts:
+            if op == "min":
+                acc = np.where(part < acc, part, acc)
+            elif op == "max":
+                acc = np.where(part > acc, part, acc)
+            else:
+                acc = acc + part
+    return acc
+
+
+# Special values, finite non-integers (whose sums round differently in
+# any other order) and any float at all.
+_FOLD_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324,
+                     2.225073858507201e-308, 1.5, -1e308, 1e308]),
+    st.floats(-1e4, 1e4),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+class TestFold:
+    @settings(max_examples=200, deadline=None)
+    @given(parts=arrays(np.float64,
+                        st.tuples(st.sampled_from([0, 1, 2, 5, 33]),
+                                  st.integers(1, 4)),
+                        elements=_FOLD_VALUES),
+           op=st.sampled_from(["sum", "min", "max"]))
+    @example(parts=np.array([[-0.0]]), op="sum")
+    @example(parts=np.array([[-0.0], [-0.0]]), op="sum")
+    @example(parts=np.zeros((0, 2)), op="sum")
+    @example(parts=np.random.default_rng(1).normal(0.0, 1e3, (33, 1)),
+             op="sum")
+    def test_bits_equal_the_loop(self, parts, op):
+        """Every bit of every cell, -0.0, NaN payloads, infinities and
+        subnormals included, over 0, 1 and many parts. Folding from the
+        first part keeps a lone -0.0; summing in any other order (numpy's
+        pairwise ``np.add.reduce`` over one column) rounds differently."""
+        folded = _fold(parts, op)
+        reference = _loop_fold(parts, op)
+        assert folded.shape == reference.shape
+        assert folded.dtype == reference.dtype
+        assert np.array_equal(folded.view(np.uint64),
+                              reference.view(np.uint64))

@@ -32,6 +32,10 @@ much host wall-clock the simulation itself burns. Three subcommands:
     * ``serve_requests_per_s`` — cached requests served per host
       second by a warmed 4-DPU serving frontend over one seeded
       1,100-request stream, in-process; a rate, higher is better
+    * ``low_ndv_launches_per_s`` — compiled Q1 jobs per host second on
+      ``Cluster(1)`` over a 3,009-row ``lineitem`` shard, one low-NDV
+      group-by launch each, fastest of seven, in-process; a rate,
+      higher is better
 
 ``compare``
     Diff a baseline report against a current one::
@@ -285,6 +289,39 @@ def measure_serve_request_rate(repeats: int = 7) -> float:
     return best
 
 
+def measure_low_ndv_launch_rate(repeats: int = 7) -> float:
+    """Compiled Q1 jobs per host second on one DPU: TPC-H scale 0.004
+    (seed 11), the first of 8 ``lineitem`` shards (3,009 rows), through
+    ``cluster_compiled_query(Cluster(1), ...)``. The job's one launch
+    is the paper's low-NDV group-by on 32 cores, one stream tile each,
+    so per-core and per-descriptor host costs dominate it. The job
+    runs ``repeats`` times, each timed alone (building its cluster and
+    storing its shard included) with the garbage collector off, and
+    the fastest run counts."""
+    from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
+    from repro.cluster import Cluster, cluster_compiled_query
+    from repro.workloads.tpch import generate_tpch
+
+    data = generate_tpch(scale=0.004, seed=11)
+    compiled = compile_query(load_query("q1"), tpch_catalog(data), "q1")
+    lineitem = data.tables["lineitem"]
+    rows = len(next(iter(lineitem.values()))) // 8
+    shard = Table("lineitem_shard0", {name: lineitem[name][:rows]
+                                      for name in compiled.needed_columns})
+    best = 0.0
+    for _ in range(repeats):
+        gc.collect()
+        gc.disable()
+        try:
+            began = time.perf_counter()
+            cluster_compiled_query(Cluster(1), compiled, [shard])
+            elapsed = time.perf_counter() - began
+        finally:
+            gc.enable()
+        best = max(best, 1.0 / elapsed)
+    return best
+
+
 WORKLOADS = {
     "tier1_wall_s": measure_tier1,
     "goldens_wall_s": measure_goldens,
@@ -295,6 +332,7 @@ WORKLOADS = {
     "metrics_sweep_s": measure_metrics_sweep,
     "cluster_build_s": measure_cluster_build,
     "serve_requests_per_s": measure_serve_request_rate,
+    "low_ndv_launches_per_s": measure_low_ndv_launch_rate,
 }
 
 # The CI regression gate applies to this key.
