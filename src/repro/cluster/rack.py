@@ -18,7 +18,7 @@ Two pieces:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Dict, List, Optional
 
 from ..core.config import DPU_40NM, DPUConfig
 from ..core.dpu import DPU
@@ -112,32 +112,17 @@ class Cluster:
             self.admission.release()
 
     def run(self, processes, limit_cycles: float = 10**13):
-        """Drive the shared engine until every process completes."""
+        """Drive the shared engine until every process completes, for
+        at most ``limit_cycles`` from now."""
+        limit = self.engine.now + limit_cycles
         gate = self.engine.all_of(list(processes))
         metrics = self.metrics
         if metrics.enabled:
             metrics.touch()
-        result = self.engine.run_until_complete(gate, limit=limit_cycles)
+        result = self.engine.run_until_complete(gate, limit=limit)
         if metrics.enabled:
             metrics.flush()
         return result
-
-    def launch_everywhere(
-        self,
-        kernel: Callable,
-        args_for_dpu: Optional[Callable[[int], Sequence]] = None,
-        cores: Optional[Sequence[int]] = None,
-    ):
-        """Spawn ``kernel(ctx, dpu_index, *extra)`` on every DPU's
-        cores concurrently; returns the flat process list (not yet
-        run — compose with A9 processes, then :meth:`run`)."""
-        processes = []
-        for index, dpu in enumerate(self.dpus):
-            extra = tuple(args_for_dpu(index)) if args_for_dpu else ()
-            processes.extend(
-                dpu.spawn_kernels(kernel, args=(index, *extra), cores=cores)
-            )
-        return processes
 
     def enable_tracing(self, capacity: int = 1 << 16) -> Tracer:
         """One shared tracer across every DPU and the fabric.
@@ -167,7 +152,7 @@ class Cluster:
         The hub samples the merged cluster registry (``dpu<i>.*``,
         ``fabric.*``, ``recovery.*``) plus live fabric inbox occupancy
         on the shared engine clock, and is handed to every DPU so
-        per-op digests (launches, jobs, admission waits) aggregate
+        per-op digests (launches, operators, admission waits) aggregate
         cluster-wide. Scheduled chaos events are annotated onto the
         timeline up front at their drawn fire cycles.
         """

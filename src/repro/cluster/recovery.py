@@ -54,9 +54,11 @@ single-DPU machinery in :mod:`repro.faults`:
   lease is current, the leader launches a speculative copy on a
   second DPU; first result wins through the same dedup.
 
-The simulator constraint that shapes the control flow: ``dpu.launch``
-drives the shared engine, so kernels cannot be launched from inside a
-simulation process. Recovery therefore alternates *host-side* compute
+The simulator constraint that shapes the control flow: the operators
+a cluster job runs drive the shared engine through ``dpu.launch``, so
+they cannot run inside a simulation process (a bare kernel launch can:
+``engine.process(dpu.launch_steps(...))``, but no operator has a
+generator form yet). Recovery therefore alternates *host-side* compute
 (launches on current shard owners) with *bounded simulation phases*
 (heartbeats + epoch-tagged sends + a lease-guarded collector at the
 current leader and at every other live endpoint), looping until every

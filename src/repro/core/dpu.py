@@ -4,7 +4,8 @@
 Figure 3) and provides the software entry point: ``launch`` runs a
 kernel — a Python generator taking a :class:`CoreContext` — on a set
 of dpCores to completion, mirroring the runtime's cooperative
-run-to-completion scheduling (§4).
+run-to-completion scheduling (§4). It drives ``launch_steps``, the
+one launch body, which a coordinator can also run as a process.
 
 The :class:`CoreContext` is the per-core "system utilities" layer a
 dpCore program links against: cycle charging for compute, DMS
@@ -239,137 +240,112 @@ class DPU:
     def set_admission(self, controller) -> None:
         """Attach an :class:`~repro.runtime.admission.AdmissionController`.
 
-        With a controller attached, every ``launch`` first passes the
-        admission gate: the job queues (simulated wait), is shed with
-        an ``OverloadError``, or runs at reduced fanout, per the
-        controller's policy. With none attached (the default) launch
-        takes exactly the ungated code path.
+        With a controller attached, every launch (``launch`` or
+        ``launch_steps``) first passes the admission gate: the job
+        queues (simulated wait), is shed with an ``OverloadError``, or
+        runs at reduced fanout, per the controller's policy. With none
+        attached (the default) launch takes exactly the ungated code
+        path.
         """
         self.admission = controller
         if controller is not None:
             controller.trace = self.trace
             controller.metrics = self.metrics
 
+    def launch_steps(
+        self,
+        kernel: Callable,
+        args: Sequence[Any] = (),
+        cores: Optional[Iterable[int]] = None,
+    ):
+        """The one launch body: a generator that runs ``kernel(ctx,
+        *args)`` on each core and returns the :class:`LaunchResult`.
+
+        It yields each event it waits for: the admission gate's
+        process when a controller is attached (the ticket may shrink
+        the core list), then the kernels' ``all_of``. :meth:`launch`
+        drives it to completion; a coordinator running several
+        launches on one shared engine starts each as
+        ``engine.process(dpu.launch_steps(...))``. The slot is
+        released when the kernels finish or fail.
+        """
+        core_list = self._core_list(cores)
+        name = getattr(kernel, "__name__", "kernel")
+        engine = self.engine
+        admission = self.admission
+        if admission is not None:
+            ticket = yield engine.process(
+                admission.acquire(f"dpu.launch:{name}"))
+            core_list = ticket.fanout(core_list)
+        try:
+            start = engine.now
+            metrics = self.metrics
+            if metrics.enabled:
+                # Re-arm the periodic sampler (it goes dormant when the
+                # engine queue holds nothing but sampler ticks).
+                metrics.touch()
+            processes = self.spawn_kernels(kernel, args, core_list)
+            values = yield engine.all_of(processes)
+            if metrics.enabled:
+                # Final sample lands exactly on the completion cycle, so
+                # interval integration reproduces LaunchResult totals.
+                metrics.flush()
+                metrics.observe("dpu.launch.cycles", engine.now - start)
+            if self.trace.enabled:
+                self.trace.complete_async(
+                    "dpu.launch", "sched", start, kernel=name,
+                    cores=len(core_list),
+                )
+            return LaunchResult(
+                values=values,
+                start_cycle=start,
+                end_cycle=engine.now,
+                config=self.config,
+            )
+        finally:
+            if admission is not None:
+                admission.release()
+
     def launch(
         self,
         kernel: Callable,
         args: Sequence[Any] = (),
         cores: Optional[Iterable[int]] = None,
-        per_core_args: Optional[Dict[int, Sequence[Any]]] = None,
         limit_cycles: float = 10**13,
     ) -> LaunchResult:
         """Run ``kernel(ctx, *args)`` on each core; collect returns.
 
-        ``per_core_args`` overrides ``args`` for specific cores. The
-        launch is complete when every core's kernel generator returns
-        (cooperative run-to-completion, no preemption — §4).
+        The launch is complete when every core's kernel generator
+        returns (cooperative run-to-completion, no preemption — §4).
+        It drives :meth:`launch_steps`, running the engine until each
+        event it yields completes; the launch may take ``limit_cycles``
+        from now before the engine gives up on it.
         """
-        core_list = self._core_list(cores)
-        if self.admission is not None:
-            site = f"dpu.launch:{getattr(kernel, '__name__', 'kernel')}"
-            ticket = self.run_process(
-                self.admission.acquire(site), limit_cycles=limit_cycles
-            )
+        steps = self.launch_steps(kernel, args, cores)
+        limit = self.engine.now + limit_cycles
+        value = error = None
+        while True:
             try:
-                core_list = ticket.fanout(core_list)
-                return self._launch_cores(
-                    kernel, args, core_list, per_core_args, limit_cycles
-                )
-            finally:
-                self.admission.release()
-        return self._launch_cores(
-            kernel, args, core_list, per_core_args, limit_cycles
-        )
-
-    def _launch_cores(
-        self,
-        kernel: Callable,
-        args: Sequence[Any],
-        core_list: List[int],
-        per_core_args: Optional[Dict[int, Sequence[Any]]],
-        limit_cycles: float,
-    ) -> LaunchResult:
-        start = self.engine.now
-        metrics = self.metrics
-        if metrics.enabled:
-            # Re-arm the periodic sampler (it goes dormant when the
-            # engine queue holds nothing but sampler ticks).
-            metrics.touch()
-        processes = self.spawn_kernels(kernel, args, core_list, per_core_args)
-        gate = self.engine.all_of(processes)
-        values = self.engine.run_until_complete(gate, limit=limit_cycles)
-        if metrics.enabled:
-            # Final sample lands exactly on the completion cycle, so
-            # interval integration reproduces LaunchResult totals.
-            metrics.flush()
-            metrics.observe("dpu.launch.cycles", self.engine.now - start)
-        if self.trace.enabled:
-            self.trace.complete_async(
-                "dpu.launch", "sched", start,
-                kernel=getattr(kernel, "__name__", "kernel"),
-                cores=len(core_list),
-            )
-        return LaunchResult(
-            values=values,
-            start_cycle=start,
-            end_cycle=self.engine.now,
-            config=self.config,
-        )
-
-    def spawn_job(
-        self,
-        kernel: Callable,
-        args: Sequence[Any] = (),
-        cores: Optional[Iterable[int]] = None,
-        per_core_args: Optional[Dict[int, Sequence[Any]]] = None,
-        site: Optional[str] = None,
-    ):
-        """Start one admission-gated multi-core job WITHOUT driving
-        the engine; returns a single process yielding the per-core
-        values. For coordinators running many concurrent jobs on a
-        shared engine — the admission gate (if attached) queues,
-        sheds, or degrades each job inside the simulation."""
-        core_list = self._core_list(cores)
-        label = site or f"dpu.job:{getattr(kernel, '__name__', 'kernel')}"
-
-        def job():
-            began = self.engine.now
-            if self.metrics.enabled:
-                self.metrics.touch()
-            ticket = None
-            job_cores = core_list
-            if self.admission is not None:
-                ticket = yield from self.admission.acquire(label)
-                job_cores = ticket.fanout(job_cores)
+                event = (steps.send(value) if error is None
+                         else steps.throw(error))
+            except StopIteration as stop:
+                return stop.value
             try:
-                processes = self.spawn_kernels(
-                    kernel, args, job_cores, per_core_args
-                )
-                values = yield self.engine.all_of(processes)
-            finally:
-                if ticket is not None:
-                    self.admission.release()
-                if self.metrics.enabled:
-                    self.metrics.observe(
-                        "dpu.job.cycles", self.engine.now - began
-                    )
-                if self.trace.enabled:
-                    self.trace.complete_async(
-                        "dpu.job", "sched", began, site=label,
-                        cores=len(job_cores),
-                    )
-            return values
-
-        return self.engine.process(job(), name=label)
+                value = self.engine.run_until_complete(event, limit=limit)
+                error = None
+            except BaseException as failure:
+                # Thrown back in: the body releases its admission slot
+                # and re-raises it.
+                value, error = None, failure
 
     def spawn_kernels(
         self,
         kernel: Callable,
         args: Sequence[Any] = (),
         cores: Optional[Iterable[int]] = None,
-        per_core_args: Optional[Dict[int, Sequence[Any]]] = None,
     ) -> List[Any]:
-        """Start kernels WITHOUT driving the engine.
+        """Start kernels WITHOUT driving the engine or passing the
+        admission gate.
 
         For multi-DPU simulations sharing one engine: spawn kernels on
         every DPU first, then run the engine once (e.g. via
@@ -381,22 +357,12 @@ class DPU:
         processes = []
         for core_id in core_list:
             context = self.context(core_id, launch_cores)
-            kernel_args = (
-                per_core_args[core_id]
-                if per_core_args is not None and core_id in per_core_args
-                else args
-            )
             processes.append(
                 self.engine.process(
-                    kernel(context, *kernel_args), name=f"core{core_id}"
+                    kernel(context, *args), name=f"core{core_id}"
                 )
             )
         return processes
-
-    def run_process(self, generator, limit_cycles: float = 10**13) -> Any:
-        """Run one bare process to completion (e.g. an A9-side driver)."""
-        process = self.engine.process(generator)
-        return self.engine.run_until_complete(process, limit=limit_cycles)
 
     # -- observability ------------------------------------------------------------
 

@@ -18,7 +18,7 @@ then complete with bit-identical results — graceful degradation.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Iterable, List, Optional, Sequence
 
 from ..core.dpu import DPU, LaunchResult
 from ..faults import FaultInjector
@@ -51,7 +51,6 @@ def resilient_launch(
     kernel,
     args: Sequence[Any] = (),
     cores: Optional[Iterable[int]] = None,
-    per_core_args: Optional[Dict[int, Sequence[Any]]] = None,
     limit_cycles: float = 10**13,
 ) -> LaunchResult:
     """Launch ``kernel`` on the cores that survive fault injection.
@@ -69,6 +68,5 @@ def resilient_launch(
         kernel,
         args=args,
         cores=survivors,
-        per_core_args=per_core_args,
         limit_cycles=limit_cycles,
     )

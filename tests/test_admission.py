@@ -303,15 +303,16 @@ class TestDpuLaunchGate:
         assert first.value == expected.value
         assert second.value == expected.value
 
-    def test_spawn_job_runs_gated_jobs_concurrently(self):
+    def test_launch_processes_run_gated_jobs_concurrently(self):
         dpu = DPU()
         controller = AdmissionController(dpu.engine, max_concurrent=2,
                                          policy="queue")
         dpu.set_admission(controller)
-        jobs = [dpu.spawn_job(_noop_kernel, cores=[0, 1]) for _ in range(5)]
-        gate = dpu.engine.all_of(jobs)
-        values = dpu.engine.run_until_complete(gate)
-        assert values == [[0, 1]] * 5
+        engine = dpu.engine
+        jobs = [engine.process(dpu.launch_steps(_noop_kernel, cores=[0, 1]))
+                for _ in range(5)]
+        results = engine.run_until_complete(engine.all_of(jobs))
+        assert [result.values for result in results] == [[0, 1]] * 5
         assert controller.admitted == 5
         assert controller.counters.get("running_peak") == 2
 

@@ -401,9 +401,12 @@ class TestLaunchCoreIds:
     def test_spawn_paths_reject_a_repeated_core(self, dpu):
         with pytest.raises(SimulationError, match="core 7 named more than"):
             dpu.spawn_kernels(self._checksum, args=(0,), cores=[7, 3, 7])
+        engine = dpu.engine
         with pytest.raises(SimulationError, match="core 2 named more than"):
-            dpu.spawn_job(self._checksum, args=(0,), cores=[2, 2])
-        assert dpu.engine._queue == []
+            engine.run_until_complete(engine.process(
+                dpu.launch_steps(self._checksum, args=(0,), cores=[2, 2])))
+        assert engine._queue == []
+        assert engine.blocked_processes() == []
 
     def test_out_of_range_core_still_raises(self, dpu):
         with pytest.raises(SimulationError, match="no such core 32"):

@@ -755,9 +755,10 @@ class TestJobAndAdmissionDigests:
         def tiny(ctx):
             yield from ctx.compute(50)
 
-        jobs = [dpu.spawn_job(tiny, cores=[0]),
-                dpu.spawn_job(tiny, cores=[1])]
-        dpu.engine.run_until_complete(dpu.engine.all_of(jobs))
+        engine = dpu.engine
+        jobs = [engine.process(dpu.launch_steps(tiny, cores=[core]))
+                for core in (0, 1)]
+        engine.run_until_complete(engine.all_of(jobs))
         digest = hub.digests["admission.wait_cycles"]
         assert digest.count == 2
         assert digest.maximum > 0  # the second job queued

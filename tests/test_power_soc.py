@@ -11,7 +11,9 @@ from repro.core import (
     PowerState,
     XEON_TDP_WATTS,
 )
+from repro.cluster import Cluster
 from repro.core.pmu import PowerManagementUnit
+from repro.sim import DeadlockError
 
 
 class TestPowerModel:
@@ -87,19 +89,6 @@ class TestPmu:
 
 
 class TestDpuLaunch:
-    def test_per_core_args(self):
-        dpu = DPU()
-
-        def kernel(ctx, tag):
-            yield from ctx.compute(1)
-            return (ctx.core_id, tag)
-
-        result = dpu.launch(
-            kernel, args=("default",), cores=[0, 1],
-            per_core_args={1: ("special",)},
-        )
-        assert result.values == [(0, "default"), (1, "special")]
-
     def test_store_load_array_roundtrip(self):
         dpu = DPU()
         data = np.arange(100, dtype=np.int64)
@@ -133,3 +122,41 @@ class TestDpuLaunch:
         assert DPU_40NM.macro_of(7) == 0
         assert DPU_40NM.macro_of(8) == 1
         assert DPU_40NM.macro_of(31) == 3
+
+
+class TestLaunchBudget:
+    """``limit_cycles`` is a budget counted from the call, not a time
+    on the engine clock: a launch or cluster run that starts late gets
+    the same room as one that starts at cycle 0."""
+
+    @staticmethod
+    def _kernel(ctx, cycles):
+        yield from ctx.compute(cycles)
+        return ctx.core_id
+
+    def test_launch_budget_counts_from_the_call(self):
+        dpu = DPU()
+        dpu.engine.advance(300_000)
+        result = dpu.launch(self._kernel, args=(100,), cores=[0],
+                            limit_cycles=200_000)
+        assert result.values == [0]
+        assert (result.start_cycle, result.end_cycle) == (300_000, 300_100)
+
+    def test_launch_past_its_budget_still_stops(self):
+        dpu = DPU()
+        dpu.engine.advance(300_000)
+        with pytest.raises(DeadlockError, match="limit of 500000"):
+            dpu.launch(self._kernel, args=(250_000,), cores=[0],
+                       limit_cycles=200_000)
+
+    def test_cluster_run_budget_counts_from_the_call(self):
+        cluster = Cluster(2)
+        cluster.engine.advance(300_000)
+        processes = [
+            process
+            for dpu in cluster.dpus
+            for process in dpu.spawn_kernels(self._kernel, args=(100,),
+                                             cores=[1])
+        ]
+        assert cluster.run(processes, limit_cycles=200_000) == [1, 1]
+        assert cluster.engine.now == 300_100
