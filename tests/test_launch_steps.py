@@ -169,20 +169,6 @@ def test_a_failing_kernel_releases_its_slot(driver):
     assert controller.limiter.running == 0
 
 
-@pytest.mark.parametrize("driver", sorted(DRIVERS))
-def test_a_shed_launch_names_its_site(driver):
-    dpu = DPU()
-    controller = AdmissionController(dpu.engine, max_concurrent=1,
-                                     policy="shed")
-    dpu.set_admission(controller)
-    _hog(dpu, controller)
-    kernel, args, cores = _canonical(dpu)
-    with pytest.raises(OverloadError) as info:
-        DRIVERS[driver](dpu, kernel, args, cores)
-    assert info.value.site == "dpu.launch:kernel"
-    assert controller.limiter.running == 1  # only the hog
-
-
 def test_concurrent_launches_share_one_queue_slot():
     """The slot is held until the kernels finish: the second of two
     launches started together starts when the first ends."""
