@@ -60,7 +60,7 @@ def filt_scan(dpu):
     })
     predicate = Between("sensor_value", 9500, 9900)
     result = dpu_filter(dpu, table.to_dpu(dpu), predicate)
-    expected = predicate.mask(table.columns)
+    expected = predicate.mask_fn(table.columns)
     assert np.array_equal(result.value, expected)
     print(f"\nFILT scan: {n} rows filtered on 32 dpCores")
     print(f"  selected: {result.detail['selected']} rows")

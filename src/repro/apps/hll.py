@@ -273,11 +273,11 @@ def dpu_hll(
                 process,
                 dmem_base=64,  # keep the work queue counter word intact
             )
-        if ctx.core_id != cores[0]:
-            yield from ctx.mbox_send(cores[0], sketch.registers)
+        if ctx.core_id != ctx.cores[0]:
+            yield from ctx.mbox_send(ctx.cores[0], sketch.registers)
             return None
         merged = sketch
-        for _ in range(len(cores) - 1):
+        for _ in range(len(ctx.cores) - 1):
             _src, registers = yield from ctx.mbox_receive()
             np.maximum(merged.registers, registers, out=merged.registers)
             yield from ctx.compute(len(registers) / 8)  # 8 B/cycle merge

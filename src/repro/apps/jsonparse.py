@@ -542,8 +542,7 @@ def dpu_parse_json(
     """
     if parser not in ("table", "branchy"):
         raise ValueError(f"unknown parser {parser!r}")
-    cores = list(dpu.config.core_ids)
-    ranges = split_chunks(data, len(cores))
+    ranges: List[Tuple[int, int]] = []  # per core of the launch
     dispatch = (
         measure_table_dispatch(512)
         if parser == "table"
@@ -552,8 +551,9 @@ def dpu_parse_json(
     stalls = 0.0 if parser == "table" else _BRANCHY_STALL_CYCLES_PER_BYTE
 
     def kernel(ctx):
-        index = cores.index(ctx.core_id)
-        start, end = ranges[index]
+        if not ranges:  # the launch's first kernel splits the data
+            ranges.extend(split_chunks(data, len(ctx.cores)))
+        start, end = ranges[ctx.cores.index(ctx.core_id)]
         if start >= end:
             return []
         span = data[start:end]
@@ -580,7 +580,7 @@ def dpu_parse_json(
             yield from ctx.compute(lines * 2)  # cache maintenance tax
         return records
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = dpu.launch(kernel)
     records: List[Dict[str, Any]] = []
     for value in launch.values:
         records.extend(value or [])

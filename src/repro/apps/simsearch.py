@@ -149,7 +149,6 @@ def dpu_simsearch(
     if variant not in ("dynamic", "naive"):
         raise ValueError(f"unknown variant {variant!r}")
     queries = workload.queries
-    cores = list(dpu.config.core_ids)
     num_queries = queries.num_rows
     fixed_qvals = to_fixed(queries.values.astype(np.float64))
 
@@ -167,7 +166,7 @@ def dpu_simsearch(
         # query visits every core. Per-query top-k fragments from all
         # cores merge on the host side of the launch.
         t_lo, t_hi = static_partition(
-            tiled.num_tiles, len(cores), cores.index(ctx.core_id)
+            tiled.num_tiles, len(ctx.cores), ctx.cores.index(ctx.core_id)
         )
         results: Dict[int, List[Tuple[float, int]]] = {
             query: [] for query in range(num_queries)
@@ -290,7 +289,7 @@ def dpu_simsearch(
                         )
         return results
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = dpu.launch(kernel)
     merged: Dict[int, List[Tuple[float, int]]] = {
         query: [] for query in range(num_queries)
     }

@@ -5,7 +5,6 @@ from .aggregate import (
     Broadcast,
     DeliveryMismatchError,
     GroupKey,
-    RowFilter,
     dpu_groupby,
     merge_groups,
     xeon_groupby,
@@ -23,7 +22,7 @@ from .engine import (
     comparison_table,
     efficiency_gain,
 )
-from .expr import And, Between, Eq, Ge, InSet, Le, Or, Predicate
+from .expr import And, Between, Eq, Ge, InSet, Le, Or, Predicate, RowFilter
 from .filter import dpu_filter, dpu_scan_project, xeon_filter
 from .frontend import compile_query, load_query, parse_sql
 from .ir import Catalog, LogicalPlan, PlanError, compile_logical

@@ -33,9 +33,10 @@ tables too are aggregated from data that traveled through the DMS.
 
 The operator is deliberately general: aggregates may be arithmetic
 expressions over several columns (Q1's ``sum(price * (1-disc))``) and
-the row filter may be a :class:`~repro.apps.sql.expr.Predicate` or an
-arbitrary mask function (which is how the join operator fuses a
-semijoin probe into the aggregation, see :mod:`repro.apps.sql.join`).
+the row filter is any :class:`~repro.apps.sql.expr.RowFilter`: a scan
+predicate or an arbitrary mask function (which is how the join
+operator fuses a semijoin probe into the aggregation, see
+:mod:`repro.apps.sql.join`).
 """
 
 from __future__ import annotations
@@ -71,7 +72,7 @@ from .costs import (
     SW_PARTITION_CYCLES_PER_ROW_COL,
 )
 from .engine import DpuOpResult, XeonOpResult
-from .expr import Predicate
+from .expr import Columns, RowFilter
 from .planner import DmemBudget, plan_partitioning
 from .table import DpuTable, Table
 
@@ -80,7 +81,6 @@ __all__ = [
     "Broadcast",
     "DeliveryMismatchError",
     "GroupKey",
-    "RowFilter",
     "dpu_groupby",
     "xeon_groupby",
     "merge_groups",
@@ -89,7 +89,6 @@ __all__ = [
 _XEON_AGG_OPS_PER_ROW = 8.0  # scalar hash-agg update micro-ops
 _XEON_PARTITION_OPS_PER_ROW = 4.0
 
-Columns = Dict[str, np.ndarray]
 GroupTable = Dict[int, List[float]]  # key -> one slot per aggregate
 
 
@@ -179,42 +178,6 @@ class GroupKey:
     columns: Tuple[str, ...]
     cycles_per_row: float = 2.0
     name: str = "expr_key"
-
-
-@dataclass
-class RowFilter:
-    """A row mask over streamed columns, with its dpCore/x86 costs.
-
-    Wraps either a scan :class:`Predicate` or an arbitrary function
-    (e.g. a semijoin bitmap probe). ``mask_fn`` must be row-wise (see
-    :class:`AggSpec`) and return a boolean array: the low-NDV group-by
-    evaluates it once over a launch's rows, the other paths per tile
-    or wave.
-    """
-
-    mask_fn: Callable[[Columns], np.ndarray]
-    columns: Tuple[str, ...]
-    dpu_cycles_per_row: float
-    xeon_ops_per_row: float
-
-    @classmethod
-    def from_predicate(cls, predicate: Predicate) -> "RowFilter":
-        return cls(
-            mask_fn=predicate.mask,
-            columns=tuple(predicate.column_names()),
-            dpu_cycles_per_row=predicate.dpu_cycles_per_row(),
-            xeon_ops_per_row=predicate.xeon_ops_per_row(),
-        )
-
-
-def _as_row_filter(
-    row_filter: Union[None, Predicate, RowFilter]
-) -> Optional[RowFilter]:
-    if row_filter is None:
-        return None
-    if isinstance(row_filter, RowFilter):
-        return row_filter
-    return RowFilter.from_predicate(row_filter)
 
 
 def _new_slots(aggs: List[AggSpec]) -> List[float]:
@@ -396,7 +359,7 @@ def dpu_groupby(
     dtable: DpuTable,
     key: Union[str, GroupKey],
     aggs: List[AggSpec],
-    row_filter: Union[None, Predicate, RowFilter] = None,
+    row_filter: Optional[RowFilter] = None,
     ndv_hint: Optional[int] = None,
     tile_rows: int = 2048,
     budget: Optional[DmemBudget] = None,
@@ -411,7 +374,6 @@ def dpu_groupby(
     plan and its timing exactly.
     """
     budget = budget or DmemBudget()
-    filt = _as_row_filter(row_filter)
     if isinstance(key, GroupKey):
         host_columns = {
             name: dtable.table.column(name) for name in key.columns
@@ -430,18 +392,18 @@ def dpu_groupby(
             f"this key needs {plan.partitions_needed} partitions — "
             "materialize the key column first"
         )
-    refs = dtable.column_refs(_needed_columns(key, aggs, filt))
+    refs = dtable.column_refs(_needed_columns(key, aggs, row_filter))
     tile_rows = fit_broadcasts(
         plan.partitions_needed, sum(ref_width(spec) for _addr, spec in refs),
         _broadcast_bytes(broadcasts), tile_rows,
     )
     if plan.partitions_needed <= 1:
         result, cycles, nbytes = _groupby_low_ndv(
-            dpu, dtable, key, aggs, filt, tile_rows, broadcasts
+            dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts
         )
     elif plan.partitions_needed <= 32:
         result, cycles, nbytes = _groupby_hw_partitioned(
-            dpu, dtable, key, aggs, filt, broadcasts
+            dpu, dtable, key, aggs, row_filter, broadcasts
         )
     else:
         if plan.dpu_sw_rounds > 1:
@@ -451,7 +413,7 @@ def dpu_groupby(
                 "implemented (enough for tables to ~24 GB of groups)"
             )
         result, cycles, nbytes = _groupby_one_sw_round(
-            dpu, dtable, key, aggs, filt, tile_rows, broadcasts,
+            dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
             governor=governor,
         )
     return DpuOpResult(
@@ -978,7 +940,7 @@ def xeon_groupby(
     table: Table,
     key: str,
     aggs: List[AggSpec],
-    row_filter: Union[None, Predicate, RowFilter] = None,
+    row_filter: Optional[RowFilter] = None,
     ndv_hint: Optional[int] = None,
     budget: Optional[DmemBudget] = None,
 ) -> XeonOpResult:
@@ -988,7 +950,6 @@ def xeon_groupby(
     read+write pass over the grouped columns at effective bandwidth.
     """
     budget = budget or DmemBudget()
-    filt = _as_row_filter(row_filter)
     rows = table.num_rows
     if isinstance(key, GroupKey):
         key_values = key.fn({name: table.column(name) for name in key.columns})
@@ -999,15 +960,15 @@ def xeon_groupby(
     record_bytes = 8 + 8 * len(aggs)
     plan = plan_partitioning(ndv, record_bytes, budget)
 
-    names = _needed_columns(key, aggs, filt)
+    names = _needed_columns(key, aggs, row_filter)
     columns = {name: table.column(name) for name in names}
     groups: GroupTable = {}
-    _tile_update(groups, columns, key, aggs, filt)
+    _tile_update(groups, columns, key, aggs, row_filter)
 
     nbytes = table.nbytes(names)
     instructions = rows * (
         _XEON_AGG_OPS_PER_ROW
-        + (filt.xeon_ops_per_row if filt else 0.0)
+        + (row_filter.xeon_ops_per_row if row_filter else 0.0)
         + plan.x86_rounds * _XEON_PARTITION_OPS_PER_ROW
     )
     seconds = model.roofline_seconds(

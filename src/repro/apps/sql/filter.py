@@ -19,7 +19,7 @@ effective bandwidth.
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Tuple, Union
+from typing import Callable, Iterable, Optional, Tuple
 
 import numpy as np
 
@@ -35,9 +35,9 @@ from ..streaming import (
     stream_columns,
     stream_tile_rows,
 )
-from .aggregate import Broadcast, RowFilter, _as_row_filter, _broadcast_loads
+from .aggregate import Broadcast, _broadcast_loads
 from .engine import DpuOpResult, XeonOpResult
-from .expr import Predicate
+from .expr import RowFilter
 from .table import DpuTable, Table
 
 __all__ = ["dpu_filter", "xeon_filter", "dpu_scan_project"]
@@ -122,7 +122,7 @@ def _streamed_scan(
 def dpu_filter(
     dpu: DPU,
     dtable: DpuTable,
-    predicate: Union[Predicate, RowFilter],
+    predicate: RowFilter,
     cores: Optional[Iterable[int]] = None,
     tile_rows: int = 2048,
     broadcasts: Tuple[Broadcast, ...] = (),
@@ -132,21 +132,20 @@ def dpu_filter(
     The returned mask is *read back from the bit-vector the kernel
     actually wrote to simulated DDR* — the data path is functional.
     """
-    row_filter = _as_row_filter(predicate)
     rows = dtable.num_rows
     num_words = -(-rows // 64)
     bv_addr = dpu.alloc(max(num_words * 8, 8))
 
     def make_output(columns):
-        return pack_bits(row_filter.mask_fn(columns))
+        return pack_bits(predicate.mask_fn(columns))
 
     cycles = _streamed_scan(
-        dpu, dtable, row_filter, bv_addr, 8, make_output, 64,
+        dpu, dtable, predicate, bv_addr, 8, make_output, 64,
         cores, tile_rows, broadcasts,
     )
     words = dpu.load_array(bv_addr, num_words, np.uint64)
     mask = unpack_bits(words, rows)
-    bytes_streamed = dtable.nbytes(list(row_filter.columns)) + num_words * 8
+    bytes_streamed = dtable.nbytes(list(predicate.columns)) + num_words * 8
     return DpuOpResult(
         value=mask,
         cycles=cycles,
@@ -198,16 +197,15 @@ def dpu_scan_project(
 def xeon_filter(
     model: XeonModel,
     table: Table,
-    predicate: Union[Predicate, RowFilter],
+    predicate: RowFilter,
 ) -> XeonOpResult:
     """The AVX2 scan on the roofline baseline."""
-    row_filter = _as_row_filter(predicate)
-    columns = {name: table.column(name) for name in row_filter.columns}
-    mask = row_filter.mask_fn(columns)
+    columns = {name: table.column(name) for name in predicate.columns}
+    mask = predicate.mask_fn(columns)
     rows = table.num_rows
-    nbytes = table.nbytes(list(row_filter.columns)) + rows / 8
+    nbytes = table.nbytes(list(predicate.columns)) + rows / 8
     seconds = model.roofline_seconds(
-        instructions=rows * row_filter.xeon_ops_per_row,
+        instructions=rows * predicate.xeon_ops_per_row,
         nbytes=nbytes,
     )
     return XeonOpResult(

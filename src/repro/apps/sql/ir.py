@@ -41,6 +41,8 @@ __all__ = [
     "Ref",
     "SelectStmt",
     "compile_logical",
+    "range_term",
+    "set_term",
     "sql_repr",
 ]
 
@@ -534,6 +536,11 @@ class _Binder:
                 self._bind_comparison_literal(expr, self.bind(value))
                 for value in node.values
             )
+            for value in values:
+                if not isinstance(value, Lit):
+                    raise PlanError(
+                        f"IN list member {sql_repr(value)} is not a "
+                        "literal", query=self.text, clause="in list")
             return InList(expr, values)
         if isinstance(node, Like):
             expr = self.bind(node.expr)
@@ -716,31 +723,52 @@ def _range_selectivity(catalog: Catalog, table: str, column: str,
     return min(1.0, (hi - lo + 1) / span)
 
 
-def _conjunct_selectivity(catalog: Catalog, node: Any) -> float:
-    """Uniform-distribution selectivity estimate for one conjunct."""
-    if isinstance(node, Cmp) and isinstance(node.right, Lit) \
-            and isinstance(node.left, Ref):
-        ref, value = node.left, node.right.value
-        stats = catalog.stats(ref.table, ref.column)
-        if node.op == "=":
-            return 1.0 / stats.ndv
-        if node.op in ("<", "<="):
-            hi = value - 1 if node.op == "<" else value
-            return _range_selectivity(catalog, ref.table, ref.column,
-                                      None, hi)
-        if node.op in (">", ">="):
-            lo = value + 1 if node.op == ">" else value
-            return _range_selectivity(catalog, ref.table, ref.column,
-                                      lo, None)
-        return 0.5
+def range_term(node: Any) -> Optional[Tuple[Ref, Any, Any]]:
+    """Read a plain range term as ``(ref, lo, hi)``: a comparison of a
+    column with a literal other than ``<>``, or a BETWEEN of literals.
+    ``None`` is an open bound; anything else reads as ``None``."""
     if isinstance(node, RangeTest) and isinstance(node.expr, Ref) \
             and isinstance(node.lo, Lit) and isinstance(node.hi, Lit):
-        ref = node.expr
-        return _range_selectivity(catalog, ref.table, ref.column,
-                                  node.lo.value, node.hi.value)
+        return node.expr, node.lo.value, node.hi.value
+    if not (isinstance(node, Cmp) and isinstance(node.left, Ref)
+            and isinstance(node.right, Lit)):
+        return None
+    ref, value = node.left, node.right.value
+    if node.op == "=":
+        return ref, value, value
+    if node.op == "<":
+        return ref, None, value - 1
+    if node.op == "<=":
+        return ref, None, value
+    if node.op == ">":
+        return ref, value + 1, None
+    if node.op == ">=":
+        return ref, value, None
+    return None
+
+
+def set_term(node: Any) -> Optional[Tuple[Ref, Tuple]]:
+    """Read a plain set term as ``(ref, values)``: a column IN a list
+    (the binder admits only literal members); anything else reads as
+    ``None``."""
     if isinstance(node, InList) and isinstance(node.expr, Ref):
-        stats = catalog.stats(node.expr.table, node.expr.column)
-        return min(1.0, len(node.values) / stats.ndv)
+        return node.expr, tuple(value.value for value in node.values)
+    return None
+
+
+def _conjunct_selectivity(catalog: Catalog, node: Any) -> float:
+    """Uniform-distribution selectivity estimate for one conjunct."""
+    term = range_term(node)
+    if term is not None:
+        ref, lo, hi = term
+        if isinstance(node, Cmp) and node.op == "=":
+            return 1.0 / catalog.stats(ref.table, ref.column).ndv
+        return _range_selectivity(catalog, ref.table, ref.column, lo, hi)
+    term = set_term(node)
+    if term is not None:
+        ref, values = term
+        stats = catalog.stats(ref.table, ref.column)
+        return min(1.0, len(values) / stats.ndv)
     return 0.5
 
 
@@ -833,7 +861,8 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
     dim_conjuncts: Dict[str, List[Any]] = {}
     cross_eqs: List[Tuple[Ref, Ref]] = []
 
-    def add_range(column: str, lo: Optional[int], hi: Optional[int]) -> None:
+    def add_range(ref: Ref, lo: Optional[int], hi: Optional[int]) -> None:
+        column = ref.column
         if column not in range_index:
             range_index[column] = len(fact_ranges)
             fact_ranges.append(FactRange(column, lo, hi))
@@ -844,17 +873,6 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
         if hi is not None:
             fused.hi = hi if fused.hi is None else min(fused.hi, hi)
 
-    def is_plain_fact_range(node: Any) -> bool:
-        if isinstance(node, Cmp) and isinstance(node.left, Ref) \
-                and not node.left.chain and isinstance(node.right, Lit):
-            return node.op in ("=", "<", "<=", ">", ">=")
-        if isinstance(node, RangeTest) and isinstance(node.expr, Ref) \
-                and not node.expr.chain:
-            return isinstance(node.lo, Lit) and isinstance(node.hi, Lit)
-        if isinstance(node, InList):
-            return isinstance(node.expr, Ref) and not node.expr.chain
-        return False
-
     for raw in filters:
         bound = binder.bind(raw)
         refs = _refs_of(bound)
@@ -862,38 +880,23 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
             raise PlanError("constant predicate", query=text, clause="where")
         ref_tables = {ref.table for ref in refs}
         if ref_tables == {fact}:
-            if isinstance(bound, Cmp) and isinstance(bound.right, Lit):
-                ref = bound.left
-                if isinstance(ref, Ref):
-                    value = bound.right.value
-                    if bound.op == "=":
-                        add_range(ref.column, value, value)
-                    elif bound.op == "<=":
-                        add_range(ref.column, None, value)
-                    elif bound.op == "<":
-                        add_range(ref.column, None, value - 1)
-                    elif bound.op == ">=":
-                        add_range(ref.column, value, None)
-                    elif bound.op == ">":
-                        add_range(ref.column, value + 1, None)
-                    else:
-                        raise PlanError(
-                            "<> predicates are not FILT-able",
-                            query=text, clause="where")
-                    continue
-            if isinstance(bound, RangeTest) and isinstance(bound.expr, Ref) \
-                    and isinstance(bound.lo, Lit) \
-                    and isinstance(bound.hi, Lit):
-                add_range(bound.expr.column, bound.lo.value, bound.hi.value)
+            term = range_term(bound)
+            if term is not None:
+                add_range(*term)
                 continue
-            if isinstance(bound, InList) and isinstance(bound.expr, Ref):
-                values = tuple(value.value for value in bound.values
-                               if isinstance(value, Lit))
-                if len(values) == len(bound.values):
-                    fact_insets.append((bound.expr.column, values))
-                    continue
+            term = set_term(bound)
+            if term is not None:
+                ref, values = term
+                fact_insets.append((ref.column, values))
+                continue
+            if isinstance(bound, Cmp) and bound.op == "<>" \
+                    and isinstance(bound.left, Ref) \
+                    and isinstance(bound.right, Lit):
+                raise PlanError("<> predicates are not FILT-able",
+                                query=text, clause="where")
             if isinstance(bound, Logic) and bound.op == "or":
-                if all(is_plain_fact_range(arg) for arg in bound.args):
+                if all(range_term(arg) or set_term(arg)
+                       for arg in bound.args):
                     fact_or.append(bound)
                     continue
                 raise PlanError(

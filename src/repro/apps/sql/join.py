@@ -17,7 +17,7 @@ the paper's general strategy.
 
 from __future__ import annotations
 
-from typing import Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -29,8 +29,8 @@ from ...obs import traced_op
 from ..streaming import partition_columns, ref_dtype
 from .costs import JOIN_BUILD_CYCLES_PER_ROW, JOIN_PROBE_CYCLES_PER_ROW
 from .engine import DpuOpResult, XeonOpResult
-from .expr import Predicate
-from .aggregate import Broadcast, RowFilter, _as_row_filter
+from .aggregate import Broadcast
+from .expr import RowFilter
 
 __all__ = [
     "key_bitmap",
@@ -75,28 +75,27 @@ def broadcast_array(dpu: DPU, name: str, values: np.ndarray) -> Tuple[
 def bitmap_filter(
     column: str,
     bitmap_words: np.ndarray,
-    extra: Union[None, Predicate, RowFilter] = None,
+    extra: Optional[RowFilter] = None,
 ) -> RowFilter:
     """RowFilter testing ``column``'s value against a DMEM bitmap,
     optionally ANDed with another filter."""
     bits = np.unpackbits(bitmap_words.view(np.uint8), bitorder="little")
-    extra_filter = _as_row_filter(extra)
 
     def mask_fn(columns):
         keys = columns[column].astype(np.int64)
         mask = bits[keys].astype(bool)
-        if extra_filter is not None:
-            mask &= extra_filter.mask_fn(columns)
+        if extra is not None:
+            mask &= extra.mask_fn(columns)
         return mask
 
-    extra_columns = extra_filter.columns if extra_filter else ()
+    extra_columns = extra.columns if extra else ()
     return RowFilter(
         mask_fn=mask_fn,
         columns=tuple(dict.fromkeys((column, *extra_columns))),
         dpu_cycles_per_row=BITMAP_PROBE_CYCLES_PER_ROW
-        + (extra_filter.dpu_cycles_per_row if extra_filter else 0.0),
+        + (extra.dpu_cycles_per_row if extra else 0.0),
         xeon_ops_per_row=_XEON_PROBE_OPS_PER_ROW
-        + (extra_filter.xeon_ops_per_row if extra_filter else 0.0),
+        + (extra.xeon_ops_per_row if extra else 0.0),
     )
 
 
@@ -104,28 +103,20 @@ def lookup_filter(
     column: str,
     table: np.ndarray,
     predicate_on_value,
-    extra: Union[None, Predicate, RowFilter] = None,
 ) -> RowFilter:
     """RowFilter applying ``predicate_on_value`` to a dense-array
     lookup ``table[column]`` (e.g. "the part this row references is a
     PROMO part")."""
-    extra_filter = _as_row_filter(extra)
 
     def mask_fn(columns):
         keys = columns[column].astype(np.int64)
-        mask = np.asarray(predicate_on_value(table[keys]), dtype=bool)
-        if extra_filter is not None:
-            mask &= extra_filter.mask_fn(columns)
-        return mask
+        return np.asarray(predicate_on_value(table[keys]), dtype=bool)
 
-    extra_columns = extra_filter.columns if extra_filter else ()
     return RowFilter(
         mask_fn=mask_fn,
-        columns=tuple(dict.fromkeys((column, *extra_columns))),
-        dpu_cycles_per_row=LOOKUP_CYCLES_PER_ROW + 1.0
-        + (extra_filter.dpu_cycles_per_row if extra_filter else 0.0),
-        xeon_ops_per_row=_XEON_PROBE_OPS_PER_ROW
-        + (extra_filter.xeon_ops_per_row if extra_filter else 0.0),
+        columns=(column,),
+        dpu_cycles_per_row=LOOKUP_CYCLES_PER_ROW + 1.0,
+        xeon_ops_per_row=_XEON_PROBE_OPS_PER_ROW,
     )
 
 

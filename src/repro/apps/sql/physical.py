@@ -37,7 +37,6 @@ from .aggregate import (
     AggSpec,
     GroupKey,
     GroupTable,
-    RowFilter,
     _needed_columns,
     dpu_groupby,
     fit_broadcasts,
@@ -45,7 +44,7 @@ from .aggregate import (
 )
 from .costs import AGG_CYCLES_PER_ROW, FILTER_CYCLES_PER_TUPLE
 from .engine import DpuOpResult, XeonOpResult
-from .expr import And, Between, Ge, InSet, Le, Or, Predicate
+from .expr import And, Between, Ge, InSet, Le, Or, Predicate, RowFilter
 from .ir import (
     AggCall,
     Arith,
@@ -59,6 +58,8 @@ from .ir import (
     PlanError,
     RangeTest,
     Ref,
+    range_term,
+    set_term,
     sql_repr,
 )
 from .join import (
@@ -371,7 +372,7 @@ class CompiledQuery:
     key: Union[str, GroupKey]
     key_column: Optional[str]  # set iff the key shuffles by a column
     aggs: List[AggSpec]
-    row_filter: Union[None, Predicate, RowFilter]
+    row_filter: Optional[RowFilter]
     broadcasts: List[Tuple[str, np.ndarray]]
     needed_columns: List[str]
     finish: Callable[[GroupTable], Tuple]
@@ -491,51 +492,34 @@ class CompiledQuery:
 # -- lowering -----------------------------------------------------------------
 
 
+def _range_predicate(column: str, lo, hi) -> Predicate:
+    """One FILT range term; ``None`` is an open bound."""
+    if lo is None:
+        return Le(column, hi)
+    if hi is None:
+        return Ge(column, lo)
+    return Between(column, lo, hi)
+
+
+def _term_predicate(node: Any) -> Predicate:
+    """The scan predicate of one OR arm (a plain range or set term)."""
+    term = range_term(node)
+    if term is not None:
+        ref, lo, hi = term
+        return _range_predicate(ref.column, lo, hi)
+    ref, values = set_term(node)
+    return InSet(ref.column, values)
+
+
 def _plain_predicates(plan: LogicalPlan) -> List[Predicate]:
-    preds: List[Predicate] = []
-    for fused in plan.fact_ranges:
-        if fused.lo is None and fused.hi is None:
-            continue
-        if fused.lo is None:
-            preds.append(Le(fused.column, fused.hi))
-        elif fused.hi is None:
-            preds.append(Ge(fused.column, fused.lo))
-        else:
-            preds.append(Between(fused.column, fused.lo, fused.hi))
-    for column, values in plan.fact_insets:
-        preds.append(InSet(column, values))
-    for node in plan.fact_or:
-        preds.append(_or_predicate(node, plan.text))
+    preds: List[Predicate] = [
+        _range_predicate(fused.column, fused.lo, fused.hi)
+        for fused in plan.fact_ranges
+    ]
+    preds += [InSet(column, values) for column, values in plan.fact_insets]
+    preds += [Or([_term_predicate(arg) for arg in node.args])
+              for node in plan.fact_or]
     return preds
-
-
-def _or_predicate(node: Logic, text: str) -> Predicate:
-    children: List[Predicate] = []
-    for arg in node.args:
-        if isinstance(arg, Cmp) and isinstance(arg.left, Ref) \
-                and isinstance(arg.right, Lit):
-            column, value = arg.left.column, arg.right.value
-            if arg.op == "=":
-                children.append(Between(column, value, value))
-            elif arg.op == "<=":
-                children.append(Le(column, value))
-            elif arg.op == "<":
-                children.append(Le(column, value - 1))
-            elif arg.op == ">=":
-                children.append(Ge(column, value))
-            else:
-                children.append(Ge(column, value + 1))
-        elif isinstance(arg, RangeTest) and isinstance(arg.expr, Ref):
-            children.append(Between(arg.expr.column, arg.lo.value,
-                                    arg.hi.value))
-        elif isinstance(arg, InList) and isinstance(arg.expr, Ref):
-            children.append(InSet(
-                arg.expr.column,
-                tuple(v.value for v in arg.values)))
-        else:
-            raise PlanError("OR arm is not a plain fact range",
-                            query=text, clause="where")
-    return Or(children)
 
 
 def _build_semijoins(plan: LogicalPlan, catalog: Catalog,
@@ -590,9 +574,9 @@ def _build_semijoins(plan: LogicalPlan, catalog: Catalog,
     return probes
 
 
-def _build_row_filter(plan: LogicalPlan, catalog: Catalog,
-                      ctx: _Lowering) -> Union[None, Predicate, RowFilter]:
-    plains = _plain_predicates(plan)
+def _build_row_filter(plan: LogicalPlan, plains: List[Predicate],
+                      catalog: Catalog,
+                      ctx: _Lowering) -> Optional[RowFilter]:
     probes = _build_semijoins(plan, catalog, ctx)
     cross_terms: List[Tuple] = []
     for left, right in plan.cross_eqs:
@@ -609,14 +593,11 @@ def _build_row_filter(plan: LogicalPlan, catalog: Catalog,
         fn, _cols = ctx.scalar_fn(node)
         complex_fns.append((node, fn))
 
-    if not probes and not cross_terms and not complex_fns:
-        if not plains:
-            return None
-        return plains[0] if len(plains) == 1 else And(plains)
-
     plain_pred = None
     if plains:
         plain_pred = plains[0] if len(plains) == 1 else And(plains)
+    if not probes and not cross_terms and not complex_fns:
+        return plain_pred
 
     columns: List[str] = []
 
@@ -625,7 +606,7 @@ def _build_row_filter(plan: LogicalPlan, catalog: Catalog,
             columns.append(column)
 
     if plain_pred is not None:
-        for column in plain_pred.column_names():
+        for column in plain_pred.columns:
             need(column)
     for node, _fn in complex_fns:
         for ref in _refs_in(node):
@@ -646,7 +627,7 @@ def _build_row_filter(plan: LogicalPlan, catalog: Catalog,
         rows = len(next(iter(streamed.values())))
         mask = np.ones(rows, dtype=bool)
         if plain_pred is not None:
-            mask &= plain_pred.mask(streamed)
+            mask &= plain_pred.mask_fn(streamed)
         for fk, bits in probe_bits:
             keys = streamed[fk].astype(np.int64)
             mask &= bits[keys].astype(bool)
@@ -663,8 +644,8 @@ def _build_row_filter(plan: LogicalPlan, catalog: Catalog,
             mask &= np.asarray(fn(streamed), dtype=bool)
         return mask
 
-    dpu_cycles = (plain_pred.dpu_cycles_per_row() if plain_pred else 0.0)
-    xeon_ops = (plain_pred.xeon_ops_per_row() if plain_pred else 0.0)
+    dpu_cycles = plain_pred.dpu_cycles_per_row if plain_pred else 0.0
+    xeon_ops = plain_pred.xeon_ops_per_row if plain_pred else 0.0
     dpu_cycles += BITMAP_PROBE_CYCLES_PER_ROW * len(probes)
     xeon_ops += _XEON_PROBE_OPS_PER_ROW * len(probes)
     for sides in cross_terms:
@@ -688,21 +669,6 @@ def _refs_in(node: Any) -> List[Ref]:
     from .ir import _refs_of
 
     return _refs_of(node)
-
-
-def _filter_terms(plan: LogicalPlan) -> int:
-    terms = 0
-    for fused in plan.fact_ranges:
-        if fused.lo is not None or fused.hi is not None:
-            terms += 1
-    for _column, values in plan.fact_insets:
-        terms += len(values)
-    for node in plan.fact_or:
-        for arg in node.args:
-            terms += len(arg.values) if isinstance(arg, InList) else 1
-    terms += len(plan.fact_complex)
-    terms += len(plan.cross_eqs)
-    return terms
 
 
 def _build_key(plan: LogicalPlan, catalog: Catalog, ctx: _Lowering):
@@ -854,7 +820,8 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
     """Lower an optimized :class:`LogicalPlan` to a
     :class:`CompiledQuery`, making the cost-based physical choices."""
     ctx = _Lowering(plan, catalog)
-    row_filter = _build_row_filter(plan, catalog, ctx)
+    plains = _plain_predicates(plan)
+    row_filter = _build_row_filter(plan, plains, catalog, ctx)
     key, key_items, key_column = _build_key(plan, catalog, ctx)
     slots, agg_value_fn = _build_aggs(plan, ctx)
 
@@ -942,11 +909,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
 
     # -- budgets --------------------------------------------------------
     fact_columns = catalog.tables[plan.fact]
-    needed = _needed_columns(
-        key, slots,
-        row_filter if isinstance(row_filter, RowFilter) else (
-            RowFilter.from_predicate(row_filter)
-            if row_filter is not None else None))
+    needed = _needed_columns(key, slots, row_filter)
     rows = catalog.num_rows(plan.fact)
     if isinstance(key, GroupKey):
         key_values = key.fn({name: fact_columns[name]
@@ -972,12 +935,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
 
     # -- cost model: offload decision -----------------------------------
     nbytes = sum(fact_columns[name].nbytes for name in needed)
-    if row_filter is None:
-        filter_cycles = 0.0
-    elif isinstance(row_filter, RowFilter):
-        filter_cycles = row_filter.dpu_cycles_per_row
-    else:
-        filter_cycles = row_filter.dpu_cycles_per_row()
+    filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 2.0
     agg_cycles = AGG_CYCLES_PER_ROW + sum(
         spec.expr_cycles_per_row for spec in slots)
@@ -993,7 +951,8 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
         "query": plan.name,
         "fact": plan.fact,
         "needed_columns": list(needed),
-        "filter_terms": _filter_terms(plan),
+        "filter_terms": sum(pred.filt_terms() for pred in plains)
+        + len(plan.fact_complex) + len(plan.cross_eqs),
         "join_probes": ctx.num_probes + ctx.num_lookups,
         "groupby": groupby_flag,
         "ndv": ndv,

@@ -30,15 +30,9 @@ from ...workloads.tpch import (
     date_code,
     part_type_is_promo,
 )
-from .aggregate import (
-    AggSpec,
-    GroupKey,
-    RowFilter,
-    dpu_groupby,
-    xeon_groupby,
-)
+from .aggregate import AggSpec, GroupKey, dpu_groupby, xeon_groupby
 from .engine import DpuOpResult, XeonOpResult
-from .expr import Between, Eq, Ge, InSet, Le
+from .expr import Between, Eq, Ge, InSet, Le, RowFilter
 from .filter import dpu_filter, dpu_scan_project, xeon_filter
 from .join import (
     BITMAP_PROBE_CYCLES_PER_ROW,

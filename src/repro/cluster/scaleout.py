@@ -55,12 +55,7 @@ import numpy as np
 
 from ..apps.hll import HllSketch, dpu_hll, hll_estimate
 from ..apps.sql import Between, Table, dpu_filter
-from ..apps.sql.aggregate import (
-    _as_row_filter,
-    _needed_columns,
-    dpu_groupby,
-    merge_groups,
-)
+from ..apps.sql.aggregate import _needed_columns, dpu_groupby, merge_groups
 from ..apps.sql.join import dpu_partitioned_join_count
 from ..apps.sql.topk import dpu_topk
 from ..apps.sql.tpch_queries import q1_plan
@@ -399,7 +394,7 @@ def cluster_groupby(
             "cluster_groupby shuffles on a single key column; composite "
             "GroupKeys belong in pre-aggregating jobs (see cluster_tpch_q1)"
         )
-    names = _needed_columns(key, aggs, _as_row_filter(row_filter))
+    names = _needed_columns(key, aggs, row_filter)
 
     def local(index, dpu, cores, inputs):
         (columns,) = inputs

@@ -10,8 +10,11 @@ no controller attached, timings must be bit-identical to the seed.
 import numpy as np
 import pytest
 
+from repro.apps.hll import dpu_hll
+from repro.apps.jsonparse import dpu_parse_json
+from repro.apps.simsearch import build_tiled_index, dpu_simsearch
 from repro.apps.sql import Between, Table
-from repro.apps.sql.aggregate import AggSpec, DmemBudget, RowFilter, dpu_groupby
+from repro.apps.sql.aggregate import AggSpec, DmemBudget, dpu_groupby
 from repro.apps.sql.filter import dpu_filter, dpu_scan_project
 from repro.apps.sql.join import dpu_partitioned_join_count
 from repro.apps.sql.sort import dpu_sort
@@ -27,6 +30,8 @@ from repro.runtime.admission import (
     TokenBucket,
 )
 from repro.sim import Engine
+from repro.workloads.corpus import generate_corpus
+from repro.workloads.jsondata import generate_lineitem_json
 
 
 # -- token bucket ----------------------------------------------------------
@@ -241,28 +246,31 @@ class TestDpuLaunchGate:
         controller.release()
 
     @staticmethod
-    def _ungated_then_degraded(op):
-        """``op(dpu, dtable)`` over one 4,000-row table on an ungated
-        DPU, then twice on a DPU whose ``degrade`` controller holds one
-        token: the first call takes it and the second runs on 16 of the
-        32 cores. Kernels split their rows and count their messages
-        over the launch's cores (``ctx.cores``), not the DPU's."""
-        rng = np.random.default_rng(0)
-        table = Table("t", {
-            "g": rng.integers(0, 4, 4000).astype(np.int32),
-            "v": rng.integers(0, 100, 4000).astype(np.int32),
-            "w": rng.permutation(4000).astype(np.int32),
-        })
+    def _ungated_then_degraded(op, store=None):
+        """``op(dpu, stored)`` on an ungated DPU, then twice on a DPU
+        whose ``degrade`` controller holds one token: the first call
+        takes it and the second runs on 16 of the 32 cores. ``stored``
+        is what ``store(dpu)`` returns: by default one 4,000-row table
+        stored on that DPU. Kernels split their work and count their
+        messages over the launch's cores (``ctx.cores``), not the
+        DPU's."""
+        if store is None:
+            rng = np.random.default_rng(0)
+            store = Table("t", {
+                "g": rng.integers(0, 4, 4000).astype(np.int32),
+                "v": rng.integers(0, 100, 4000).astype(np.int32),
+                "w": rng.permutation(4000).astype(np.int32),
+            }).to_dpu
         ungated = DPU()
-        expected = op(ungated, table.to_dpu(ungated))
+        expected = op(ungated, store(ungated))
         dpu = DPU()
         controller = AdmissionController(dpu.engine, max_concurrent=1,
                                          rate_per_kcycle=0.001,
                                          policy="degrade")
         dpu.set_admission(controller)
-        dtable = table.to_dpu(dpu)
-        first = op(dpu, dtable)  # takes the one token
-        second = op(dpu, dtable)  # runs on 16 cores
+        stored = store(dpu)
+        first = op(dpu, stored)  # takes the one token
+        second = op(dpu, stored)  # runs on 16 cores
         assert controller.counters.get("degraded") == 1
         assert first.cycles == expected.cycles
         assert second.cycles != expected.cycles
@@ -284,7 +292,7 @@ class TestDpuLaunchGate:
         assert second.detail["selected"] == 1661
 
     def test_degraded_scan_project_equals_ungated(self):
-        row_filter = RowFilter.from_predicate(Between("v", 0, 40))
+        row_filter = Between("v", 0, 40)
 
         def project(columns):
             return columns["v"].astype(np.int64) * 3 + 1
@@ -302,6 +310,39 @@ class TestDpuLaunchGate:
             float(3999 - i) for i in range(10)]
         assert first.value == expected.value
         assert second.value == expected.value
+
+    def test_degraded_parse_json_equals_ungated(self):
+        data = generate_lineitem_json(num_records=2000, seed=0)
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, address: dpu_parse_json(dpu, address, data),
+            store=lambda dpu: dpu.store_array(
+                np.frombuffer(data, dtype=np.uint8)))
+        assert len(expected.value) == 2000
+        assert first.value == expected.value
+        assert second.value == expected.value
+
+    def test_degraded_simsearch_equals_ungated(self):
+        workload = generate_corpus(num_docs=2000, num_queries=16)
+        tiled = build_tiled_index(workload.index, tile_docs=32)
+        assert tiled.num_tiles == 63
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, address: dpu_simsearch(dpu, workload, tiled,
+                                               address),
+            store=lambda dpu: dpu.store_array(tiled.postings))
+        assert first.value == expected.value
+        assert second.value == expected.value
+
+    def test_degraded_hll_equals_ungated(self):
+        values = np.random.default_rng(0).integers(
+            0, 2**63, 20_000, dtype=np.uint64)
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, address: dpu_hll(dpu, address, len(values),
+                                         host_values=values),
+            store=lambda dpu: dpu.store_array(values))
+        assert first.value == expected.value
+        assert second.value == expected.value
+        assert np.array_equal(second.detail["registers"],
+                              expected.detail["registers"])
 
     def test_launch_processes_run_gated_jobs_concurrently(self):
         dpu = DPU()

@@ -20,7 +20,6 @@ from repro.apps.sql import dpu_groupby
 from repro.apps.sql.aggregate import (
     DeliveryMismatchError,
     _agg_cycles,
-    _as_row_filter,
     _broadcast_bytes,
     _fold,
     _needed_columns,
@@ -175,14 +174,13 @@ def _run_both(columns, key, aggs, kind, tile_rows):
             assert result.detail["partitions_needed"] == 1
             value, cycles = result.value, result.cycles
         else:
-            filt = _as_row_filter(row_filter)
-            refs = dtable.column_refs(_needed_columns(key, aggs, filt))
+            refs = dtable.column_refs(_needed_columns(key, aggs, row_filter))
             fitted = fit_broadcasts(
                 1, sum(ref_width(spec) for _addr, spec in refs),
                 _broadcast_bytes(broadcasts), tile_rows,
             )
-            value, cycles = _per_tile_low_ndv(dpu, dtable, key, aggs, filt,
-                                              fitted, broadcasts)
+            value, cycles = _per_tile_low_ndv(dpu, dtable, key, aggs,
+                                              row_filter, fitted, broadcasts)
         runs.append((_exact(value), cycles,
                      dpu.counter_registry().snapshot()))
     return runs

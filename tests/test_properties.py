@@ -181,7 +181,7 @@ class TestSeededDifferential:
         lo = gen.randrange(0, 5000)
         hi = lo + gen.randrange(1, 5000)
         predicate = Between("v", lo, hi)
-        expected = predicate.mask(table.columns)
+        expected = predicate.mask_fn(table.columns)
 
         dpu = DPU()
         dpu_result = dpu_filter(dpu, table.to_dpu(dpu), predicate)
@@ -282,7 +282,7 @@ class TestCompiledQueryDifferential:
     evaluation of the same semantics (all aggregates are
     integer-valued sums below 2^53, so equality is byte-equality)."""
 
-    SEEDS = list(range(16))
+    SEEDS = list(range(32))
 
     _AGGS = {
         "sum(v1)": lambda c, m: float(c["v1"][m].sum()),
@@ -306,34 +306,59 @@ class TestCompiledQueryDifferential:
             "v2": rng.integers(1, 50, rows).astype(np.int64),
         }
 
+    _OPS = {"=": np.equal, "<": np.less, "<=": np.less_equal,
+            ">": np.greater, ">=": np.greater_equal}
+
+    @classmethod
+    def _term(cls, gen):
+        """One plain fact term, as SQL text and a numpy mask: a
+        comparison with a literal (every operator), a BETWEEN or an
+        IN list."""
+        kind = gen.choice(sorted(cls._OPS) + ["between", "in"])
+        if kind == "between":
+            lo = gen.randrange(0, 600)
+            hi = lo + gen.randrange(50, 400)
+            return (f"v1 between {lo} and {hi}",
+                    lambda c, lo=lo, hi=hi: (c["v1"] >= lo) & (c["v1"] <= hi))
+        if kind == "in":
+            members = tuple(sorted(gen.sample(range(3), gen.randrange(1, 3))))
+            return (f"g2 in ({', '.join(map(str, members))})",
+                    lambda c, members=members: np.isin(c["g2"], members))
+        column, value = (("g1", gen.randrange(5)) if kind == "="
+                         else ("v1", gen.randrange(100, 900)))
+        return (f"{column} {kind} {value}",
+                lambda c, op=cls._OPS[kind], column=column, value=value:
+                op(c[column], value))
+
     @classmethod
     def _predicates(cls, gen):
+        """WHERE conjuncts over every shape the plain-term reader
+        covers: single terms, a literal written first, two terms fused
+        on one column, and ORs of plain terms."""
         chosen = []
-        for _ in range(gen.randrange(3)):
-            kind = gen.randrange(5)
+        for _ in range(gen.randrange(4)):
+            kind = gen.randrange(4)
             if kind == 0:
-                cut = gen.randrange(100, 900)
-                chosen.append((f"v1 < {cut}",
-                               lambda c, cut=cut: c["v1"] < cut))
+                chosen.append(cls._term(gen))
             elif kind == 1:
+                op, cut = gen.choice(sorted(cls._OPS)), gen.randrange(100, 900)
+                chosen.append((f"{cut} {op} v1",
+                               lambda c, op=cls._OPS[op], cut=cut:
+                               op(cut, c["v1"])))
+            elif kind == 2:
                 lo = gen.randrange(0, 400)
                 hi = lo + gen.randrange(100, 500)
-                chosen.append((f"v1 between {lo} and {hi}",
-                               lambda c, lo=lo, hi=hi:
-                               (c["v1"] >= lo) & (c["v1"] <= hi)))
-            elif kind == 2:
-                val = gen.randrange(0, 5)
-                chosen.append((f"g1 = {val}",
-                               lambda c, val=val: c["g1"] == val))
-            elif kind == 3:
-                chosen.append(("g2 in (0, 2)",
-                               lambda c: np.isin(c["g2"], (0, 2))))
+                low, high = gen.choice([">", ">="]), gen.choice(["<", "<="])
+                chosen.append((f"v1 {low} {lo} and v1 {high} {hi}",
+                               lambda c, low=cls._OPS[low], lo=lo,
+                               high=cls._OPS[high], hi=hi:
+                               low(c["v1"], lo) & high(c["v1"], hi)))
             else:
-                lo = gen.randrange(100, 400)
-                hi = lo + gen.randrange(200, 500)
-                chosen.append((f"(v1 < {lo} or v1 >= {hi})",
-                               lambda c, lo=lo, hi=hi:
-                               (c["v1"] < lo) | (c["v1"] >= hi)))
+                arms = [cls._term(gen) for _ in range(gen.randrange(2, 4))]
+                chosen.append((
+                    "(" + " or ".join(text for text, _fn in arms) + ")",
+                    lambda c, arms=arms: np.logical_or.reduce(
+                        [fn(c) for _text, fn in arms])))
         return chosen
 
     @classmethod

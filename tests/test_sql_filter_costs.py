@@ -58,13 +58,13 @@ class TestCosts:
 
 class TestPredicates:
     def test_between_mask(self, table):
-        mask = Between("a", 100, 200).mask(table.columns)
+        mask = Between("a", 100, 200).mask_fn(table.columns)
         values = table.column("a")
         assert np.array_equal(mask, (values >= 100) & (values <= 200))
 
     def test_compound_and_or(self, table):
         predicate = (Between("a", 0, 5000) & Ge("b", 0)) | Eq("b", -50)
-        mask = predicate.mask(table.columns)
+        mask = predicate.mask_fn(table.columns)
         a, b = table.column("a"), table.column("b")
         expected = ((a <= 5000) & (b >= 0)) | (b == -50)
         assert np.array_equal(mask, expected)
@@ -76,8 +76,8 @@ class TestPredicates:
         assert combined.filt_terms() == 3
 
     def test_cost_scales_with_terms(self):
-        single = Between("a", 0, 1).dpu_cycles_per_row()
-        triple = InSet("a", [1, 2, 3]).dpu_cycles_per_row()
+        single = Between("a", 0, 1).dpu_cycles_per_row
+        triple = InSet("a", [1, 2, 3]).dpu_cycles_per_row
         assert triple > 2.9 * single
 
     def test_inset_requires_values(self):
@@ -90,7 +90,7 @@ class TestDpuFilter:
         dpu, dtable = loaded
         predicate = Between("a", 1000, 3000)
         result = dpu_filter(dpu, dtable, predicate)
-        expected = predicate.mask(dtable.table.columns)
+        expected = predicate.mask_fn(dtable.table.columns)
         assert np.array_equal(result.value, expected)
         assert result.detail["selected"] == int(expected.sum())
 
@@ -99,7 +99,7 @@ class TestDpuFilter:
         predicate = Between("a", 0, 5000) & Between("b", -10, 10)
         result = dpu_filter(dpu, dtable, predicate)
         assert np.array_equal(
-            result.value, predicate.mask(dtable.table.columns)
+            result.value, predicate.mask_fn(dtable.table.columns)
         )
 
     def test_single_core_filter_rate_near_500_mtuples(self):

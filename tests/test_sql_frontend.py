@@ -169,6 +169,20 @@ class TestPlannerRejections:
                     "and (o_orderpriority = '1-URGENT' "
                     "or l_quantity < 10)", catalog, clause="where")
 
+    @pytest.mark.parametrize("sql, member", [
+        ("select sum(l_quantity) from lineitem "
+         "where l_quantity in (1, l_tax) or l_discount = 3", "l_tax"),
+        ("select sum(l_quantity) from lineitem, orders "
+         "where l_orderkey = o_orderkey "
+         "and o_custkey in (1, o_shippriority)",
+         "l_orderkey->o_shippriority"),
+        ("select sum(case when l_quantity in (1, l_tax) then 1 else 0 end) "
+         "from lineitem", "l_tax"),
+    ], ids=["fact_or", "dimension", "case"])
+    def test_in_list_member_is_not_a_literal(self, catalog, sql, member):
+        _plan_error(sql, catalog, clause="in list",
+                    match=f"IN list member {member} is not a literal")
+
     def test_constant_predicate(self, catalog):
         _plan_error("select sum(l_quantity) from lineitem where 1 = 1",
                     catalog, clause="where")

@@ -125,7 +125,7 @@ class TestLowNdv:
             [AggSpec("sum", "v"), AggSpec("count")],
             row_filter=predicate,
         )
-        mask = predicate.mask(table.columns)
+        mask = predicate.mask_fn(table.columns)
         check_against_host(result.value, host_groupby(table, "g", "v", mask))
 
     def test_expression_aggregate(self):

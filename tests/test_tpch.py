@@ -111,7 +111,7 @@ class TestQueries:
         dpu, tables, model = platform
         dpu_result, xeon_result = run_query("Q6", dpu, tables, data, model)
         line = data.table("lineitem")
-        mask = _Q6_PRED.mask(line)
+        mask = _Q6_PRED.mask_fn(line)
         expected = int(
             (line["l_extendedprice"][mask].astype(np.int64)
              * line["l_discount"][mask]).sum()
