@@ -86,39 +86,10 @@ def _jobs(d):
     }
 
 
-@pytest.fixture(scope="module")
-def references(datasets):
-    """``reference(job)``: the job's fault-free one-DPU value, run once
-    per module rather than once per cluster size."""
-    cache = {}
-
-    def reference(job):
-        if job not in cache:
-            cache[job] = _jobs(datasets)[job](Cluster(1), 1).value
-        return cache[job]
-
-    return reference
-
-
 class TestCoordinatorKillMatrix:
-    """Every job byte-equal with DPU 0 killed mid-job at 2/4/8 DPUs."""
-
-    @pytest.mark.parametrize("num_dpus", [2, 4, 8])
-    @pytest.mark.parametrize(
-        "job", ["hll", "filter_count", "groupby", "join", "topk", "tpch_q1"]
-    )
-    def test_byte_equal_after_takeover(self, datasets, references, job,
-                                       num_dpus):
-        run = _jobs(datasets)[job]
-        reference = references(job)
-        cluster = Cluster(num_dpus, fault_plan=_coordinator_kill())
-        result = run(cluster, num_dpus)
-        assert result.value == reference
-        stats = cluster.recovery.stats
-        assert stats.leader_changes == 1
-        assert 0 in cluster.recovery.declared_dead
-        # Deterministic election: lowest surviving index wins.
-        assert cluster.leader == 1
+    """DPU 0 killed in the gather, beside a worker, and on two DPUs.
+    Every job with DPU 0 killed mid-job at 2/4/8 DPUs is in the chaos
+    matrix (``tests/test_cluster_jobs.py::test_chaos_matrix``)."""
 
     def test_kill_during_gather_phase(self, datasets):
         # Place the kill inside the final gather: 90% of the fault-free
