@@ -7,11 +7,11 @@ produces the AST nodes defined here; **canonicalization + binding**
 :class:`Catalog`, scales decimal literals onto the fixed-point
 integer encodings, folds date/interval arithmetic and classifies
 predicates; the **rewrite passes** then run predicate pushdown
-(fact-table range fusion plus per-dimension semijoin folding),
-projection pruning and join ordering by estimated cardinality. The
-resulting :class:`LogicalPlan` is what the physical planner
-(:mod:`repro.apps.sql.physical`) lowers onto the single-DPU operators
-and cluster shuffle stages.
+(fact-table range fusion plus per-dimension semijoin folding) and join
+ordering by estimated cardinality. The resulting :class:`LogicalPlan`
+is what the physical planner (:mod:`repro.apps.sql.physical`) lowers
+onto the single-DPU operators and cluster shuffle stages; projection
+pruning happens there, as the group-by's needed columns.
 
 Everything here is host-side planning: no simulated cycles are spent
 until the physical plan runs.
@@ -403,7 +403,6 @@ class LogicalPlan:
     order_by: List[Tuple[Any, bool]]  # bound
     limit: Optional[int]
     join_order: List[Dict[str, Any]] = field(default_factory=list)
-    needed_fact_columns: List[str] = field(default_factory=list)
     # Every (table, column) the plan depends on: the columns the binder
     # resolved (alias targets included) plus both sides of each join
     # edge. Lowering reads no others, so a write elsewhere leaves the
@@ -443,7 +442,6 @@ class LogicalPlan:
             ],
             "limit": self.limit,
             "join_order": self.join_order,
-            "needed_fact_columns": list(self.needed_fact_columns),
         }
 
 
@@ -986,36 +984,6 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
             "est_rows_after": int(running),
         })
 
-    # 7. Projection pruning: exactly the fact columns the lowered
-    #    operator will stream (group key inputs, aggregate inputs,
-    #    filter inputs — in that order, deduped).
-    needed: List[str] = []
-
-    def need_ref(ref: Ref) -> None:
-        column = ref.chain[0][0] if ref.chain else ref.column
-        if column not in needed:
-            needed.append(column)
-
-    for ref in group_refs:
-        need_ref(ref)
-    for bound, _alias in select_items:
-        for ref in _refs_of(bound):
-            need_ref(ref)
-    for fused in fact_ranges:
-        if fused.column not in needed:
-            needed.append(fused.column)
-    for column, _values in fact_insets:
-        if column not in needed:
-            needed.append(column)
-    for node in fact_or + fact_complex:
-        for ref in _refs_of(node):
-            need_ref(ref)
-    for table in dim_conjuncts:
-        need_ref(Ref(chain=chains[table], column="", table=table))
-    for left, right in cross_eqs:
-        need_ref(left)
-        need_ref(right)
-
     return LogicalPlan(
         name=name,
         text=text,
@@ -1033,6 +1001,5 @@ def compile_logical(stmt: SelectStmt, catalog: Catalog,
         order_by=order_by,
         limit=stmt.limit,
         join_order=join_order,
-        needed_fact_columns=needed,
         reads=sorted(binder.reads),
     )
