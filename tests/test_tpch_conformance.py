@@ -15,6 +15,7 @@ import pytest
 
 from repro.apps.sql import (
     GroupKey,
+    PlanError,
     Table,
     compile_query,
     dpu_groupby,
@@ -102,6 +103,31 @@ class TestThreeWayByteEquality:
             cluster_compiled_query(
                 Cluster(2), compiled, _shard_fact(compiled, data, 2),
                 strategy="all_to_all")
+
+
+class TestScalarAggregateAnchor:
+    """A scalar query whose select items read no column keys its one
+    group on the row filter's first column."""
+
+    SQL = "select count(*) from lineitem where l_quantity < 10"
+
+    def test_count_under_where_equals_numpy(self, data):
+        compiled = compile_query(self.SQL, tpch_catalog(data), "count")
+        quantity = data.tables["lineitem"]["l_quantity"]
+        expected = ((int(np.count_nonzero(quantity < 10)),),)
+        assert expected == ((2134,),)
+        assert compiled.needed_columns == ["l_quantity"]
+        assert compiled.run_xeon(XeonModel(), data).value == expected
+        assert compiled.run_dpu(DPU(), data).value == expected
+        result = cluster_compiled_query(
+            Cluster(2), compiled, _shard_fact(compiled, data, 2))
+        assert result.value == expected
+
+    def test_query_reading_no_column_is_refused(self, data):
+        with pytest.raises(PlanError, match="reads no columns") as excinfo:
+            compile_query("select count(*) from lineitem",
+                          tpch_catalog(data), "count")
+        assert excinfo.value.clause == "select"
 
 
 class TestHandPlanParity:
