@@ -14,8 +14,9 @@ Two parallelizations, as the paper compares:
   between vision kernels. Tiles (plus halo rows) are DMEM-resident,
   so each image byte crosses the memory bus once. This is the
   paper's winning variant (8.6x perf/watt over OpenMP x86).
-* **coarse-grained** — each dpCore owns one shift and streams the
-  whole image pair, then a merge pass reduces the per-shift SAD maps.
+* **coarse-grained** — each dpCore owns one shift (with more shifts
+  than cores, the cores take them in stride) and streams the whole
+  image pair, then a merge pass reduces the per-shift SAD maps.
   Far less synchronization, but the image pair is fetched once *per
   shift* and the SAD maps round-trip through DRAM — it cannot use
   the available bandwidth efficiently, exactly as §5.6 observes.
@@ -120,14 +121,17 @@ def dpu_disparity(
     shifts = pair.max_shift + 1
     left_addr, right_addr = images_addr
     out_addr = dpu.alloc(rows * cols * 2)
-    cores = list(dpu.config.core_ids)
     half = window // 2
 
     if variant == "fine":
-        barrier = AteBarrier(dpu, cores, counter_offset=31 * 1024,
-                             flag_offset=31 * 1024 + 16)
+        barrier = None  # over the launch's cores, built on its first step
 
         def kernel(ctx):
+            nonlocal barrier
+            cores = ctx.cores
+            if barrier is None:
+                barrier = AteBarrier(dpu, cores, counter_offset=31 * 1024,
+                                     flag_offset=31 * 1024 + 16)
             index = cores.index(ctx.core_id)
             r_lo, r_hi = static_partition(rows, len(cores), index)
             halo_lo = max(0, r_lo - half)
@@ -180,18 +184,17 @@ def dpu_disparity(
                                  (r_hi - r_lo) * cols, 2, event=1, channel=1)
             return None
 
-        launch = dpu.launch(kernel, cores=cores)
+        launch = dpu.launch(kernel)
         bytes_streamed = 2 * rows * cols + rows * cols * 2
     else:
-        # Coarse: core s computes the full-image SAD map for shift s,
-        # writes it to DDR; core 0 then merges argmin over all maps.
+        # Coarse: the launch's core i computes the full-image SAD maps
+        # for shifts i, i + n, i + 2n, ... (n cores), writes each to
+        # DDR; the first core then merges argmin over all maps.
         sad_maps_addr = dpu.alloc(shifts * rows * cols * 4)
-        active = cores[: min(shifts, len(cores))]
 
         def kernel(ctx):
-            index = cores.index(ctx.core_id)
-            if index < shifts:
-                shift = index
+            cores = ctx.cores
+            for shift in range(cores.index(ctx.core_id), shifts, len(cores)):
                 # Stream the full image pair through DMEM in row
                 # blocks (whole image does not fit DMEM).
                 block_rows = max(window, (10 * 1024 // cols) // 2)
@@ -238,7 +241,7 @@ def dpu_disparity(
                                      len(piece), 1, event=1, channel=1)
                 yield from ctx.mbox_send(cores[0], ("done", shift))
             if ctx.core_id == cores[0]:
-                for _ in range(len(active)):
+                for _ in range(shifts):
                     yield from ctx.mbox_receive()
                 # Merge pass: argmin across the shift maps.
                 maps = dpu.load_array(
@@ -250,10 +253,9 @@ def dpu_disparity(
                     + shifts * rows * cols * 4 / 16.0  # map re-read stream
                 )
                 dpu.ddr.write(out_addr, best.astype("<i2"))
-                return None
             return None
 
-        launch = dpu.launch(kernel, cores=cores)
+        launch = dpu.launch(kernel)
         bytes_streamed = (
             2 * rows * cols * shifts  # image pair per shift
             + 2 * shifts * rows * cols * 4  # SAD maps out and back

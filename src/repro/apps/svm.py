@@ -370,20 +370,24 @@ def dpu_svm_train(
     dot_cycles = _DOT_CYCLES_PER_FEATURE + (2.0 if kernel == "rbf" else 0.0)
     n = trainer.num_samples
     num_features = trainer.num_features
-    cores = list(dpu.config.core_ids)
-    master = cores[0]
     sample_bytes = num_features * 4
-    slice_rows = -(-n // len(cores))
-    slice_resident = slice_rows * sample_bytes <= 20 * 1024
+
+    def resident(num_cores: int) -> bool:
+        """Whether a core's sample slice fits its DMEM."""
+        return -(-n // num_cores) * sample_bytes <= 20 * 1024
 
     # Master-side reduction slots: 4 u64 per core in master's DMEM.
     slot_base = 1024
     features_addr = dpu.store_array(trainer.features.astype(np.int32))
 
     def kernel(ctx):
+        # Slices and the reduction span the launch's cores.
+        cores = ctx.cores
+        master = cores[0]
         index = cores.index(ctx.core_id)
         lo, hi = static_partition(n, len(cores), index)
         is_master = ctx.core_id == master
+        slice_resident = resident(len(cores))
         iterations = 0
         # Load the sample slice into DMEM once (resident case).
         if lo < hi and slice_resident:
@@ -461,10 +465,12 @@ def dpu_svm_train(
             iterations += 1
         return iterations
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = dpu.launch(kernel)
     model = trainer.finalize()
+    num_cores = len(launch.values)
+    slice_resident = resident(num_cores)
     bytes_streamed = trainer.iterations * (
-        2 * sample_bytes * len(cores)  # broadcast rows
+        2 * sample_bytes * num_cores  # broadcast rows
         + (0 if slice_resident else n * sample_bytes)
     ) + n * sample_bytes
     return DpuOpResult(

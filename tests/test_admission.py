@@ -10,6 +10,7 @@ no controller attached, timings must be bit-identical to the seed.
 import numpy as np
 import pytest
 
+from repro.apps.disparity import compute_disparity_reference, dpu_disparity
 from repro.apps.hll import dpu_hll
 from repro.apps.jsonparse import dpu_parse_json
 from repro.apps.simsearch import build_tiled_index, dpu_simsearch
@@ -20,6 +21,7 @@ from repro.apps.sql.join import dpu_partitioned_join_count
 from repro.apps.sql.sort import dpu_sort
 from repro.apps.sql.topk import dpu_topk
 from repro.apps.streaming import stream_columns
+from repro.apps.svm import dpu_svm_train
 from repro.core.dpu import DPU
 from repro.runtime.admission import (
     Admission,
@@ -31,7 +33,9 @@ from repro.runtime.admission import (
 )
 from repro.sim import Engine
 from repro.workloads.corpus import generate_corpus
+from repro.workloads.higgs import generate_higgs_like
 from repro.workloads.jsondata import generate_lineitem_json
+from repro.workloads.stereo import generate_stereo_pair
 
 
 # -- token bucket ----------------------------------------------------------
@@ -246,14 +250,16 @@ class TestDpuLaunchGate:
         controller.release()
 
     @staticmethod
-    def _ungated_then_degraded(op, store=None):
+    def _ungated_then_degraded(op, store=None, cycles_move=True):
         """``op(dpu, stored)`` on an ungated DPU, then twice on a DPU
         whose ``degrade`` controller holds one token: the first call
         takes it and the second runs on 16 of the 32 cores. ``stored``
         is what ``store(dpu)`` returns: by default one 4,000-row table
         stored on that DPU. Kernels split their work and count their
         messages over the launch's cores (``ctx.cores``), not the
-        DPU's."""
+        DPU's. The degraded run's cycles differ from the ungated ones,
+        or equal them with ``cycles_move=False`` (work that already
+        ran on no more than 16 cores)."""
         if store is None:
             rng = np.random.default_rng(0)
             store = Table("t", {
@@ -273,7 +279,7 @@ class TestDpuLaunchGate:
         second = op(dpu, stored)  # runs on 16 cores
         assert controller.counters.get("degraded") == 1
         assert first.cycles == expected.cycles
-        assert second.cycles != expected.cycles
+        assert (second.cycles != expected.cycles) == cycles_move
         return expected, first, second
 
     def test_degraded_low_ndv_groupby_equals_ungated(self):
@@ -343,6 +349,47 @@ class TestDpuLaunchGate:
         assert second.value == expected.value
         assert np.array_equal(second.detail["registers"],
                               expected.detail["registers"])
+
+    def test_degraded_svm_equals_ungated(self):
+        dataset = generate_higgs_like(num_samples=512, seed=7)
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, _stored: dpu_svm_train(dpu, dataset,
+                                               max_iterations=10),
+            store=lambda dpu: None)
+        for result in (first, second):
+            assert np.array_equal(result.value.weights,
+                                  expected.value.weights)
+            assert result.value.bias == expected.value.bias
+            assert result.detail == expected.detail
+
+    @staticmethod
+    def _disparity(pair, variant, cycles_move=True):
+        return TestDpuLaunchGate._ungated_then_degraded(
+            lambda dpu, addrs: dpu_disparity(dpu, pair, addrs,
+                                             variant=variant),
+            store=lambda dpu: (dpu.store_array(pair.left),
+                               dpu.store_array(pair.right)),
+            cycles_move=cycles_move)
+
+    @pytest.mark.parametrize("variant", ["fine", "coarse"])
+    def test_degraded_disparity_equals_ungated(self, variant):
+        # The coarse variant's nine shifts run on nine cores either way.
+        pair = generate_stereo_pair(rows=48, cols=64, max_shift=8, seed=5)
+        expected, first, second = self._disparity(
+            pair, variant, cycles_move=variant == "fine")
+        assert np.array_equal(expected.value,
+                              compute_disparity_reference(pair))
+        assert np.array_equal(first.value, expected.value)
+        assert np.array_equal(second.value, expected.value)
+
+    def test_coarse_disparity_with_more_shifts_than_cores(self):
+        # 41 shifts on 32 (and, degraded, 16) cores: the cores take the
+        # shifts in stride.
+        pair = generate_stereo_pair(rows=24, cols=128, max_shift=40, seed=5)
+        expected, first, second = self._disparity(pair, "coarse")
+        reference = compute_disparity_reference(pair)
+        for result in (expected, first, second):
+            assert np.array_equal(result.value, reference)
 
     def test_launch_processes_run_gated_jobs_concurrently(self):
         dpu = DPU()
