@@ -126,9 +126,8 @@ class DPU:
             faults=self.faults,
             ecc_scrub_cycles=config.ecc_scrub_cycles,
         )
-        self.scratchpads: Dict[int, Scratchpad] = {
-            core: Scratchpad(core, config.dmem_size) for core in config.core_ids
-        }
+        self.scratchpads: Dict[int, Scratchpad] = Scratchpad.bank(
+            config.core_ids, config.dmem_size)
         self.event_files: Dict[int, EventFile] = {
             core: EventFile(self.engine, core) for core in config.core_ids
         }
@@ -176,23 +175,34 @@ class DPU:
         )
         # Optional admission gate for launches (see set_admission).
         self.admission = None
-        self.caches: List[MacroCacheHierarchy] = [
-            MacroCacheHierarchy(
-                core_ids=range(
-                    macro * config.cores_per_macro,
-                    (macro + 1) * config.cores_per_macro,
-                ),
-                l1d_config=CacheConfig(size=config.l1d_size),
-                l2_config=CacheConfig(
-                    size=config.l2_size, associativity=8, hit_cycles=12
-                ),
-                ddr_latency_cycles=config.ddr_latency_cycles,
-                l1i_config=CacheConfig(size=config.l1i_size, associativity=2),
-            )
-            for macro in range(config.num_macros)
-        ]
+        self._caches: Optional[List[MacroCacheHierarchy]] = None
         self.pmu = PowerManagementUnit(config, engine=self.engine)
         self.power = PowerModel(config)
+
+    @property
+    def caches(self) -> List[MacroCacheHierarchy]:
+        """Each macro's L1/L2 hierarchy, built on first use: only the
+        cached path (``CoreContext.cached_access``, ``cache_flush`` and
+        ``cache_invalidate``) reads them."""
+        if self._caches is None:
+            config = self.config
+            self._caches = [
+                MacroCacheHierarchy(
+                    core_ids=range(
+                        macro * config.cores_per_macro,
+                        (macro + 1) * config.cores_per_macro,
+                    ),
+                    l1d_config=CacheConfig(size=config.l1d_size),
+                    l2_config=CacheConfig(
+                        size=config.l2_size, associativity=8, hit_cycles=12
+                    ),
+                    ddr_latency_cycles=config.ddr_latency_cycles,
+                    l1i_config=CacheConfig(
+                        size=config.l1i_size, associativity=2),
+                )
+                for macro in range(config.num_macros)
+            ]
+        return self._caches
 
     # -- memory helpers ------------------------------------------------------
 

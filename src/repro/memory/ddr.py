@@ -27,7 +27,7 @@ from ..sim import BandwidthServer, Engine, SimEvent, Timeout
 from .address import AddressMap
 from .ecc import SecdedEcc
 
-__all__ = ["DDRMemory", "DDRChannel", "AXI_MAX_TRANSFER"]
+__all__ = ["DDRMemory", "DDRChannel", "AXI_MAX_TRANSFER", "zeroed_pages"]
 
 AXI_MAX_TRANSFER = 256  # max bytes per AXI transaction (paper §3.1)
 
@@ -36,25 +36,37 @@ AXI_MAX_TRANSFER = 256  # max bytes per AXI transaction (paper §3.1)
 _UINT8 = np.dtype(np.uint8)
 
 
+def zeroed_pages(nbytes: int) -> np.ndarray:
+    """``nbytes`` zero bytes over a private anonymous ``mmap``: the one
+    backing of simulated DDR and DMEM.
+
+    The kernel zero-fills the mapping lazily, in 4 KB pages, so it
+    holds host memory only for the pages written to it (a page that
+    is only read maps the shared zero page). ``np.zeros`` would not:
+    at DDR sizes it asks for transparent huge pages, so a store's
+    footprint rounds up to 2 MB pages and varies with where the
+    mapping happens to be aligned; at DMEM sizes it comes from the
+    C heap, whose reused blocks are written with zeros, so what it
+    holds depends on what was allocated before (docs/PERFORMANCE.md).
+    The array keeps the mapping alive and unmaps it when it is freed.
+    """
+    return np.frombuffer(
+        mmap.mmap(-1, nbytes, flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
+        dtype=np.uint8)
+
+
 class DDRMemory:
     """Byte-addressable DRAM contents backed by a numpy array.
 
     Accessors test the bounds inline and call
-    :meth:`AddressMap.check_ddr_range` only to raise its error.
-
-    The array lies over a private anonymous ``mmap``: zero-filled by
-    the kernel, in 4 KB pages, so a DPU's resident memory is the pages
-    its data touches. (``np.zeros`` of this size asks for transparent
-    huge pages, so there a store's footprint rounds up to 2 MB pages
-    and varies with where the mapping happens to be aligned.)
+    :meth:`AddressMap.check_ddr_range` only to raise its error. The
+    array is :func:`zeroed_pages`, so a DPU's resident DDR is the
+    pages its data touches.
     """
 
     def __init__(self, address_map: AddressMap) -> None:
         self.address_map = address_map
-        self.data = np.frombuffer(
-            mmap.mmap(-1, address_map.ddr_capacity,
-                      flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS),
-            dtype=np.uint8)
+        self.data = zeroed_pages(address_map.ddr_capacity)
 
     @property
     def capacity(self) -> int:

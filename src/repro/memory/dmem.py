@@ -4,16 +4,18 @@ Each dpCore owns 32 KB of software-managed SRAM in lieu of a
 hardware-managed data cache (paper §2.1). Access is single-cycle from
 the core; the DMS writes into it directly, making transferred data
 "immediately available for consumption" (§2.1). Like
-:class:`repro.memory.ddr.DDRMemory`, the scratchpad holds real bytes.
+:class:`repro.memory.ddr.DDRMemory`, the scratchpad holds real bytes,
+over the same lazily faulted pages (:func:`~repro.memory.ddr.zeroed_pages`).
 """
 
 from __future__ import annotations
 
-from typing import Callable, List
+from typing import Callable, Dict, List, Sequence
 
 import numpy as np
 
 from .address import DMEM_SIZE
+from .ddr import zeroed_pages
 
 __all__ = ["Scratchpad"]
 
@@ -22,15 +24,41 @@ __all__ = ["Scratchpad"]
 _UINT8 = np.dtype(np.uint8)
 
 
+def _check_size(size: int) -> None:
+    if size <= 0:
+        raise ValueError(f"scratchpad size must be positive: {size}")
+
+
 class Scratchpad:
-    """32 KB of byte-addressable SRAM local to one dpCore."""
+    """32 KB of byte-addressable SRAM local to one dpCore.
+
+    ``data`` holds host memory only for the pages written to it. A
+    standalone scratchpad maps its own pages; a DPU's are ``size``-byte
+    views of one mapping (:meth:`bank`).
+    """
 
     def __init__(self, core_id: int, size: int = DMEM_SIZE) -> None:
-        if size <= 0:
-            raise ValueError(f"scratchpad size must be positive: {size}")
+        _check_size(size)
+        self._attach(core_id, zeroed_pages(size))
+
+    @classmethod
+    def bank(cls, core_ids: Sequence[int],
+             size: int) -> Dict[int, "Scratchpad"]:
+        """One ``size``-byte scratchpad per core, each a view of one
+        mapping: one per DPU, not one per core, so 512 DPUs take 512
+        mappings, not 16,384 (docs/PERFORMANCE.md)."""
+        _check_size(size)
+        pages = zeroed_pages(len(core_ids) * size)
+        bank = {}
+        for index, core_id in enumerate(core_ids):
+            pad = bank[core_id] = cls.__new__(cls)
+            pad._attach(core_id, pages[index * size:(index + 1) * size])
+        return bank
+
+    def _attach(self, core_id: int, data: np.ndarray) -> None:
         self.core_id = core_id
-        self.size = size
-        self.data = np.zeros(size, dtype=np.uint8)
+        self.size = data.size
+        self.data = data
         self.peak_offset = 0  # high-water mark of bytes touched by writes
         self.bytes_written = 0
         self._watermarks: List[List] = []  # [threshold, fired, callback]
