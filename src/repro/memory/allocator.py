@@ -85,6 +85,7 @@ class _Superblock:
     slot_size: int
     free_slots: List[int] = field(default_factory=list)
     allocated: int = 0
+    index: int = 0  # position in its core's list for the size class
 
     def __post_init__(self) -> None:
         count = SUPERBLOCK_SIZE // self.slot_size
@@ -179,26 +180,47 @@ class GlobalHeap:
 
 
 class LocalHeap:
-    """Per-core cache of partially-filled superblocks by size class."""
+    """Per-core cache of partially-filled superblocks by size class.
+
+    ``malloc`` serves a class from its first superblock, in insertion
+    order, that has a free slot. That superblock's index is kept per
+    class (``_open``), so a pick is O(1): blocks before it are full,
+    ``give_back`` lowers it, and a ``take`` that fills its block moves
+    it to the next block with a free slot.
+    """
 
     def __init__(self, core_id: int, global_heap: GlobalHeap) -> None:
         self.core_id = core_id
         self.global_heap = global_heap
         self._by_class: Dict[int, List[_Superblock]] = {}
+        # size class -> index of its first block with a free slot
+        # (the list's length when every block is full).
+        self._open: Dict[int, int] = {}
 
     def malloc(self, size_class: int) -> Tuple[int, _Superblock]:
         blocks = self._by_class.setdefault(size_class, [])
-        for block in blocks:
-            if not block.full:
-                return block.take(), block
-        block = self.global_heap.take_superblock(size_class)
-        blocks.append(block)
-        return block.take(), block
+        index = self._open.setdefault(size_class, 0)
+        if index == len(blocks):
+            block = self.global_heap.take_superblock(size_class)
+            block.index = index
+            blocks.append(block)
+        else:
+            block = blocks[index]
+        address = block.take()
+        if block.full:
+            index += 1
+            while index < len(blocks) and blocks[index].full:
+                index += 1
+            self._open[size_class] = index
+        return address, block
 
     def free(self, address: int, block: _Superblock) -> None:
         block.give_back(address)
+        size_class = block.slot_size
+        if block.index < self._open[size_class]:
+            self._open[size_class] = block.index
         if block.empty:
-            blocks = self._by_class.get(block.slot_size, [])
+            blocks = self._by_class[size_class]
             # Keep one empty superblock cached per class (hysteresis,
             # as in Hoard); return the rest to the global heap.
             empties = [b for b in blocks if b.empty]
@@ -206,9 +228,14 @@ class LocalHeap:
                 # O(len(blocks)) removal is deliberate: hysteresis caps
                 # empties at one, so this fires at most once per empty
                 # transition, and list order must be preserved — malloc
-                # scans in insertion order and a reordering would move
+                # picks in insertion order and a reordering would move
                 # subsequent allocations to different addresses.
-                blocks.remove(block)
+                del blocks[block.index]
+                for index in range(block.index, len(blocks)):
+                    blocks[index].index = index
+                self._open[size_class] = next(
+                    (index for index, b in enumerate(blocks) if not b.full),
+                    len(blocks))
                 self.global_heap.return_superblock(block)
 
     def stats(self) -> Dict:

@@ -10,6 +10,7 @@ from repro.memory import (
     HeapAllocator,
     OutOfMemoryError,
 )
+from repro.memory.allocator import LocalHeap
 
 
 def make_heap(capacity=4 * 1024 * 1024, cores=4):
@@ -135,6 +136,78 @@ def test_random_alloc_free_never_overlaps(operations):
     for address in live:
         heap.free(address)
     assert heap.live_bytes() == 0
+
+
+class _ScanLocalHeap(LocalHeap):
+    """The superblock pick as a scan from a class's first superblock on
+    every call: the insertion-order result the kept index must give."""
+
+    def malloc(self, size_class):
+        blocks = self._by_class.setdefault(size_class, [])
+        for block in blocks:
+            if not block.full:
+                return block.take(), block
+        block = self.global_heap.take_superblock(size_class)
+        blocks.append(block)
+        return block.take(), block
+
+    def free(self, address, block):
+        block.give_back(address)
+        if block.empty:
+            blocks = self._by_class.get(block.slot_size, [])
+            if len([b for b in blocks if b.empty]) > 1:
+                blocks.remove(block)
+                self.global_heap.return_superblock(block)
+
+
+def _scan_heap(capacity, cores):
+    heap = make_heap(capacity, cores)
+    heap.local_heaps = [_ScanLocalHeap(core, heap.global_heap)
+                        for core in range(cores)]
+    return heap
+
+
+@given(
+    st.lists(
+        st.one_of(
+            # Sizes across several classes, up to two slots per
+            # superblock, and one past the classes (a large object).
+            st.tuples(st.just("malloc"),
+                      st.sampled_from([16, 40, 100, 3000, 4096, 20000,
+                                       32768, 40000]),
+                      st.integers(0, 2)),
+            st.tuples(st.just("free"), st.integers(0, 1 << 16)),
+        ),
+        min_size=1,
+        max_size=200,
+    )
+)
+@settings(max_examples=60, deadline=None)
+def test_kept_index_picks_what_the_scan_picks(operations):
+    capacity = 16 * 1024 * 1024
+    heap, reference = make_heap(capacity, 3), _scan_heap(capacity, 3)
+    live = []
+    for op, value, *core in operations:
+        if op == "malloc":
+            address = heap.malloc(value, core_id=core[0])
+            assert address == reference.malloc(value, core_id=core[0])
+            live.append(address)
+        elif live:
+            address = live.pop(value % len(live))
+            heap.free(address)
+            reference.free(address)
+    assert heap.stats() == reference.stats()
+
+
+def test_kept_index_refills_a_superblock_before_a_later_one():
+    heap, reference = make_heap(cores=1), _scan_heap(4 * 1024 * 1024, 1)
+    for allocator in (heap, reference):
+        blocks = [allocator.malloc(32768) for _ in range(6)]
+        allocator.free(blocks[0])  # the first superblock has a slot again
+        allocator.free(blocks[3])
+    assert heap.malloc(32768) == reference.malloc(32768) == blocks[0]
+    assert heap.malloc(32768) == reference.malloc(32768) == blocks[3]
+    assert heap.malloc(32768) == reference.malloc(32768)
 
 
 # -- structured exhaustion errors, stats, and watermarks -------------------
