@@ -19,6 +19,7 @@ until the physical plan runs.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -593,7 +594,7 @@ class _Binder:
                         f"{column!r}", query=self.text,
                         clause="string literal") from None
             return Lit(self.catalog.encode(column, value, self.text))
-        return self.scale_literal(lit, self.scale_of(expr))
+        return Lit(_scaled_comparand(value, self.scale_of(expr)))
 
     def _alias_dictionary(self, column: str) -> Optional[Sequence[str]]:
         for _alias, (_table, target, dictionary) in \
@@ -613,6 +614,20 @@ def _contains_agg(node: Any) -> bool:
                    for cond, result in node.whens) \
             or _contains_agg(node.default)
     return False
+
+
+def _scaled_comparand(value, scale: int):
+    """A comparison literal on its column's integer encoding, kept
+    exact: ``l_discount <= 0.055`` compares with 5.5 cents, and the
+    fact-term reader rounds such a bound by the comparison's direction
+    (:func:`range_term`). Only float noise from folding decimal
+    literals is dropped: ``.06 + 0.01`` is 6.999999999999999 cents and
+    reads 7."""
+    scaled = value * scale
+    nearest = round(scaled)
+    if abs(scaled - nearest) <= 1e-9 * max(1.0, abs(scaled)):
+        return int(nearest)
+    return scaled
 
 
 def _fold_arith(op: str, left: Lit, right: Lit, text: str) -> Lit:
@@ -724,24 +739,29 @@ def _range_selectivity(catalog: Catalog, table: str, column: str,
 def range_term(node: Any) -> Optional[Tuple[Ref, Any, Any]]:
     """Read a plain range term as ``(ref, lo, hi)``: a comparison of a
     column with a literal other than ``<>``, or a BETWEEN of literals.
-    ``None`` is an open bound; anything else reads as ``None``."""
+    ``None`` is an open bound; anything else reads as ``None``.
+
+    Columns hold integers (scaled decimals, day and dictionary codes),
+    so a bound is rounded inward to one: ``x < 1.5`` reads as
+    ``x <= 1``, ``x > 49.5`` as ``x >= 50``, and ``x = 5.5`` as an empty
+    range."""
     if isinstance(node, RangeTest) and isinstance(node.expr, Ref) \
             and isinstance(node.lo, Lit) and isinstance(node.hi, Lit):
-        return node.expr, node.lo.value, node.hi.value
+        return node.expr, math.ceil(node.lo.value), math.floor(node.hi.value)
     if not (isinstance(node, Cmp) and isinstance(node.left, Ref)
             and isinstance(node.right, Lit)):
         return None
     ref, value = node.left, node.right.value
     if node.op == "=":
-        return ref, value, value
+        return ref, math.ceil(value), math.floor(value)
     if node.op == "<":
-        return ref, None, value - 1
+        return ref, None, math.ceil(value) - 1
     if node.op == "<=":
-        return ref, None, value
+        return ref, None, math.floor(value)
     if node.op == ">":
-        return ref, value + 1, None
+        return ref, math.floor(value) + 1, None
     if node.op == ">=":
-        return ref, value, None
+        return ref, math.ceil(value), None
     return None
 
 

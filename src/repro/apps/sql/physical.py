@@ -228,8 +228,8 @@ class _Lowering:
                 return lambda c: (expr(c) >= lo(c)) & (expr(c) <= hi(c))
             if isinstance(node, InList):
                 expr = compile_node(node.expr)
-                values = np.asarray(
-                    [v.value for v in node.values], dtype=np.int64)
+                # A member that is not an integer matches nothing.
+                values = np.asarray([v.value for v in node.values])
                 return lambda c: np.isin(expr(c), values)
             if isinstance(node, Logic):
                 parts = [compile_node(arg) for arg in node.args]

@@ -130,6 +130,73 @@ class TestScalarAggregateAnchor:
         assert excinfo.value.clause == "select"
 
 
+class TestNonIntegerLiterals:
+    """Columns hold integers, so a comparison literal that is not an
+    integer on the column's encoding is rounded by the comparison's
+    direction; a folded decimal such as Q6's ``.06 + 0.01`` still
+    reads as the integer it means."""
+
+    CASES = [
+        ("select sum(l_quantity), count(*) from lineitem "
+         "where l_quantity < 1.5", "l_quantity", lambda v: v < 1.5, 266),
+        ("select sum(l_quantity), count(*) from lineitem "
+         "where l_quantity > 49.5", "l_quantity", lambda v: v > 49.5, 231),
+        ("select count(*) from lineitem where l_discount <= 0.055",
+         "l_discount", lambda v: v <= 5.5, 6501),
+    ]
+
+    @pytest.mark.parametrize("sql, column, keep, count", CASES,
+                             ids=["lt", "gt", "le_scaled"])
+    def test_equals_numpy(self, data, sql, column, keep, count):
+        lineitem = data.tables["lineitem"]
+        mask = keep(lineitem[column])
+        assert int(np.count_nonzero(mask)) == count
+        if sql.startswith("select count"):
+            expected = ((count,),)
+        else:
+            expected = ((int(lineitem["l_quantity"][mask].sum()), count),)
+        compiled = compile_query(sql, tpch_catalog(data), "literal")
+        assert compiled.run_xeon(XeonModel(), data).value == expected
+        assert compiled.run_dpu(DPU(), data).value == expected
+        result = cluster_compiled_query(
+            Cluster(2), compiled, _shard_fact(compiled, data, 2))
+        assert result.value == expected
+
+    def test_bounds_round_inward(self, data):
+        catalog = tpch_catalog(data)
+
+        def fact_range(where):
+            compiled = compile_query(
+                f"select count(*) from lineitem where {where}", catalog, "r")
+            (fused,) = compiled.plan["logical"]["fact_ranges"]
+            return fused["lo"], fused["hi"]
+
+        assert fact_range("l_quantity < 1.5") == (None, 1)
+        assert fact_range("l_quantity <= 1.5") == (None, 1)
+        assert fact_range("l_quantity > 49.5") == (50, None)
+        assert fact_range("l_quantity >= 49.5") == (50, None)
+        assert fact_range("l_quantity between 1.5 and 3.5") == (2, 3)
+        assert fact_range("l_quantity = 5.5") == (6, 5)
+        assert fact_range("l_discount <= 0.055") == (None, 5)
+        assert fact_range("l_discount between .06 - 0.01 "
+                          "and .06 + 0.01") == (5, 7)
+
+    def test_equality_and_in_members_off_the_integers_match_nothing(
+            self, data):
+        catalog = tpch_catalog(data)
+        quantity = data.tables["lineitem"]["l_quantity"]
+        for where, keep in [("l_quantity = 5.5", quantity == 5.5),
+                            ("l_quantity in (5.5, 7)",
+                             np.isin(quantity, [5.5, 7]))]:
+            compiled = compile_query(
+                f"select count(*) from lineitem where {where} "
+                "and l_quantity > 0", catalog, "eq")
+            expected = ((int(np.count_nonzero(keep)),),) \
+                if keep.any() else ()
+            assert compiled.run_xeon(XeonModel(), data).value == expected
+            assert compiled.run_dpu(DPU(), data).value == expected
+
+
 class TestHandPlanParity:
     """The compiled plan must not cost a cycle more than the hand plan."""
 
