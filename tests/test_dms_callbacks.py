@@ -7,8 +7,9 @@ a DPU nobody references is freed by reference counting. When every
 channel walker was a parked daemon process, the walker, its generator
 frame and the DMAD formed a cycle that held the DPU's DDR array until
 a full collection: every case below kept all of its DDR arrays alive.
-The deadlock message and the trace spans are pinned to what the
-process implementation produced.
+The cases check both of a DPU's mappings: its DDR and the one its
+scratchpads are views of. The deadlock message and the trace spans
+are pinned to what the process implementation produced.
 """
 
 import gc
@@ -52,6 +53,13 @@ def _alive(refs):
     return sum(ref() is not None for ref in refs)
 
 
+def _memory_refs(dpus):
+    """Weak references to each DPU's DDR and to the one mapping its
+    scratchpads are views of."""
+    return [weakref.ref(memory) for dpu in dpus
+            for memory in (dpu.ddr, dpu.scratchpads[0].data.base)]
+
+
 @pytest.fixture(scope="module")
 def tpch():
     data = generate_tpch(scale=0.002, seed=11)
@@ -78,7 +86,8 @@ class TestDroppedDpusAreFreedByRefcount:
             yield from ctx.wfe(0)
 
         dpu.launch(kernel, cores=[0, 1])
-        refs = [weakref.ref(dpu.ddr)]
+        refs = _memory_refs([dpu])
+        assert _alive(refs) == 2
         del dpu
         assert _alive(refs) == 0
 
@@ -93,7 +102,8 @@ class TestDroppedDpusAreFreedByRefcount:
             _shards(data.tables[compiled.fact], 4, compiled.fact),
             strategy=strategy)
         assert result.value == compiled.run_dpu(DPU(), data).value
-        refs = [weakref.ref(dpu.ddr) for dpu in cluster.dpus]
+        refs = _memory_refs(cluster.dpus)
+        assert _alive(refs) == 8
         del cluster, result
         assert _alive(refs) == 0
 
@@ -109,7 +119,8 @@ class TestDroppedDpusAreFreedByRefcount:
             tenants=tenants)
         report = frontend.run(requests)
         assert len(report.records) == 30
-        refs = [weakref.ref(dpu.ddr) for dpu in frontend.cluster.dpus]
+        refs = _memory_refs(frontend.cluster.dpus)
+        assert _alive(refs) == 8
         del frontend, report
         assert _alive(refs) == 0
 

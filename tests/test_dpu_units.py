@@ -22,6 +22,7 @@ from repro.apps.streaming import stream_columns
 from repro.cluster import Cluster
 from repro.core import A9_ID, DPU, M0_ID
 from repro.dms import ddr_to_dmem, loop
+from repro.memory import CacheConfig, MacroCacheHierarchy
 from repro.sim import DeadlockError, Engine, SimulationError, Store
 
 
@@ -48,6 +49,15 @@ class TestNothingBuiltAtConstruction:
         assert cluster.engine._queue == []
         assert cluster.engine._processes == []
         assert cluster.engine.run() == 0
+        assert all(dpu._caches is None for dpu in cluster.dpus)
+
+    def test_scratchpads_are_views_of_one_zeroed_mapping(self, dpu):
+        mappings = {id(pad.data.base) for pad in dpu.scratchpads.values()}
+        assert len(mappings) == 1
+        mapping = dpu.scratchpads[0].data.base
+        assert mapping.size == dpu.config.num_cores * dpu.config.dmem_size
+        assert not mapping.any()
+        assert dpu._caches is None
 
     def test_cluster_footprint_per_dpu(self):
         """Eager construction left ~5,200 GC-tracked objects per DPU
@@ -123,6 +133,59 @@ class TestFirstUseBuildsExactlyThatUnit:
         assert dpu.mailbox.try_receive(A9_ID) == (False, None)
         assert list(dpu.mailbox.mailboxes) == [1, A9_ID]
         assert _daemons(dpu.engine) == []
+
+    def test_dmem_writes_stay_in_their_core(self, dpu):
+        address = dpu.store_array(np.full(1024, 0xFFFFFFFF, dtype=np.uint32))
+
+        def kernel(ctx):
+            ctx.push(ddr_to_dmem(1024, 4, address, 0, notify_event=0))
+            yield from ctx.wfe(0)
+
+        dpu.launch(kernel, cores=[5])
+        pads = dpu.scratchpads
+        assert (pads[5].data[:4096] == 0xFF).all()
+        assert not pads[5].data[4096:].any()
+        assert not pads[4].data.any() and not pads[6].data.any()
+
+    @pytest.mark.parametrize("first", ["cached_access", "cache_flush",
+                                       "cache_invalidate"])
+    def test_cache_hierarchy(self, dpu, first):
+        """The hierarchy is built by the first cached operation and
+        charges what a hierarchy built with the DPU would."""
+        config = dpu.config
+        fresh = MacroCacheHierarchy(
+            core_ids=range(8, 16),
+            l1d_config=CacheConfig(size=config.l1d_size),
+            l2_config=CacheConfig(size=config.l2_size, associativity=8,
+                                  hit_cycles=12),
+            ddr_latency_cycles=config.ddr_latency_cycles,
+            l1i_config=CacheConfig(size=config.l1i_size, associativity=2))
+        first_arg = {"cached_access": False, "cache_flush": 64,
+                     "cache_invalidate": 64}[first]
+        steps = [(first, 4096, first_arg), ("cached_access", 4096, True),
+                 ("cached_access", 4096, False), ("cached_access", 8192, False),
+                 ("cache_flush", 4096, 128), ("cache_invalidate", 4096, 64),
+                 ("cached_access", 4096, False)]
+
+        def kernel(ctx):
+            charged = []
+            for name, address, arg in steps:
+                start = ctx.engine.now
+                yield from getattr(ctx, name)(address, arg)
+                charged.append(ctx.engine.now - start)
+            return charged
+
+        assert dpu._caches is None
+        charged = dpu.launch(kernel, cores=[9]).values[0]
+        expected = [
+            {"cached_access": fresh.access, "cache_flush": fresh.flush,
+             "cache_invalidate": fresh.invalidate}[name](9, address, arg)
+            for name, address, arg in steps]
+        assert charged == expected
+        assert len(dpu._caches) == config.num_macros
+        assert dpu.caches[1].l1d[9].stats == fresh.l1d[9].stats
+        assert all(not cache._sets for index, macro in enumerate(dpu.caches)
+                   if index != 1 for cache in macro.l1d.values())
 
     @pytest.mark.parametrize("endpoint", [-1, M0_ID + 1])
     def test_mailbox_ids_outside_range_rejected(self, dpu, endpoint):

@@ -124,6 +124,74 @@ class TestScratchpad:
         dmem.fill(0)
         assert dmem.data.sum() == 0
 
+    def test_backing_is_a_zeroed_private_mmap(self):
+        import mmap
+
+        dmem = Scratchpad(0)
+        assert isinstance(dmem.data.base, memoryview)
+        assert isinstance(dmem.data.base.obj, mmap.mmap)
+        assert dmem.data.size == DMEM_SIZE and not dmem.data.any()
+
+    def test_size_must_be_positive(self):
+        for build in (lambda: Scratchpad(0, 0),
+                      lambda: Scratchpad.bank(range(4), 0)):
+            with pytest.raises(ValueError, match="must be positive"):
+                build()
+
+
+class TestScratchpadBank:
+    """A DPU's scratchpads are views of one mapping, one per core."""
+
+    @pytest.fixture
+    def pads(self):
+        return Scratchpad.bank(range(32), DMEM_SIZE)
+
+    def test_zeroed_non_overlapping_views_of_one_mapping(self, pads):
+        mapping = pads[0].data.base
+        assert mapping.size == 32 * DMEM_SIZE and not mapping.any()
+        start = mapping.__array_interface__["data"][0]
+        for core, pad in pads.items():
+            assert pad.core_id == core and pad.size == DMEM_SIZE
+            assert pad.data.base is mapping
+            assert pad.data.__array_interface__["data"][0] \
+                == start + core * DMEM_SIZE
+        pads[5].write(0, np.full(DMEM_SIZE, 0xAB, dtype=np.uint8))
+        assert (pads[5].data == 0xAB).all()
+        assert not pads[4].data.any() and not pads[6].data.any()
+        assert int(mapping.sum()) == 0xAB * DMEM_SIZE
+
+    def test_access_past_its_view_raises_as_a_standalone_pad(self, pads):
+        alone = Scratchpad(5)
+        for pad in (pads[5], alone):
+            with pytest.raises(IndexError) as error:
+                pad.read(DMEM_SIZE - 4, 8)
+            assert str(error.value) == (
+                f"DMEM access [{DMEM_SIZE - 4:#x}, {DMEM_SIZE + 4:#x}) "
+                f"outside 0..{DMEM_SIZE:#x} on core 5")
+            with pytest.raises(IndexError):
+                pad.write(DMEM_SIZE, np.zeros(1, dtype=np.uint8))
+            with pytest.raises(IndexError):
+                pad.view(-8, 8)
+            with pytest.raises(IndexError):
+                pad.read_u64(DMEM_SIZE - 4)
+        assert not pads[4].data.any() and not pads[6].data.any()
+
+    def test_fill_and_watermarks_stay_per_core(self, pads):
+        fired = []
+        pads[5].add_watermark(0.5, lambda pad: fired.append(pad.core_id))
+        pads[5].write(0, np.ones(DMEM_SIZE // 2, dtype=np.uint8))
+        assert fired == [5]
+        assert pads[5].stats() == {
+            "core_id": 5, "size": DMEM_SIZE,
+            "peak_offset": DMEM_SIZE // 2, "bytes_written": DMEM_SIZE // 2}
+        pads[6].write(0, np.ones(DMEM_SIZE, dtype=np.uint8))
+        assert fired == [5]  # core 6's writes are its own
+        pads[5].fill(7)
+        assert (pads[5].data == 7).all() and pads[5].peak_offset == 0
+        assert not pads[4].data.any() and (pads[6].data == 1).all()
+        pads[5].write(DMEM_SIZE // 2 - 8, np.ones(8, dtype=np.uint8))
+        assert fired == [5, 5]  # fill re-armed the mark
+
 
 class TestDDRChannel:
     def run_request(self, channel, engine, address, nbytes, **kwargs):
