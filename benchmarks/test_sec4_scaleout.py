@@ -13,12 +13,21 @@ clusters". Two regenerations:
   all-to-all moves ``(D-1)/D`` of the table, and the analytic volume
   matches the simulated fabric byte counters at every measured size.
 
+* **Host cost per DPU** — what one more simulated DPU costs the host
+  (peak RSS and seconds), the first measured step towards running
+  500+ DPUs instead of projecting them.
+
 Network bytes are **per job** (deltas, not cumulative fabric
 counters) — the benchmark runs back-to-back jobs on one cluster and
 checks the second job reports only its own traffic.
 """
 
+import json
+import os
+import subprocess
+import sys
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 from conftest import run_once
@@ -158,3 +167,74 @@ def test_sec4_scaleout_scaling(benchmark, report):
     benchmark.extra_info["speedup_512"] = speedups[-1]
     benchmark.extra_info["per_job_bytes"] = second.network_bytes
     benchmark.extra_info["sim_cycles_8dpu"] = q1_sims[8].cycles
+
+
+# One compiled Q1 job on ``Cluster(n)`` in a fresh interpreter: peak
+# RSS is per process, so each size needs a process of its own.
+_HOST_COST_PROBE = r"""
+import json, resource, sys, time
+from repro.apps.sql import Table, compile_query, load_query, tpch_catalog
+from repro.baseline import XeonModel
+from repro.cluster import Cluster, cluster_compiled_query
+from repro.workloads.tpch import generate_tpch
+
+num_dpus = int(sys.argv[1])
+data = generate_tpch(scale=0.02, seed=11)
+compiled = compile_query(load_query("q1"), tpch_catalog(data), "q1")
+fact = data.tables[compiled.fact]
+rows = len(fact[compiled.needed_columns[0]])
+bounds = [rows * i // num_dpus for i in range(num_dpus + 1)]
+shards = [Table(f"lineitem{i}", {name: fact[name][bounds[i]:bounds[i + 1]]
+                                 for name in compiled.needed_columns})
+          for i in range(num_dpus)]
+start = time.process_time()
+result = cluster_compiled_query(Cluster(num_dpus), compiled, shards)
+host_s = time.process_time() - start
+peak_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+print(json.dumps({
+    "equal": result.value == compiled.run_xeon(XeonModel(), data).value,
+    "cycles": result.cycles, "host_s": host_s, "peak_rss_mib": peak_kib / 1024,
+}))
+"""
+
+HOST_COST_DPUS = (32, 128)
+MAX_RSS_MIB_PER_DPU = 0.9
+
+
+def _host_cost(num_dpus):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + ([env["PYTHONPATH"]] if env.get("PYTHONPATH") else []))
+    out = subprocess.run(
+        [sys.executable, "-c", _HOST_COST_PROBE, str(num_dpus)],
+        env=env, capture_output=True, text=True, timeout=600)
+    assert out.returncode == 0, out.stderr
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+def test_sec4_host_cost_per_dpu(benchmark, report):
+    """Compiled Q1 at TPC-H 0.02 (seed 11) on 32 and on 128 DPUs. The
+    slope between the two runs is what each added DPU costs the host;
+    set-up (imports, data, compile) is the same in both and cancels."""
+    runs = run_once(benchmark, lambda: {
+        num_dpus: _host_cost(num_dpus) for num_dpus in HOST_COST_DPUS})
+    low, high = HOST_COST_DPUS
+    added = high - low
+    rss_per_dpu = (runs[high]["peak_rss_mib"]
+                   - runs[low]["peak_rss_mib"]) / added
+    host_ms_per_dpu = 1e3 * (runs[high]["host_s"] - runs[low]["host_s"]) / added
+
+    report(
+        "§4: host cost per simulated DPU (compiled Q1, TPC-H 0.02)",
+        f"{'DPUs':>5} {'cycles':>12} {'peak RSS MiB':>13} {'host s':>8}",
+        [f"{n:>5} {runs[n]['cycles']:>12.0f} "
+         f"{runs[n]['peak_rss_mib']:>13.1f} {runs[n]['host_s']:>8.2f}"
+         for n in HOST_COST_DPUS]
+        + [f"per added DPU: {rss_per_dpu:.3f} MiB, "
+           f"{host_ms_per_dpu:.2f} ms"],
+    )
+    benchmark.extra_info["rss_mib_per_dpu"] = rss_per_dpu
+    benchmark.extra_info["host_ms_per_dpu"] = host_ms_per_dpu
+    assert all(run["equal"] for run in runs.values())
+    assert rss_per_dpu <= MAX_RSS_MIB_PER_DPU, rss_per_dpu
