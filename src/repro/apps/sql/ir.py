@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -616,21 +617,32 @@ def _contains_agg(node: Any) -> bool:
     return False
 
 
+def _decimal(value) -> Decimal:
+    """A number literal as the decimal the query wrote: a float's
+    shortest repr is the text the tokenizer parsed."""
+    return Decimal(repr(value)) if isinstance(value, float) else Decimal(value)
+
+
 def _scaled_comparand(value, scale: int):
     """A comparison literal on its column's integer encoding, kept
     exact: ``l_discount <= 0.055`` compares with 5.5 cents, and the
     fact-term reader rounds such a bound by the comparison's direction
-    (:func:`range_term`). Only float noise from folding decimal
-    literals is dropped: ``.06 + 0.01`` is 6.999999999999999 cents and
-    reads 7."""
-    scaled = value * scale
-    nearest = round(scaled)
-    if abs(scaled - nearest) <= 1e-9 * max(1.0, abs(scaled)):
-        return int(nearest)
-    return scaled
+    (:func:`range_term`)."""
+    scaled = _decimal(value) * scale
+    if scaled == scaled.to_integral_value():
+        return int(scaled)
+    return float(scaled)
 
 
 def _fold_arith(op: str, left: Lit, right: Lit, text: str) -> Lit:
+    values = (left.value, right.value)
+    if op in ("+", "-", "*") and float in map(type, values) \
+            and all(type(value) in (int, float) for value in values):
+        # Decimal literals fold as decimals: .06 + 0.01 is 0.07 (7
+        # cents), where float arithmetic gives 0.06999999999999999.
+        a, b = map(_decimal, values)
+        return Lit(float(a + b if op == "+" else a - b if op == "-"
+                         else a * b))
     try:
         if op == "+":
             return Lit(left.value + right.value)

@@ -178,6 +178,8 @@ class TestNonIntegerLiterals:
         assert fact_range("l_quantity between 1.5 and 3.5") == (2, 3)
         assert fact_range("l_quantity = 5.5") == (6, 5)
         assert fact_range("l_discount <= 0.055") == (None, 5)
+        assert fact_range("l_quantity < 2.0000000001") == (None, 2)
+        assert fact_range("l_quantity >= 0.1 + 0.2 + 0.7") == (1, None)
         assert fact_range("l_discount between .06 - 0.01 "
                           "and .06 + 0.01") == (5, 7)
 
