@@ -9,13 +9,14 @@ Three physical strategies, chosen by the partition planner:
   grouping operator").
 
 * **hardware-partitioned** (1 < partitions <= 32) — the DMS scatters
-  (key, payload) records straight into all 32 cores' DMEMs; each core
-  aggregates its own partition, so no DRAM round trip is needed
-  ("especially useful for moderately sized hash tables"). The waves,
-  their mailbox handshake and the record format are the shared
-  partition loop's (:func:`~repro.apps.streaming.partition_columns`,
-  which join, sort and the cluster exchange use too); this module
-  only sizes the waves and aggregates each wave's records.
+  (key, payload) records straight into the launch's cores' DMEMs (all
+  32 on a whole DPU); each core aggregates its own partition, so no
+  DRAM round trip is needed ("especially useful for moderately sized
+  hash tables"). The waves, their mailbox handshake and the record
+  format are the shared partition loop's
+  (:func:`~repro.apps.streaming.partition_columns`, which join, sort
+  and the cluster exchange use too); this module only sizes the waves
+  and aggregates each wave's records.
 
 * **software round + hardware** (partitions <= 1024) — one
   read+write round through DRAM splits the table 32 ways by *other*
@@ -49,17 +50,18 @@ import numpy as np
 from ...baseline.xeon import XeonModel
 from ...core.crc32 import crc32_column
 from ...core.dpu import DPU
-from ...dms.descriptor import PartitionMode, PartitionSpec
-from ...dms.partition import PartitionLayout
+from ...runtime.admission import spill_segments
 from ...runtime.task import static_partition
 from ...obs import traced_op
 from ..streaming import (
     StagedWrites,
     broadcast_loads,
+    hash_spec,
     load_shared,
     parse_records,
     partition_chunk_rows,
     partition_columns,
+    partition_wave_rows,
     record_width,
     ref_dtype,
     ref_width,
@@ -688,39 +690,30 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
 
 def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
                             broadcasts=()):
-    """The DMS partitions the rows 32 ways in waves; every core
-    aggregates its DMEM partition after each wave."""
+    """The DMS hash-partitions the rows over the launch's cores (32
+    ways on a whole DPU) in waves; every target core aggregates its
+    DMEM partition after each wave."""
     names = _needed_columns(key, aggs, row_filter)
     refs = dtable.column_refs(names)
     rows = dtable.num_rows
     dtypes = [ref_dtype(spec) for _addr, spec in refs]
     width = record_width(dtypes)
-    cores = list(dpu.config.core_ids)
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     agg_cycles = _agg_cycles(aggs)
 
-    # Wave sizing: a chunk fits a CMEM bank; a wave fills the per-core
-    # DMEM output buffers half way on uniform keys (the partition loop
-    # ends it early where skew would overflow one); broadcasts occupy
-    # the space between the buffer and the count word.
+    # A chunk fits a CMEM bank; a wave fills the targets' DMEM output
+    # buffers half way on uniform keys (the partition loop ends it
+    # early where skew would overflow one); broadcasts occupy the space
+    # between the buffer and the count word.
     chunk_rows = partition_chunk_rows(width, dpu.config.cmem_bank_bytes)
     buffer_capacity = 18 * 1024
-    wave_rows = int(len(cores) * (buffer_capacity / width) / 2)
-    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
-
-    spec = PartitionSpec(mode=PartitionMode.HASH, radix_bits=5)
-    layout = PartitionLayout(
-        target_cores=tuple(cores),
-        dmem_base=0,
-        capacity=buffer_capacity,
-        count_offset=31 * 1024,
-    )
-
+    buffer = (0, buffer_capacity, 31 * 1024)
     loads = _broadcast_loads(broadcasts, buffer_capacity)
 
     def kernel(ctx):
+        spec = hash_spec(len(ctx.cores))
         groups: GroupTable = {}
-        if loads:
+        if loads and ctx.core_id in ctx.cores[:spec.fanout]:
             yield from load_shared(ctx, loads)
 
         def aggregate(count):
@@ -729,14 +722,15 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
             selected = _tile_update(groups, columns, key, aggs, row_filter)
             yield from ctx.compute(count * filter_cycles + selected * agg_cycles)
 
-        yield from partition_columns(ctx, refs, rows, spec, layout,
+        wave_rows = partition_wave_rows(spec.fanout, buffer_capacity, width,
+                                        chunk_rows)
+        yield from partition_columns(ctx, refs, rows, spec, buffer,
                                      chunk_rows, wave_rows, aggregate)
         return groups
 
-    launch = dpu.launch(kernel, cores=cores)
+    launch = dpu.launch(kernel)
     merged = merge_groups(launch.values, aggs)  # disjoint keys: concat
-    nbytes = rows * width
-    return merged, launch.cycles, nbytes
+    return merged, launch.cycles, rows * width
 
 
 # -- strategy 3: one software round, then hardware ---------------------------
@@ -753,37 +747,29 @@ def _groupby_one_sw_round(dpu, dtable, key, aggs, row_filter, tile_rows,
     row-chunked rounds — each chunk partitions and aggregates within
     the granted budget, freeing its bucket regions before the next
     chunk, and the per-chunk group tables merge associatively. Results
-    are identical, only cycles grow. Without a governor the code path
-    is exactly the single-round plan.
+    are identical, only cycles grow. Without a governor it is one
+    chunk of every row, and the bucket regions stay allocated.
     """
-    if governor is None:
-        return _groupby_sw_round_range(
-            dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
-            0, dtable.num_rows, free_regions=False,
-        )
     names = _needed_columns(key, aggs, row_filter)
-    refs = dtable.column_refs(names)
-    widths = [ref_dtype(spec).itemsize for _addr, spec in refs]
+    row_bytes = sum(ref_width(spec) for _, spec in dtable.column_refs(names))
     rows = dtable.num_rows
-    row_bytes = sum(widths)
-    need = rows * row_bytes + 32 * len(widths) * 8  # regions + alloc slack
+    need = rows * row_bytes + 32 * len(names) * 8  # regions + alloc slack
     floor = max(row_bytes * 32 * 64, 4096)
-    granted = governor.grant_or_largest(need, floor, site="sql.groupby.buckets")
-    chunks = max(1, -(-need // granted))
-    chunk_rows = -(-rows // chunks)
     merged: GroupTable = {}
     total_cycles = 0.0
     total_nbytes = 0
-    for r0 in range(0, rows, chunk_rows):
-        r1 = min(rows, r0 + chunk_rows)
-        part, cycles, nbytes = _groupby_sw_round_range(
-            dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
-            r0, r1, free_regions=True,
-        )
-        merged = merge_groups([merged, part], aggs)
-        total_cycles += cycles
-        total_nbytes += nbytes
-    governor.release_grant(granted)
+    with spill_segments(governor, need, floor,
+                        "sql.groupby.buckets") as chunks:
+        chunk_rows = max(1, -(-rows // chunks))
+        for r0 in range(0, max(rows, 1), chunk_rows):
+            r1 = min(rows, r0 + chunk_rows)
+            part, cycles, nbytes = _groupby_sw_round_range(
+                dpu, dtable, key, aggs, row_filter, tile_rows, broadcasts,
+                r0, r1, free_regions=governor is not None,
+            )
+            merged = merge_groups([merged, part], aggs)
+            total_cycles += cycles
+            total_nbytes += nbytes
     return merged, total_cycles, total_nbytes
 
 
@@ -795,7 +781,6 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
     dtypes = [ref_dtype(spec) for _addr, spec in refs]
     widths = [dtype.itemsize for dtype in dtypes]
     rows = r1 - r0
-    cores = list(dpu.config.core_ids)
     num_buckets = 32
     # DMEM budget: stream buffers below 20 KB, four 1.5 KB write
     # staging slots above (at 24..30 KB).
@@ -805,21 +790,12 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
     staging_bytes = 1536
 
     # Host-side sizing of bucket regions (models chained-block output
-    # buffers): exact per-core x bucket counts.
+    # buffers): exact bucket totals.
     key_host = dtable.table.column(key)[r0:r1]
     bucket_of = ((crc32_column(key_host) >> np.uint32(5)) % num_buckets).astype(
         np.int64
     )
-
-    core_ranges = {
-        core: static_partition(rows, len(cores), index)
-        for index, core in enumerate(cores)
-    }
-    counts = np.zeros((len(cores), num_buckets), dtype=np.int64)
-    for index, core in enumerate(cores):
-        lo, hi = core_ranges[core]
-        counts[index] = np.bincount(bucket_of[lo:hi], minlength=num_buckets)
-    bucket_totals = counts.sum(axis=0)
+    bucket_totals = np.bincount(bucket_of, minlength=num_buckets)
 
     # Region layout: [bucket][column][core slice]; all in fresh DDR.
     bucket_col_addr: Dict[Tuple[int, int], int] = {}
@@ -828,19 +804,33 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
             bucket_col_addr[(bucket, col)] = dpu.alloc(
                 max(int(bucket_totals[bucket]) * width, 8)
             )
-    core_slice_start = np.zeros((len(cores), num_buckets), dtype=np.int64)
-    core_slice_start[1:] = np.cumsum(counts[:-1], axis=0)
 
     staging_slots = [24 * 1024 + i * staging_bytes for i in range(4)]
+    # Per launch core, its static share of the rows and where its slice
+    # of each bucket starts: built on the launch's first kernel step.
+    split = None
 
     def partition_kernel(ctx):
+        nonlocal split
+        cores = ctx.cores
+        if split is None:
+            ranges = [static_partition(rows, len(cores), index)
+                      for index in range(len(cores))]
+            counts = np.array([
+                np.bincount(bucket_of[lo:hi], minlength=num_buckets)
+                for lo, hi in ranges
+            ])
+            starts = np.zeros_like(counts)
+            starts[1:] = np.cumsum(counts[:-1], axis=0)
+            split = (ranges, starts)
+        ranges, starts = split
         index = cores.index(ctx.core_id)
-        lo, hi = core_ranges[ctx.core_id]
+        lo, hi = ranges[index]
         if lo >= hi:
             return None
         out = StagedWrites(ctx, staging_slots, events=(8, 9, 10, 11))
         cursors = {
-            (bucket, col): int(core_slice_start[index][bucket])
+            (bucket, col): int(starts[index][bucket])
             for bucket in range(num_buckets)
             for col in range(len(widths))
         }
@@ -893,7 +883,7 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
         yield from out.close()
         return None
 
-    launch = dpu.launch(partition_kernel, cores=cores)
+    launch = dpu.launch(partition_kernel)
     total_cycles = launch.cycles
 
     # Phase 2: hardware path per bucket, over the bucket's columns.
@@ -903,16 +893,12 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
         total = int(bucket_totals[bucket])
         if total == 0:
             continue
-        bucket_columns = {}
-        for col, name in enumerate(names):
-            addr = bucket_col_addr[(bucket, col)]
-            bucket_columns[name] = dpu.load_array(addr, total, dtypes[col])
-        sub_table = Table(name=f"{dtable.name}_b{bucket}", columns=bucket_columns)
-        sub_addresses = {
-            name: bucket_col_addr[(bucket, col)]
-            for col, name in enumerate(names)
-        }
-        sub = DpuTable(table=sub_table, dpu=dpu, addresses=sub_addresses)
+        addresses = {name: bucket_col_addr[(bucket, col)]
+                     for col, name in enumerate(names)}
+        sub_table = Table(name=f"{dtable.name}_b{bucket}", columns={
+            name: dpu.load_array(addresses[name], total, dtype)
+            for name, dtype in zip(names, dtypes)})
+        sub = DpuTable(table=sub_table, dpu=dpu, addresses=addresses)
         bucket_groups, cycles, sub_bytes = _groupby_hw_partitioned(
             dpu, sub, key, aggs, row_filter, broadcasts
         )
@@ -928,7 +914,6 @@ def _groupby_sw_round_range(dpu, dtable, key, aggs, row_filter, tile_rows,
     if free_regions:
         for address in bucket_col_addr.values():
             dpu.free(address)  # empty buckets never entered phase 2
-        bucket_col_addr.clear()
     return merged, total_cycles, nbytes
 
 

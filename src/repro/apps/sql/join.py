@@ -10,9 +10,10 @@ while the probe side streams. The probe fuses into the group-by
 filtered join + aggregation is still a single pass at DMS bandwidth.
 
 For build sides too large for DMEM, :func:`dpu_partitioned_join_count`
-partitions *both* tables 32 ways with the DMS hardware partitioner so
-matching keys land on the same core, then builds and probes per core —
-the paper's general strategy.
+partitions *both* tables over the launch's cores (32 ways on a whole
+DPU) with the DMS hardware partitioner so matching keys land on the
+same core, then builds and probes per core — the paper's general
+strategy.
 """
 
 from __future__ import annotations
@@ -23,10 +24,11 @@ import numpy as np
 
 from ...baseline.xeon import XeonModel
 from ...core.dpu import DPU
-from ...dms.descriptor import PartitionMode, PartitionSpec
-from ...dms.partition import PartitionLayout
 from ...obs import traced_op
-from ..streaming import partition_columns, ref_dtype
+from ...runtime.admission import spill_segments
+from ..streaming import (
+    hash_spec, partition_columns, partition_wave_rows, ref_dtype,
+)
 from .costs import JOIN_BUILD_CYCLES_PER_ROW, JOIN_PROBE_CYCLES_PER_ROW
 from .engine import DpuOpResult, XeonOpResult
 from .aggregate import Broadcast
@@ -132,13 +134,15 @@ def dpu_partitioned_join_count(
     probe_key: str,
     governor=None,
 ) -> DpuOpResult:
-    """Count matching pairs with a 32-way hardware-partitioned join.
+    """Count matching pairs with a hardware-partitioned join, 32-way
+    on a whole DPU.
 
-    Both tables are DMS hash-partitioned on the join key, so matching
-    keys land in the same core's DMEM. Each core builds a hash table
-    from its build partition and probes its probe partition. Matches
-    are counted (the common kernel under semijoin/aggregate plans);
-    rows move for real through the partition pipeline.
+    Both tables are DMS hash-partitioned on the join key over the
+    launch's cores, so matching keys land in the same core's DMEM.
+    Each core builds a hash table from its build partition and probes
+    its probe partition. Matches are counted (the common kernel under
+    semijoin/aggregate plans); rows move for real through the
+    partition pipeline.
 
     With a :class:`~repro.runtime.admission.MemoryGovernor`, the build
     hash-table footprint (key + count per build row) is acquired as an
@@ -149,12 +153,11 @@ def dpu_partitioned_join_count(
     only cycles (and bytes streamed) grow. Without a governor the code
     path and its timing are exactly the single-pass plan.
     """
-    cores = list(dpu.config.core_ids)
-    spec = PartitionSpec(mode=PartitionMode.HASH, radix_bits=5)
     count_offset = 31 * 1024
     build_capacity = 10 * 1024
     probe_capacity = 18 * 1024
-    driver = cores[0]
+    build_buffer = (0, build_capacity, count_offset)
+    probe_buffer = (build_capacity, probe_capacity, count_offset + 4)
 
     build_ref = build_dtable.column_ref(build_key)
     probe_ref = probe_dtable.column_ref(probe_key)
@@ -164,41 +167,15 @@ def dpu_partitioned_join_count(
     probe_dtype = ref_dtype(probe_ref[1])
     build_width, probe_width = build_dtype.itemsize, probe_dtype.itemsize
 
-    build_layout = PartitionLayout(
-        target_cores=tuple(cores),
-        dmem_base=0,
-        capacity=build_capacity,
-        count_offset=count_offset,
-    )
-    probe_layout = PartitionLayout(
-        target_cores=tuple(cores),
-        dmem_base=build_capacity,
-        capacity=probe_capacity,
-        count_offset=count_offset + 4,
-    )
     # Waves fill the per-core buffers half way on uniform keys; chunks
     # fit a CMEM bank.
     build_chunk_rows = min(2048, dpu.config.cmem_bank_bytes // build_width)
     probe_chunk_rows = min(2048, dpu.config.cmem_bank_bytes // probe_width)
-    build_wave_rows = int(len(cores) * (build_capacity / build_width) / 2)
-    probe_wave_rows = int(len(cores) * (probe_capacity / probe_width) / 2)
 
-    # Memory grant: each build row costs a key plus a count slot in
-    # the per-core hash tables. Under pressure, shrink to build
-    # segments that fit the grant (probe side re-streamed per segment).
-    build_row_cost = build_width + 8
-    segments = 1
-    granted = 0
-    if governor is not None:
-        need = max(build_rows, 1) * build_row_cost
-        chunk = max(1, min(2048, dpu.config.cmem_bank_bytes // build_width))
-        floor = min(need, chunk * build_row_cost)
-        granted = governor.grant_or_largest(need, floor=floor,
-                                            site="sql.join.build")
-        segments = max(1, -(-need // granted))
-
-    def make_kernel(seg_ref, seg_build_rows):
+    def make_kernel(b0, seg_build_rows):
         def kernel(ctx):
+            spec = hash_spec(len(ctx.cores))
+            targets = ctx.cores[:spec.fanout]
             matches = 0
             build_table = {}
 
@@ -206,11 +183,10 @@ def dpu_partitioned_join_count(
                 # End-of-phase mailbox round: redundant after the loop's
                 # last release, kept because dropping it moves the cycles
                 # of every join.
-                if ctx.core_id == driver:
-                    for core in cores:
-                        if core != driver:
-                            yield from ctx.mbox_send(core, ("phase-done",))
-                else:
+                if ctx.core_id == targets[0]:
+                    for core in targets[1:]:
+                        yield from ctx.mbox_send(core, ("phase-done",))
+                elif ctx.core_id in targets:
                     yield from ctx.mbox_receive()
 
             def build(count):
@@ -228,46 +204,50 @@ def dpu_partitioned_join_count(
                 yield from ctx.compute(count * JOIN_PROBE_CYCLES_PER_ROW)
 
             yield from partition_columns(
-                ctx, [seg_ref], seg_build_rows, spec, build_layout,
-                build_chunk_rows, build_wave_rows, build,
+                ctx, [(build_ref[0] + b0 * build_width, build_ref[1])],
+                seg_build_rows, spec, build_buffer, build_chunk_rows,
+                partition_wave_rows(spec.fanout, build_capacity,
+                                    build_width, build_chunk_rows),
+                build,
             )
             yield from phase_done()
             yield from partition_columns(
-                ctx, [probe_ref], probe_rows, spec, probe_layout,
-                probe_chunk_rows, probe_wave_rows, probe,
+                ctx, [probe_ref], probe_rows, spec, probe_buffer,
+                probe_chunk_rows,
+                partition_wave_rows(spec.fanout, probe_capacity,
+                                    probe_width, probe_chunk_rows),
+                probe,
             )
             yield from phase_done()
             return matches
 
         return kernel
 
-    seg_rows_max = -(-build_rows // segments) if build_rows else 0
-    total_matches = 0
+    # Memory grant: each build row costs a key plus a count slot in
+    # the per-core hash tables. Under pressure, shrink to build
+    # segments that fit the grant (probe side re-streamed per segment).
+    build_row_cost = build_width + 8
+    need = max(build_rows, 1) * build_row_cost
+    floor = min(need, max(1, build_chunk_rows) * build_row_cost)
+    with spill_segments(governor, need, floor, "sql.join.build") as segments:
+        # One launch per build segment (one for an empty build side).
+        seg_rows = -(-build_rows // segments)
+        launches = [
+            dpu.launch(make_kernel(b0, min(seg_rows, build_rows - b0)))
+            for b0 in range(0, max(build_rows, 1), max(seg_rows, 1))
+        ]
     total_cycles = 0.0
-    ran_segments = 0
-    for seg in range(segments):
-        b0 = seg * seg_rows_max
-        seg_build_rows = min(seg_rows_max, build_rows - b0)
-        if segments > 1 and seg_build_rows <= 0:
-            break
-        seg_ref = (build_ref[0] + b0 * build_width, build_ref[1])
-        launch = dpu.launch(
-            make_kernel(seg_ref, seg_build_rows), cores=cores
-        )
-        total_matches += sum(launch.values)
+    for launch in launches:
         total_cycles += launch.cycles
-        ran_segments += 1
-    if governor is not None and granted:
-        governor.release_grant(granted)
     nbytes = (build_rows * build_width
-              + ran_segments * probe_rows * probe_width)
+              + len(launches) * probe_rows * probe_width)
     return DpuOpResult(
-        value=total_matches,
+        value=sum(sum(launch.values) for launch in launches),
         cycles=total_cycles,
         config=dpu.config,
         bytes_streamed=nbytes,
         detail={"build_rows": build_rows, "probe_rows": probe_rows,
-                "build_segments": ran_segments},
+                "build_segments": len(launches)},
     )
 
 

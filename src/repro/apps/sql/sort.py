@@ -3,7 +3,8 @@
 The DMS's *range* partitioning mode exists for exactly this operator
 (and its cousins in the comparison-sort literature the paper cites):
 
-1. sample the key column to pick 32 balanced range bounds;
+1. sample the key column to pick one balanced range bound per core
+   of the launch (32 on a whole DPU);
 2. hardware range-partition the rows so core *i* receives only keys
    in range *i* — the partitions are already globally ordered
    core-to-core;
@@ -26,8 +27,8 @@ import numpy as np
 from ...baseline.xeon import XeonModel
 from ...core.dpu import DPU
 from ...dms.descriptor import PartitionMode, PartitionSpec
-from ...dms.partition import PartitionLayout
 from ...obs import traced_op
+from ...runtime.admission import spill_segments
 from ..streaming import partition_columns, ref_dtype, store
 from .engine import DpuOpResult, XeonOpResult
 from .table import DpuTable, Table
@@ -80,19 +81,19 @@ def dpu_sort(
     from simulated DDR) plus timing.
 
     With a :class:`~repro.runtime.admission.MemoryGovernor`, the
-    per-core spill scratch (32x the column size in the eager plan) is
-    acquired as an up-front grant. A denied grant degrades to an
-    external sort: the column is split into segments that fit the
-    granted budget, each segment is range-partition sorted, and the
-    sorted segments are merged at modelled DMS streaming cost — the
-    result stays byte-exact, only cycles grow. Without a governor the
-    code path (and its timing) is exactly the eager plan.
+    per-core spill scratch (a column's size per core of the DPU in the
+    eager plan) is acquired as an up-front grant. A denied grant
+    degrades to an external sort: the column is split into segments
+    that fit the granted budget, each segment is range-partition
+    sorted, and the sorted segments are merged at modelled DMS
+    streaming cost — the result stays byte-exact, only cycles grow.
+    Without a governor the code path (and its timing) is exactly the
+    eager plan.
     """
     ref = dtable.column_ref(column)
     dtype = ref_dtype(ref[1])
     width = dtype.itemsize
     rows = dtable.num_rows
-    cores = list(dpu.config.core_ids)
     if rows == 0:
         return DpuOpResult(value=np.empty(0, dtype=dtype), cycles=0.0,
                            config=dpu.config, bytes_streamed=0,
@@ -105,42 +106,37 @@ def dpu_sort(
             "representation; bias negative keys before sorting"
         )
 
-    bounds, sample_size, max_share = _sample_bounds(host_values, len(cores))
-    spec = PartitionSpec(mode=PartitionMode.RANGE, bounds=bounds,
-                         radix_bits=5)
     buffer_capacity = 20 * 1024
-    count_offset = 31 * 1024
-    layout = PartitionLayout(
-        target_cores=tuple(cores), dmem_base=0, capacity=buffer_capacity,
-        count_offset=count_offset,
-    )
+    buffer = (0, buffer_capacity, 31 * 1024)
     out_addr = dpu.alloc(max(rows * width, 8))
-    driver = cores[0]
     chunk_rows = min(2040, dpu.config.cmem_bank_bytes // width)
-    # Wave sizing against the most loaded core, from the sample's
-    # observed skew (2x safety margin; the partition loop ends a wave
-    # early where the sample underestimated a range).
     per_core_rows = buffer_capacity // width
-    wave_rows = int(per_core_rows / max(2.0 * max_share, 2.0 / len(cores)))
-    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
 
-    # Memory grant: the eager plan reserves a full column-size spill
-    # per core. Under pressure, shrink to segments that fit the grant.
-    spill_need = len(cores) * max(rows * width, 8)
-    segments = 1
-    granted = 0
-    if governor is not None:
-        floor = len(cores) * max(chunk_rows * width, 8)
-        granted = governor.grant_or_largest(
-            spill_need, floor=floor, site="sql.sort.spill"
-        )
-        segments = max(1, -(-spill_need // granted))
-
-    def run_segment(seg_row0: int, seg_rows: int, spill_addr, seg_descending):
+    def run_segment(seg_row0: int, seg_rows: int, seg_descending):
         """Partition-sort rows [seg_row0, seg_row0+seg_rows)."""
         column = [(ref[0] + seg_row0 * width, dtype)]
+        plan = None
 
         def kernel(ctx):
+            nonlocal plan
+            cores = ctx.cores
+            if plan is None:
+                # The launch's first step: a range per core, sampled from
+                # the column; waves sized against the most loaded core,
+                # from the sample's observed skew (2x safety margin; the
+                # partition loop ends a wave early where the sample
+                # underestimated a range); a spill region per core.
+                sampled, sample_size, max_share = _sample_bounds(
+                    host_values, len(cores))
+                wave_rows = int(per_core_rows
+                                / max(2.0 * max_share, 2.0 / len(cores)))
+                plan = (PartitionSpec(mode=PartitionMode.RANGE,
+                                      bounds=sampled, radix_bits=5),
+                        sample_size,
+                        max(1, wave_rows // chunk_rows) * chunk_rows,
+                        {core: dpu.alloc(max(seg_rows * width, 8))
+                         for core in cores})
+            spec, sample_size, wave_rows, spill_addr = plan
             collected: List[np.ndarray] = []
             spilled = 0
 
@@ -156,10 +152,10 @@ def dpu_sort(
                     )
                     spilled += count
 
-            if ctx.core_id == driver:
+            if ctx.core_id == cores[0]:
                 # Sampling pass to program the range engine.
                 yield from ctx.compute(sample_size * _SAMPLE_CYCLES_PER_VALUE)
-            yield from partition_columns(ctx, column, seg_rows, spec, layout,
+            yield from partition_columns(ctx, column, seg_rows, spec, buffer,
                                          chunk_rows, wave_rows, spill)
             # Local sort: stream the spill back through DMEM in runs and
             # merge (charged as n log2 n element-levels + the re-read).
@@ -176,64 +172,61 @@ def dpu_sort(
                     mine = mine[::-1]
             return mine
 
-        return dpu.launch(kernel, cores=cores)
+        launch = dpu.launch(kernel)
+        if segments > 1:
+            for address in plan[3].values():
+                dpu.free(address)  # the next segment reuses the space
+        return launch
 
+    # Memory grant: the eager plan reserves a full column-size spill
+    # for every core of the DPU (the launch may run on fewer). Under
+    # pressure, shrink to segments that fit the grant, each spilling
+    # only its own rows.
+    num_cores = dpu.config.num_cores
+    with spill_segments(governor, num_cores * max(rows * width, 8),
+                        num_cores * max(chunk_rows * width, 8),
+                        "sql.sort.spill") as segments:
+        seg_rows = -(-rows // segments)
+        launches = [
+            run_segment(row0, min(seg_rows, rows - row0),
+                        descending and segments == 1)
+            for row0 in range(0, rows, seg_rows)
+        ]
+    total_cycles = 0.0
+    for launch in launches:  # not sum(): it compensates on Python 3.12+
+        total_cycles += launch.cycles
     if segments == 1:
-        # Eager plan: full per-core spill scratch, one partition pass.
-        spill_addr = {core: dpu.alloc(max(rows * width, 8)) for core in cores}
-        launch = run_segment(0, rows, spill_addr, descending)
-        runs = launch.values if not descending else launch.values[::-1]
-        # Write the runs to the output region in partition order and
-        # charge the final sequential write.
+        # Eager plan: one partition pass; write the runs to the output
+        # region in partition order.
+        runs = launches[0].values
         offset = 0
-        total_cycles = launch.cycles
-        for run in runs:
+        for run in (runs[::-1] if descending else runs):
             if run is None or len(run) == 0:
                 continue
             dpu.ddr.write(out_addr + offset, np.ascontiguousarray(run))
             offset += len(run) * width
-        total_cycles += rows * width / 16.0  # output write at line rate
     else:
-        # External sort under memory pressure: each segment's spill
-        # fits the grant; sorted segments are then merged at DMS
-        # streaming cost (one read+write pass per merge level).
-        seg_rows_max = -(-rows // segments)
-        total_cycles = 0.0
-        seg_arrays: List[np.ndarray] = []
-        for seg in range(segments):
-            seg_row0 = seg * seg_rows_max
-            seg_rows = min(seg_rows_max, rows - seg_row0)
-            if seg_rows <= 0:
-                break
-            spill_addr = {
-                core: dpu.alloc(max(seg_rows * width, 8)) for core in cores
-            }
-            launch = run_segment(seg_row0, seg_rows, spill_addr, False)
-            total_cycles += launch.cycles
-            parts = [run for run in launch.values
-                     if run is not None and len(run)]
-            seg_arrays.append(
-                np.concatenate(parts) if parts else np.empty(0, dtype=dtype)
-            )
-            for address in spill_addr.values():
-                dpu.free(address)
-        merged = (np.sort(np.concatenate(seg_arrays)) if seg_arrays
-                  else np.empty(0, dtype=dtype))
+        # External sort under memory pressure: the sorted segments are
+        # merged at DMS streaming cost (one read+write pass per merge
+        # level).
+        parts = [run for launch in launches for run in launch.values
+                 if run is not None and len(run)]
+        merged = np.sort(np.concatenate(parts)) if parts else np.empty(
+            0, dtype=dtype)
         if descending:
             merged = merged[::-1]
         merge_passes = max(1, int(np.ceil(np.log2(max(2, segments)))))
         total_cycles += merge_passes * 2 * rows * width / 16.0
         dpu.ddr.write(out_addr, np.ascontiguousarray(merged))
-        total_cycles += rows * width / 16.0  # output write at line rate
-    if governor is not None and granted:
-        governor.release_grant(granted)
+    total_cycles += rows * width / 16.0  # output write at line rate
     sorted_values = dpu.load_array(out_addr, rows, dtype)
     return DpuOpResult(
         value=sorted_values,
         cycles=total_cycles,
         config=dpu.config,
         bytes_streamed=rows * width * 3,  # partition read + spill + out
-        detail={"bounds": len(bounds), "rows": rows,
+        # One range per core of the (last) launch.
+        detail={"bounds": len(launches[-1].values), "rows": rows,
                 "spill_segments": segments},
     )
 

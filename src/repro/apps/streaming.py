@@ -24,13 +24,13 @@ on it with ``wfe``.
   it wraps: the scan filter's two 2 KB slots (events 4 and 5) and the
   group-by software round's four 1.5 KB slots (events 8 to 11).
 * ``partition_columns`` — the DMS hash/range partitioning engine
-  (§3.1-3.2, Fig. 13) scattering rows into the DMEMs of a
-  :class:`~repro.dms.partition.PartitionLayout`'s target cores in
-  waves, with a mailbox handshake between waves and no DMS event.
-  Group-by, join, sort and the cluster exchange differ only in what
-  each core does with its records (``consume``); ``parse_records``
-  reads the stored format (each row's columns back to back, key
-  first).
+  (§3.1-3.2, Fig. 13) scattering rows into the DMEMs of the launch's
+  first ``spec.fanout`` cores in waves, with a mailbox handshake
+  between waves and no DMS event. It alone builds the pass's
+  :class:`~repro.dms.partition.PartitionLayout`. Group-by, join, sort
+  and the cluster exchange differ only in what each core does with
+  its records (``consume``); ``parse_records`` reads the stored format
+  (each row's columns back to back, key first).
 """
 
 from __future__ import annotations
@@ -54,7 +54,8 @@ from ..dms.partition import PartitionLayout, compute_cids
 __all__ = [
     "load", "store", "broadcast_loads", "load_shared", "BROADCAST_EVENT",
     "stream_columns", "stream_tile_rows", "StagedWrites",
-    "partition_columns", "partition_chunk_rows", "parse_records",
+    "partition_columns", "partition_chunk_rows", "partition_wave_rows",
+    "hash_spec", "parse_records",
     "record_width", "ColumnRef", "WIDTH_DTYPE", "ref_dtype", "ref_width",
 ]
 
@@ -377,6 +378,22 @@ def partition_chunk_rows(record_bytes: int, bank_bytes: int) -> int:
     return rows
 
 
+def partition_wave_rows(fanout: int, capacity: int, width: int,
+                        chunk_rows: int) -> int:
+    """Rows per wave that fill ``fanout`` targets' ``capacity``-byte
+    buffers half way on uniform keys, in whole chunks (at least one)."""
+    rows = int(fanout * (capacity / width) / 2)
+    return max(1, rows // chunk_rows) * chunk_rows
+
+
+@lru_cache(maxsize=None)
+def hash_spec(cores: int) -> PartitionSpec:
+    """The hash split of a ``cores``-core launch: CRC bits 0.. over the
+    largest power of two <= ``cores``, at most 32 (2 for a lone core)."""
+    bits = min(5, max(1, cores.bit_length() - 1))
+    return PartitionSpec(mode=PartitionMode.HASH, radix_bits=bits)
+
+
 def _wave_plan(
     keys: np.ndarray, spec: PartitionSpec, layout: PartitionLayout,
     width: int, chunk_rows: int, wave_rows: int,
@@ -387,18 +404,17 @@ def _wave_plan(
     own CID math). A chunk fits one CMEM bank, smaller than every
     buffer, so each wave moves at least one chunk."""
     rows = len(keys)
-    targets = len(layout.target_cores)
-    # CIDs past the last target are never stored: count them apart.
-    cids = np.minimum(compute_cids(keys, spec), targets).astype(np.int64)
+    fanout = spec.fanout
+    cids = compute_cids(keys, spec).astype(np.int64)
     waves = []
     lo = 0
     while lo < rows:
         hi = min(rows, lo + wave_rows)
         chunk_of = np.arange(hi - lo) // chunk_rows
         per_chunk = np.bincount(
-            chunk_of * (targets + 1) + cids[lo:hi],
-            minlength=(int(chunk_of[-1]) + 1) * (targets + 1),
-        ).reshape(-1, targets + 1)[:, :targets]
+            chunk_of * fanout + cids[lo:hi],
+            minlength=(int(chunk_of[-1]) + 1) * fanout,
+        ).reshape(-1, fanout)
         full = per_chunk.cumsum(axis=0).max(axis=1) > layout.capacity // width
         if full.any():
             hi = min(hi, lo + max(1, int(full.argmax())) * chunk_rows)
@@ -407,48 +423,56 @@ def _wave_plan(
     return waves
 
 
-def _stored_count(ctx: CoreContext, layout: PartitionLayout) -> int:
-    return int(ctx.dmem.view(layout.count_offset, 4, np.uint32)[0])
-
-
 def partition_columns(
     ctx: CoreContext,
     columns: Sequence[ColumnRef],
     rows: int,
     spec: PartitionSpec,
-    layout: PartitionLayout,
+    buffer: Tuple[int, int, int],
     chunk_rows: int,
     wave_rows: int,
     consume: Callable,
 ):
     """Partition ``rows`` of ``columns`` (key column first) into the
-    DMEMs of ``layout``'s target cores, in waves; every target core
-    runs this loop.
+    DMEMs of the launch's first ``spec.fanout`` cores, its targets, in
+    waves. Every core of the launch runs this loop: cores past the
+    targets return at once, and a launch of fewer cores raises
+    ValueError. ``buffer`` is each target's ``(dmem_base, capacity,
+    count_offset)``: a wave's records from ``dmem_base``, at most
+    ``capacity`` bytes, their count a u32 at ``count_offset``.
 
-    The first target core drives the engine: it pushes the
+    The first target drives the engine: it builds the pass's
+    :class:`~repro.dms.partition.PartitionLayout`, pushes the
     ``HASH_CONFIG`` or ``RANGE_CONFIG`` descriptor for ``spec``, then
     per wave a ``DDR_TO_DMS`` (one per column) -> ``DMS_TO_DMS`` ->
     ``DMS_TO_DMEM`` chain per chunk of ``chunk_rows``, and polls its
-    DMAD until the wave has landed. Every target core then runs the
+    DMAD until the wave has landed. Every target then runs the
     generator ``consume(count)`` over the ``count`` records stored in
-    its buffer at ``layout.dmem_base``; the driver collects the acks,
-    rewinds the layout, zeroes the count words and releases the next
-    wave. Waves span ``wave_rows`` rows, cut short at a chunk boundary
-    where skewed keys would overflow a buffer. Kernel usage::
+    its buffer; the driver collects the acks, rewinds the layout,
+    zeroes the count words and releases the next wave. Waves span
+    ``wave_rows`` rows, cut short at a chunk boundary where skewed keys
+    would overflow a buffer. Kernel usage::
 
-        yield from partition_columns(ctx, cols, rows, spec, layout,
+        yield from partition_columns(ctx, cols, rows, spec, buffer,
                                      chunk_rows, wave_rows, consume)
     """
-    cores = layout.target_cores
-    driver = cores[0]
+    targets = ctx.cores[:spec.fanout]
+    if len(targets) < spec.fanout:
+        raise ValueError(f"a {spec.fanout}-way partition cannot run on a "
+                         f"{len(ctx.cores)}-core launch")
+    if ctx.core_id not in targets:
+        return
+    stored = ctx.dmem.view(buffer[2], 4, np.uint32)  # this core's count
+    driver = targets[0]
     if ctx.core_id != driver:
         done = rows <= 0
         while not done:
             yield from ctx.mbox_receive()
-            yield from consume(_stored_count(ctx, layout))
+            yield from consume(int(stored[0]))
             yield from ctx.mbox_send(driver, ("ack",))
             _src, (_tag, done) = yield from ctx.mbox_receive()
         return
+    layout = PartitionLayout(targets, *buffer)
     config = (DescriptorType.RANGE_CONFIG if spec.mode is PartitionMode.RANGE
               else DescriptorType.HASH_CONFIG)
     ctx.push(Descriptor(dtype=config, partition=spec, partition_layout=layout))
@@ -458,7 +482,7 @@ def partition_columns(
     key_addr, key_width = columns[0][0], widths[0]
     keys = ctx.dpu.ddr.view(key_addr, rows * key_width, WIDTH_DTYPE[key_width])
     waves = _wave_plan(keys, spec, layout, sum(widths), chunk_rows, wave_rows)
-    followers = [core for core in cores if core != driver]
+    followers = targets[1:]
     scratchpads = ctx.dpu.scratchpads
     for wave, (lo, hi) in enumerate(waves, 1):
         for start in range(lo, hi, chunk_rows):
@@ -482,11 +506,11 @@ def partition_columns(
             yield from ctx.compute(200)
         for core in followers:
             yield from ctx.mbox_send(core, ("wave",))
-        yield from consume(_stored_count(ctx, layout))
+        yield from consume(int(stored[0]))
         for _ in followers:
             yield from ctx.mbox_receive()
         layout.reset()
-        for core in cores:
+        for core in targets:
             scratchpads[core].view(layout.count_offset, 4, np.uint32)[0] = 0
         done = wave == len(waves)
         for core in followers:

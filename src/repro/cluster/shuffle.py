@@ -14,10 +14,11 @@ The exchange reuses the hardware the paper provides for exactly this
    §5.3 operators use) runs with a ``PartitionSpec`` whose fanout is
    the DPU count and whose ``radix_shift`` inspects *high* CRC bits —
    the intra-DPU 32-way operators keep using the low bits, so the two
-   partitioning levels nest without correlation. Each participating
-   core drains its per-destination record buffer to a per-destination
-   DRAM region between waves (DMEM->DDR), exactly the
-   chained-output-buffer scheme of §5.3.
+   partitioning levels nest without correlation. The launch runs on
+   the DPU's cores and its first D cores take one destination each:
+   each drains its record buffer to its destination's DRAM region
+   between waves (DMEM->DDR), exactly the chained-output-buffer scheme
+   of §5.3.
 
 2. **Exchange (concurrent, A9s).** Core 0 mailboxes the region
    pointers to the local A9; the A9s run the all-to-all over the
@@ -56,10 +57,11 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from ..apps.streaming import (
-    partition_chunk_rows, partition_columns, record_width, store,
+    partition_chunk_rows, partition_columns, partition_wave_rows,
+    record_width, store,
 )
 from ..dms.descriptor import PartitionMode, PartitionSpec
-from ..dms.partition import PartitionLayout, compute_cids
+from ..dms.partition import compute_cids
 from .network import FabricConfig
 from .rack import Cluster
 from .recovery import RecoveryManager
@@ -80,8 +82,8 @@ __all__ = [
 SHUFFLE_RADIX_SHIFT = 16
 
 _DRAIN_EVENT = 13  # per-core DMEM->DDR completion event
-_BUFFER_CAPACITY = 18 * 1024
-_COUNT_OFFSET = 31 * 1024
+# Each destination core's (DMEM base, capacity, count word).
+_BUFFER = (0, 18 * 1024, 31 * 1024)
 
 
 def shuffle_spec(num_dpus: int) -> PartitionSpec:
@@ -131,7 +133,10 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
     This is the per-source unit of the exchange, exposed separately so
     the recovery layer can re-partition a dead DPU's shard on a
     survivor — the kernel is deterministic, so the survivor produces
-    byte-identical blobs. Returns ``(raws, cycles, record_width,
+    byte-identical blobs. The launch runs on the DPU's cores (half of
+    them under a ``degrade`` admission ticket) and its first
+    ``num_dests`` cores drain one destination each; a launch of fewer
+    cores raises ValueError. Returns ``(raws, cycles, record_width,
     dtypes)`` where ``raws[dst]`` is the row-major record bytes bound
     for destination slot ``dst``.
     """
@@ -142,15 +147,8 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
     # Waves fill the per-destination buffers half way on uniform keys,
     # in whole CMEM-bank chunks.
     chunk_rows = partition_chunk_rows(width, dpu.config.cmem_bank_bytes)
-    wave_rows = int(num_dests * (_BUFFER_CAPACITY / width) / 2)
-    wave_rows = max(1, wave_rows // chunk_rows) * chunk_rows
+    wave_rows = partition_wave_rows(num_dests, _BUFFER[1], width, chunk_rows)
     rows = dtable.num_rows
-    cores = list(dpu.config.core_ids)[:num_dests]
-    if num_dests > len(dpu.config.core_ids):
-        raise ValueError(
-            f"simulated shuffles are limited to {len(dpu.config.core_ids)} "
-            f"destinations (one drain core per destination): {num_dests}"
-        )
     keys_host = dtable.table.column(key)
     cids = compute_cids(keys_host, spec)
     counts = np.bincount(cids, minlength=num_dests)
@@ -159,47 +157,45 @@ def partition_source(dpu, dtable, key: str, names: Sequence[str],
         for dst in range(num_dests)
     ]
     cycles = 0.0
-    if rows:
-        refs = [dtable.column_ref(name) for name in names]
-        layout = PartitionLayout(
-            target_cores=tuple(cores),
-            dmem_base=0,
-            capacity=_BUFFER_CAPACITY,
-            count_offset=_COUNT_OFFSET,
-        )
+    try:
+        if rows:
+            refs = [dtable.column_ref(name) for name in names]
 
-        def kernel(ctx):
-            region = region_addrs[cores.index(ctx.core_id)]
-            cursor = 0
+            def kernel(ctx):
+                slot = ctx.cores.index(ctx.core_id)  # a target's destination
+                cursor = 0
 
-            def drain(count):
-                # This core's records go to its destination's DRAM
-                # region as raw bytes (col_width=1).
-                nonlocal cursor
-                nbytes = count * width
-                if nbytes:
-                    yield from store(ctx, 0, region + cursor, nbytes, 1,
-                                     event=_DRAIN_EVENT, channel=0)
-                    cursor += nbytes
+                def drain(count):
+                    # This core's records go to its destination's DRAM
+                    # region as raw bytes (col_width=1).
+                    nonlocal cursor
+                    nbytes = count * width
+                    if nbytes:
+                        yield from store(ctx, 0, region_addrs[slot] + cursor,
+                                         nbytes, 1, event=_DRAIN_EVENT,
+                                         channel=0)
+                        cursor += nbytes
 
-            yield from partition_columns(ctx, refs, rows, spec, layout,
-                                         chunk_rows, wave_rows, drain)
-            return cursor
+                yield from partition_columns(ctx, refs, rows, spec, _BUFFER,
+                                             chunk_rows, wave_rows, drain)
+                return cursor
 
-        launch = dpu.launch(kernel, cores=cores)
-        cycles = launch.cycles
-        for slot, written in enumerate(launch.values):
-            expected = int(counts[slot]) * width
-            if written != expected:
-                raise RuntimeError(
-                    f"partition drain mismatch on {dpu.name} slot {slot}: "
-                    f"{written} != {expected} bytes"
-                )
-    raws = []
-    for dst in range(num_dests):
-        nbytes = int(counts[dst]) * width
-        raws.append(dpu.load_array(region_addrs[dst], nbytes, np.uint8).copy())
-        dpu.free(region_addrs[dst])
+            launch = dpu.launch(kernel)
+            cycles = launch.cycles
+            written = launch.values  # bytes per launch core, targets first
+            for slot, count in enumerate(counts):
+                expected = int(count) * width
+                if written[slot] != expected:
+                    raise RuntimeError(
+                        f"partition drain mismatch on {dpu.name} slot "
+                        f"{slot}: {written[slot]} != {expected} bytes")
+        raws = [
+            dpu.load_array(address, int(count) * width, np.uint8).copy()
+            for address, count in zip(region_addrs, counts)
+        ]
+    finally:
+        for address in region_addrs:
+            dpu.free(address)
     return raws, cycles, width, dtypes
 
 

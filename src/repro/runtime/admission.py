@@ -18,7 +18,8 @@ module is the software end of the backpressure chain:
   smaller rather than not at all);
 * :class:`MemoryGovernor` — up-front memory grants for SQL operators,
   so an operator discovers pressure *before* allocating and can spill
-  to DDR instead of dying mid-query.
+  to DDR instead of dying mid-query; :func:`spill_segments` is the one
+  way an operator takes a grant and gives it back.
 
 Everything is driven by the simulation clock, so admission decisions
 are bit-reproducible. A ``DPU`` or cluster coordinator with no
@@ -28,6 +29,7 @@ controller attached takes exactly the pre-existing code path.
 from __future__ import annotations
 
 from bisect import insort
+from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -42,6 +44,7 @@ __all__ = [
     "OverloadError",
     "TokenBucket",
     "WeightedFairQueue",
+    "spill_segments",
 ]
 
 
@@ -543,3 +546,20 @@ class MemoryGovernor:
             "granted_bytes": self.granted_bytes,
             "denials": self.denials,
         }
+
+
+@contextmanager
+def spill_segments(governor: Optional[MemoryGovernor], need: int, floor: int,
+                   site: str):
+    """``with spill_segments(governor, need, floor, site) as n:`` runs
+    a ``need``-byte working set in ``n`` segments: 1 with no governor,
+    else as many as its grant (``grant_or_largest``) takes, released
+    however the block exits."""
+    if governor is None:
+        yield 1
+        return
+    granted = governor.grant_or_largest(need, floor, site=site)
+    try:
+        yield max(1, -(-need // granted))
+    finally:
+        governor.release_grant(granted)

@@ -225,6 +225,22 @@ def _noop_kernel(ctx):
     return ctx.core_id
 
 
+def _gate_table():
+    """The 4,000-row table the launch-gate and grant tests run on: a
+    4-group ``g``, a 0-99 ``v`` and a permutation ``w`` (seed 0)."""
+    rng = np.random.default_rng(0)
+    return Table("t", {
+        "g": rng.integers(0, 4, 4000).astype(np.int32),
+        "v": rng.integers(0, 100, 4000).astype(np.int32),
+        "w": rng.permutation(4000).astype(np.int32),
+    })
+
+
+# Probe side of the partitioned joins against ``_gate_table``'s ``w``.
+_PROBE = Table("p", {"k": np.random.default_rng(1).integers(
+    0, 5000, 3000).astype(np.int32)})
+
+
 class TestDpuLaunchGate:
     def test_shed_policy_raises_typed_error(self):
         dpu = DPU()
@@ -250,7 +266,8 @@ class TestDpuLaunchGate:
         controller.release()
 
     @staticmethod
-    def _ungated_then_degraded(op, store=None, cycles_move=True):
+    def _ungated_then_degraded(op, store=None, cycles_move=True,
+                               first_degrades=False):
         """``op(dpu, stored)`` on an ungated DPU, then twice on a DPU
         whose ``degrade`` controller holds one token: the first call
         takes it and the second runs on 16 of the 32 cores. ``stored``
@@ -259,14 +276,12 @@ class TestDpuLaunchGate:
         messages over the launch's cores (``ctx.cores``), not the
         DPU's. The degraded run's cycles differ from the ungated ones,
         or equal them with ``cycles_move=False`` (work that already
-        ran on no more than 16 cores)."""
+        ran on no more than 16 cores). With ``first_degrades`` the
+        operator launches more than once, so the first call's later
+        launches find the token taken too, and only its value is the
+        ungated one."""
         if store is None:
-            rng = np.random.default_rng(0)
-            store = Table("t", {
-                "g": rng.integers(0, 4, 4000).astype(np.int32),
-                "v": rng.integers(0, 100, 4000).astype(np.int32),
-                "w": rng.permutation(4000).astype(np.int32),
-            }).to_dpu
+            store = _gate_table().to_dpu
         ungated = DPU()
         expected = op(ungated, store(ungated))
         dpu = DPU()
@@ -277,10 +292,53 @@ class TestDpuLaunchGate:
         stored = store(dpu)
         first = op(dpu, stored)  # takes the one token
         second = op(dpu, stored)  # runs on 16 cores
-        assert controller.counters.get("degraded") == 1
-        assert first.cycles == expected.cycles
+        if first_degrades:
+            assert controller.counters.get("degraded") > 1
+        else:
+            assert controller.counters.get("degraded") == 1
+            assert first.cycles == expected.cycles
         assert (second.cycles != expected.cycles) == cycles_move
         return expected, first, second
+
+    def test_degraded_hw_groupby_equals_ungated(self):
+        # 4,000 groups need the hardware partition path: 16 targets.
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_groupby(dpu, dtable, "w",
+                                            [AggSpec("sum", "v")],
+                                            ndv_hint=4000))
+        assert expected.detail["partitions_needed"] <= 32
+        assert len(expected.value) == 4000
+        assert first.value == expected.value
+        assert second.value == expected.value
+
+    def test_degraded_partitioned_join_equals_ungated(self):
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_partitioned_join_count(
+                dpu, dtable, "w", _PROBE.to_dpu(dpu), "k"))
+        build = _gate_table().column("w")
+        assert expected.value == int(np.isin(_PROBE.column("k"), build).sum())
+        assert first.value == expected.value
+        assert second.value == expected.value
+
+    def test_degraded_sort_equals_ungated(self):
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_sort(dpu, dtable, "w"))
+        assert np.array_equal(expected.value, np.arange(4000))
+        assert np.array_equal(first.value, expected.value)
+        assert np.array_equal(second.value, expected.value)
+        assert (expected.detail["bounds"], second.detail["bounds"]) == (32, 16)
+
+    def test_degraded_sw_round_groupby_equals_ungated(self):
+        # 200,000 groups need the software round; its 32 bucket
+        # launches each pass the gate.
+        expected, first, second = self._ungated_then_degraded(
+            lambda dpu, dtable: dpu_groupby(dpu, dtable, "w",
+                                            [AggSpec("sum", "v")],
+                                            ndv_hint=200_000),
+            first_degrades=True)
+        assert expected.detail["partitions_needed"] > 32
+        assert first.value == expected.value
+        assert second.value == expected.value
 
     def test_degraded_low_ndv_groupby_equals_ungated(self):
         aggs = [AggSpec("sum", "v"), AggSpec("count")]
@@ -539,6 +597,30 @@ class TestGovernedOperators:
         assert segmented.detail["build_segments"] > 1
         assert segmented.value == base.value
         assert segmented.cycles > base.cycles
+        assert governor.granted_bytes == 0
+
+
+    @pytest.mark.parametrize("op", ["sort", "join", "sw_round"])
+    def test_failed_launch_releases_the_grant(self, op, monkeypatch):
+        dpu = DPU()
+        dtable = _gate_table().to_dpu(dpu)
+        probe = _PROBE.to_dpu(dpu)
+        governor = MemoryGovernor(10_000_000)
+        run = {
+            "sort": lambda: dpu_sort(dpu, dtable, "w", governor=governor),
+            "join": lambda: dpu_partitioned_join_count(
+                dpu, dtable, "w", probe, "k", governor=governor),
+            "sw_round": lambda: dpu_groupby(
+                dpu, dtable, "w", [AggSpec("sum", "v")], ndv_hint=200_000,
+                governor=governor),
+        }[op]
+
+        def failing_launch(*args, **kwargs):
+            raise RuntimeError("launch failed")
+
+        monkeypatch.setattr(dpu, "launch", failing_launch)
+        with pytest.raises(RuntimeError, match="launch failed"):
+            run()
         assert governor.granted_bytes == 0
 
 

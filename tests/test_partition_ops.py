@@ -19,6 +19,9 @@ and review the JSON diff like any other behavioural change.
 import json
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.apps.sql import (
     AggSpec,
@@ -29,11 +32,14 @@ from repro.apps.sql import (
 )
 from repro.apps.sql.join import bitmap_filter, broadcast_array, key_bitmap
 from repro.apps.sql.planner import DmemBudget
-from repro.apps.streaming import _wave_plan
+from repro.apps.streaming import (
+    _wave_plan, partition_columns, partition_wave_rows,
+)
 from repro.cluster import Cluster, cluster_groupby, shuffle_exchange
+from repro.cluster.shuffle import partition_source
 from repro.core import DPU
 from repro.dms import PartitionLayout, PartitionMode, PartitionSpec, compute_cids
-from repro.runtime.admission import MemoryGovernor
+from repro.runtime.admission import AdmissionController, MemoryGovernor
 from test_equivalence import GOLDEN_DIR, digest
 
 GOLDEN = GOLDEN_DIR / "partition_ops.json"
@@ -312,3 +318,108 @@ class TestWavePlan:
         assert all(a[1] == b[0] for a, b in zip(waves, waves[1:]))
         end = waves[0][1]
         assert end % 25 == 0 and hot[:end].sum() <= 100 < hot[:end + 25].sum()
+
+
+# -- the launch's cores --------------------------------------------------------
+
+
+def _partition_pass(cores, keys, spec):
+    """One ``partition_columns`` pass of u32 ``keys`` on a launch of
+    ``cores`` (a 4 KB buffer per target, 256-row chunks); returns, per
+    launch core, the keys its ``consume`` saw, wave by wave."""
+    dpu = DPU()
+    address = dpu.store_array(keys)
+    wave_rows = partition_wave_rows(spec.fanout, 4096, 4, 256)
+
+    def kernel(ctx):
+        seen = []
+
+        def consume(count):
+            seen.append(ctx.dmem.view(0, count * 4, np.uint32).copy())
+            yield from ctx.compute(count)
+
+        yield from partition_columns(ctx, [(address, np.uint32)], len(keys),
+                                     spec, (0, 4096, 31 * 1024), 256,
+                                     wave_rows, consume)
+        return seen
+
+    return dpu.launch(kernel, cores=cores).values
+
+
+class TestLaunchCores:
+    """A partition pass targets the first ``spec.fanout`` cores of its
+    launch, in launch order, whichever cores those are."""
+
+    @pytest.mark.parametrize("size", [32, 16, 8, 4, 24])
+    @settings(max_examples=8, deadline=None)
+    @given(order=st.permutations(range(32)), seed=st.integers(0, 2**32 - 1),
+           rows=st.sampled_from([0, 1, 700, 3000]), data=st.data())
+    def test_targets_consume_their_rows_in_order(self, size, order, seed,
+                                                 rows, data):
+        cores = order[:size]
+        keys = np.random.default_rng(seed).integers(
+            0, 2**32, rows, dtype=np.uint32)
+        fanout_bits = size.bit_length() - 1
+        if data.draw(st.booleans(), label="range"):
+            bounds = np.sort(np.random.default_rng(seed).integers(
+                0, 2**32, data.draw(st.integers(1, size), label="ranges")))
+            spec = PartitionSpec(mode=PartitionMode.RANGE,
+                                 bounds=tuple(int(b) for b in bounds))
+        else:
+            spec = PartitionSpec(
+                mode=PartitionMode.HASH,
+                radix_bits=data.draw(st.integers(1, fanout_bits),
+                                     label="radix_bits"),
+                radix_shift=data.draw(st.sampled_from([0, 5, 16]),
+                                      label="radix_shift"))
+        seen = _partition_pass(cores, keys, spec)
+        cids = compute_cids(keys, spec)
+        for index, waves in enumerate(seen):
+            if index >= spec.fanout:
+                assert waves == []  # past the targets: nothing consumed
+                continue
+            got = (np.concatenate(waves) if waves
+                   else np.empty(0, dtype=np.uint32))
+            assert np.array_equal(got, keys[cids == index])
+
+    @pytest.mark.parametrize("size", [32, 16, 8, 4, 24])
+    def test_spec_wider_than_the_launch_raises(self, size):
+        bits = size.bit_length()  # one more than the launch can take
+        spec = PartitionSpec(mode=PartitionMode.HASH, radix_bits=bits)
+        keys = np.arange(100, dtype=np.uint32)
+        with pytest.raises(ValueError, match=f"{1 << bits}-way .* {size}-core"):
+            _partition_pass(list(range(31, 31 - size, -1)), keys, spec)
+
+    @staticmethod
+    def _exchange_source():
+        rng = np.random.default_rng(4)
+        return Table("s", {
+            "k": rng.integers(0, 5000, 6000).astype(np.int64),
+            "v": rng.integers(0, 1000, 6000).astype(np.int64),
+        })
+
+    def test_degraded_exchange_partition_equals_ungated(self):
+        table = self._exchange_source()
+        ungated = DPU()
+        expected, _cycles, width, _dtypes = partition_source(
+            ungated, table.to_dpu(ungated), "k", ["k", "v"], 8)
+        dpu = DPU()
+        controller = AdmissionController(dpu.engine, max_concurrent=1,
+                                         rate_per_kcycle=0.001,
+                                         policy="degrade")
+        dpu.set_admission(controller)
+        dtable = table.to_dpu(dpu)
+        partition_source(dpu, dtable, "k", ["k", "v"], 8)  # takes the token
+        raws, _cycles, _width, _dtypes = partition_source(
+            dpu, dtable, "k", ["k", "v"], 8)  # runs on 16 cores
+        assert controller.counters.get("degraded") == 1
+        assert sum(len(raw) for raw in expected) == 6000 * width
+        assert all(np.array_equal(raw, want)
+                   for raw, want in zip(raws, expected))
+        # 32 destinations need 32 drain cores: refused, and the
+        # destination regions are freed.
+        live = dpu.heap.live_bytes()
+        with pytest.raises(ValueError, match="32-way .* 16-core"):
+            partition_source(dpu, dtable, "k", ["k", "v"], 32)
+        assert dpu.heap.live_bytes() == live
+
