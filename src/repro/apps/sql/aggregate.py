@@ -325,11 +325,14 @@ def _broadcast_loads(broadcasts, dmem_offset: int):
     """The descriptors that DMS-load each broadcast table into a core's
     DMEM at ``dmem_offset``, in pieces of at most 8 KB: built once per
     launch, pushed by each of its cores with
-    :func:`~repro.apps.streaming.load_shared`."""
-    return broadcast_loads(
+    :func:`~repro.apps.streaming.load_shared`. Also returns the
+    64-byte-aligned offset where the tables end, where a launch that
+    streams above them starts its tiles."""
+    loads = broadcast_loads(
         [(broadcast.addr, broadcast.nbytes) for broadcast in broadcasts],
         dmem_offset,
     )
+    return loads, dmem_offset + -(-_broadcast_bytes(broadcasts) // 64) * 64
 
 
 def _broadcast_bytes(broadcasts) -> int:
@@ -341,10 +344,10 @@ def fit_broadcasts(partitions_needed: int, row_bytes: int, bcast_bytes: int,
     """Check that ``bcast_bytes`` of broadcast tables fit in DMEM beside
     the group-by's buffers for ``partitions_needed`` partitions, and
     return the low-NDV path's stream tile rows (at most ``tile_rows``)
-    for ``row_bytes``-byte rows. The low-NDV path streams below the
-    broadcasts in 30 KB; the hardware path keeps 12 KB for them above
-    its partition buffer. Raises ValueError when they do not fit; the
-    compiler asks the same of a plan."""
+    for ``row_bytes``-byte rows. The low-NDV path streams right above
+    the broadcasts, within 30 KB; the hardware path keeps 12 KB for
+    them above its partition buffer. Raises ValueError when they do
+    not fit; the compiler asks the same of a plan."""
     if partitions_needed <= 1:
         return stream_tile_rows(tile_rows, row_bytes, 30 * 1024 - bcast_bytes)
     if bcast_bytes > 12 * 1024:
@@ -631,9 +634,8 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
     filter_cycles = row_filter.dpu_cycles_per_row if row_filter else 0.0
     key_cycles = key.cycles_per_row if isinstance(key, GroupKey) else 0.0
     agg_cycles = _agg_cycles(aggs) + key_cycles
-    # Broadcasts live at the top of DMEM, above the stream tiles.
-    loads = _broadcast_loads(
-        broadcasts, dpu.config.dmem_size - _broadcast_bytes(broadcasts))
+    # Broadcasts sit at the bottom of DMEM, right below the stream tiles.
+    loads, stream_base = _broadcast_loads(broadcasts, 0)
     bulk: Optional[_LowNdvPass] = None
     core_refs: List[List[Tuple[int, object]]] = []
 
@@ -663,7 +665,8 @@ def _groupby_low_ndv(dpu, dtable, key, aggs, row_filter, tile_rows,
                 return (thi - tlo) * filter_cycles + selected[tile] * agg_cycles
 
             yield from stream_columns(
-                ctx, core_refs[index], hi - lo, tile_rows, process, dmem_base=0
+                ctx, core_refs[index], hi - lo, tile_rows, process,
+                dmem_base=stream_base,
             )
         # Merge at core 0: every other core mails its index, and core 0
         # pays for merging that core's partial table.
@@ -708,7 +711,7 @@ def _groupby_hw_partitioned(dpu, dtable, key, aggs, row_filter,
     chunk_rows = partition_chunk_rows(width, dpu.config.cmem_bank_bytes)
     buffer_capacity = 18 * 1024
     buffer = (0, buffer_capacity, 31 * 1024)
-    loads = _broadcast_loads(broadcasts, buffer_capacity)
+    loads = _broadcast_loads(broadcasts, buffer_capacity)[0]
 
     def kernel(ctx):
         spec = hash_spec(len(ctx.cores))

@@ -69,7 +69,8 @@ def _streamed_scan(
     names = list(row_filter.columns)
     refs = dtable.column_refs(names)
     cycles_per_row = row_filter.dpu_cycles_per_row
-    # Broadcasts live at the top of DMEM, above the stream tiles.
+    # Broadcasts sit right above the staging slots and below the stream
+    # tiles.
     bcast_bytes = sum(b.nbytes for b in broadcasts)
     row_bytes = sum(ref_width(spec) for _addr, spec in refs)
     tile_rows = stream_tile_rows(
@@ -82,7 +83,7 @@ def _streamed_scan(
     # The launch's cores own disjoint ranges aligned to the output unit
     # so output words never straddle cores.
     num_units = -(-rows // rows_per_out_unit)
-    loads = _broadcast_loads(broadcasts, dpu.config.dmem_size - bcast_bytes)
+    loads, stream_base = _broadcast_loads(broadcasts, _STREAM_BASE)
 
     def kernel(ctx):
         cores = ctx.cores
@@ -109,7 +110,7 @@ def _streamed_scan(
 
         yield from out.wrap(stream_columns(
             ctx, shifted, row_hi - row_lo, tile_rows, process,
-            dmem_base=_STREAM_BASE,
+            dmem_base=stream_base,
         ))
         yield from out.close()
         return row_hi - row_lo

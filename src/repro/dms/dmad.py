@@ -339,7 +339,7 @@ class Dmad:
             self._dispatch(chan, descriptor, prep)
         else:
             chan.held = (descriptor, prep)
-            outstanding._waiters.append((self._issue, chan))
+            outstanding._enqueue((self._issue, chan))
 
     def _issue(self, chan: DmadChannel) -> None:
         """A retiring descriptor handed ``chan``'s walker its

@@ -46,8 +46,15 @@ class Resource:
         self.capacity = capacity
         self.in_use = 0
         # Waiting acquirers: acquire() events and acquire_or_queue()
-        # (callback, argument) pairs, oldest first.
-        self._waiters: Deque[Union[SimEvent, tuple]] = deque()
+        # (callback, argument) pairs, oldest first. A resource nobody
+        # has waited for holds the empty tuple, not a deque (_enqueue).
+        self._waiters: Union[Deque[Union[SimEvent, tuple]], tuple] = ()
+
+    def _enqueue(self, waiter: Union[SimEvent, tuple]) -> None:
+        """Queue ``waiter`` last, building the FIFO for the first one."""
+        if type(self._waiters) is tuple:
+            self._waiters = deque()
+        self._waiters.append(waiter)
 
     @property
     def queue_depth(self) -> int:
@@ -60,7 +67,7 @@ class Resource:
             self.in_use += 1
             event.succeed()
         else:
-            self._waiters.append(event)
+            self._enqueue(event)
         return event
 
     def acquire_or_queue(self, callback: Callable[[Any], None],
@@ -78,7 +85,7 @@ class Resource:
         if self.in_use < self.capacity and not self._waiters:
             self.in_use += 1
             return True
-        self._waiters.append((callback, argument))
+        self._enqueue((callback, argument))
         return False
 
     def release(self) -> None:

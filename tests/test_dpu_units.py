@@ -14,6 +14,7 @@ built eagerly.
 """
 
 import gc
+from collections import deque
 
 import numpy as np
 import pytest
@@ -23,7 +24,7 @@ from repro.cluster import Cluster
 from repro.core import A9_ID, DPU, M0_ID
 from repro.dms import ddr_to_dmem, loop
 from repro.memory import CacheConfig, MacroCacheHierarchy
-from repro.sim import DeadlockError, Engine, SimulationError, Store
+from repro.sim import DeadlockError, Engine, Resource, SimulationError, Store
 
 
 @pytest.fixture
@@ -50,6 +51,17 @@ class TestNothingBuiltAtConstruction:
         assert cluster.engine._processes == []
         assert cluster.engine.run() == 0
         assert all(dpu._caches is None for dpu in cluster.dpus)
+
+    def test_cluster_resources_hold_no_waiter_queue(self):
+        """A DPU's 34 resources (DMAD outstanding slots, CMEM and CRC
+        banks) build their waiter FIFO when the first acquirer queues."""
+        cluster = Cluster(8)
+        resources = [obj for obj in gc.get_objects()
+                     if isinstance(obj, Resource)
+                     and obj.engine is cluster.engine]
+        assert len(resources) == 8 * 34
+        assert not any(isinstance(resource._waiters, deque)
+                       for resource in resources)
 
     def test_scratchpads_are_views_of_one_zeroed_mapping(self, dpu):
         mappings = {id(pad.data.base) for pad in dpu.scratchpads.values()}

@@ -1,5 +1,7 @@
 """Tests for workload generators and the DMS streaming helper."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -171,6 +173,64 @@ class TestStreamColumns:
 
         with pytest.raises(ValueError, match="DMEM"):
             dpu.launch(kernel, cores=[0])
+
+    # 94 rows of three columns of mixed widths (4, 2 and 1 bytes): what
+    # one core of a short shard streams.
+    SHORT_DTYPES = (np.int32, np.uint16, np.uint8)
+    SHORT_ROWS = 94
+
+    def _short_stream(self, tile_rows, dmem_base=0):
+        dpu = DPU()
+        rng = np.random.default_rng(9)
+        columns = [rng.integers(0, 200, self.SHORT_ROWS).astype(dtype)
+                   for dtype in self.SHORT_DTYPES]
+        refs = [(dpu.store_array(column), column.dtype) for column in columns]
+        seen = {}
+
+        def kernel(ctx):
+            base = ctx.dmem.data.ctypes.data
+
+            def process(tile, lo, hi, arrays):
+                seen["offsets"] = [array.ctypes.data - base for array in arrays]
+                seen["values"] = [array.copy() for array in arrays]
+                return 10
+
+            yield from stream_columns(ctx, refs, self.SHORT_ROWS, tile_rows,
+                                      process, dmem_base=dmem_base)
+
+        launch = dpu.launch(kernel, cores=[0])
+        return dpu, columns, seen, launch.cycles
+
+    @pytest.mark.parametrize("dmem_base", [0, 4096])
+    def test_single_tile_lays_columns_out_by_its_rows(self, dmem_base):
+        """One tile's columns sit back to back in 128-row slots (its 94
+        rows rounded up to 64), not at the planned 2,048-row stride."""
+        dpu, columns, seen, _cycles = self._short_stream(2048, dmem_base)
+        starts = [dmem_base, dmem_base + 128 * 4, dmem_base + 128 * (4 + 2)]
+        assert seen["offsets"] == starts
+        dmem = dpu.scratchpads[0].data
+        for start, column, values in zip(starts, columns, seen["values"]):
+            assert np.array_equal(values, column)
+            landed = dmem[start:start + column.nbytes].view(column.dtype)
+            assert np.array_equal(landed, column)
+        # Nothing lands past the stream's one buffer set.
+        assert not dmem[starts[-1] + 128:].any()
+
+    def test_single_tile_is_timed_as_its_planned_tile(self):
+        short = self._short_stream(2048)
+        exact = self._short_stream(128)
+        assert short[3] == exact[3]
+        for got, want in zip(short[2]["values"], exact[2]["values"]):
+            assert np.array_equal(got, want)
+        assert (short[0].counter_registry().snapshot()
+                == exact[0].counter_registry().snapshot())
+
+    def test_planned_tile_too_large_still_rejected(self):
+        # 94 rows fit one page, but two 4,096-row tiles of 7 B rows do
+        # not fit DMEM: the check counts the planned tile.
+        with pytest.raises(ValueError, match=re.escape(
+                "streaming needs 57344 B of DMEM at 0, have 32768")):
+            self._short_stream(4096)
 
     def test_zero_rows_is_noop(self):
         dpu = DPU()
