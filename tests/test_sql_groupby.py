@@ -215,9 +215,9 @@ class TestSwRound:
 
 
 class TestBroadcastFit:
-    """Broadcast tables sit at the top of DMEM, above the stream tiles;
-    a layout that leaves less than two 64-row tiles is an error, not a
-    silent overlap."""
+    """Broadcast tables sit at the bottom of DMEM, below the stream
+    tiles; a layout that leaves less than two 64-row tiles is an error,
+    not a silent overlap."""
 
     @staticmethod
     def _setup(bitmap_bytes):
