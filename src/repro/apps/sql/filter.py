@@ -135,16 +135,17 @@ def dpu_filter(
     """
     rows = dtable.num_rows
     num_words = -(-rows // 64)
-    bv_addr = dpu.alloc(max(num_words * 8, 8))
 
     def make_output(columns):
         return pack_bits(predicate.mask_fn(columns))
 
-    cycles = _streamed_scan(
-        dpu, dtable, predicate, bv_addr, 8, make_output, 64,
-        cores, tile_rows, broadcasts,
-    )
-    words = dpu.load_array(bv_addr, num_words, np.uint64)
+    with dpu.heap.scope():  # the bit-vector, read back below
+        bv_addr = dpu.alloc(max(num_words * 8, 8))
+        cycles = _streamed_scan(
+            dpu, dtable, predicate, bv_addr, 8, make_output, 64,
+            cores, tile_rows, broadcasts,
+        )
+        words = dpu.load_array(bv_addr, num_words, np.uint64)
     mask = unpack_bits(words, rows)
     bytes_streamed = dtable.nbytes(list(predicate.columns)) + num_words * 8
     return DpuOpResult(

@@ -394,12 +394,12 @@ class CompiledQuery:
 
     def run_dpu(self, dpu, data) -> DpuOpResult:
         table = Table(self.fact, self._fact_columns(data))
-        dtable = table.to_dpu(dpu)
-        result = dpu_groupby(
-            dpu, dtable, self.key, self.aggs,
-            row_filter=self.row_filter,
-            broadcasts=self._dpu_broadcasts(dpu),
-        )
+        with dpu.heap.scope():  # the columns and broadcasts it stores
+            result = dpu_groupby(
+                dpu, table.to_dpu(dpu), self.key, self.aggs,
+                row_filter=self.row_filter,
+                broadcasts=self._dpu_broadcasts(dpu),
+            )
         return DpuOpResult(
             value=self.finish(result.value),
             cycles=result.cycles,
@@ -442,12 +442,12 @@ class CompiledQuery:
             f"{self.fact}_{shard_name}",
             {name: columns[name] for name in self.needed_columns},
         )
-        dtable = table.to_dpu(dpu)
-        result = dpu_groupby(
-            dpu, dtable, self.key, self.aggs,
-            row_filter=self.row_filter,
-            broadcasts=self._dpu_broadcasts(dpu),
-        )
+        with dpu.heap.scope():
+            result = dpu_groupby(
+                dpu, table.to_dpu(dpu), self.key, self.aggs,
+                row_filter=self.row_filter,
+                broadcasts=self._dpu_broadcasts(dpu),
+            )
         return result.value, result.cycles
 
     def scan_shape(self, rows: int, nbytes: int) -> ScanShape:
@@ -673,6 +673,15 @@ def _build_key(plan: LogicalPlan, catalog: Catalog, ctx: _Lowering,
     return key, items, None
 
 
+# Select arithmetic over aggregate values; dividing by zero reads 0.
+_SLOT_ARITH = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "/": lambda a, b: a / b if b else 0.0,
+}
+
+
 def _build_aggs(plan: LogicalPlan, ctx: _Lowering):
     """Aggregate slots (deduped across select items; avg -> sum+count)
     and the per-select output specs."""
@@ -701,32 +710,28 @@ def _build_aggs(plan: LogicalPlan, ctx: _Lowering):
         return slot_index[repr_key]
 
     def agg_value_fn(node: Any) -> Callable:
-        """Compile select-item arithmetic over aggregate slots."""
+        """Compile select-item arithmetic over aggregate slots. A slot
+        reads None (SQL NULL) only in a scalar query over no rows,
+        and so does any arithmetic over it, ``avg`` included."""
         if isinstance(node, AggCall):
             if node.fn == "avg":
                 sum_slot = add_slot(AggCall("sum", node.arg))
                 count_slot = add_slot(AggCall("count", None))
                 return lambda slots_: (
                     slots_[sum_slot] / slots_[count_slot]
-                    if slots_[count_slot] else 0.0)
+                    if slots_[count_slot] else None)
             index = add_slot(node)
             return lambda slots_: slots_[index]
         if isinstance(node, Lit):
             return lambda slots_: node.value
         if isinstance(node, Arith):
             left, right = agg_value_fn(node.left), agg_value_fn(node.right)
-            op = node.op
-            if op == "+":
-                return lambda slots_: left(slots_) + right(slots_)
-            if op == "-":
-                return lambda slots_: left(slots_) - right(slots_)
-            if op == "*":
-                return lambda slots_: left(slots_) * right(slots_)
+            combine = _SLOT_ARITH[node.op]
 
-            def divide(slots_):
-                denominator = right(slots_)
-                return left(slots_) / denominator if denominator else 0.0
-            return divide
+            def arith(slots_):
+                a, b = left(slots_), right(slots_)
+                return None if a is None or b is None else combine(a, b)
+            return arith
         raise PlanError(
             f"unsupported aggregate select expression {sql_repr(node)}",
             query=plan.text, clause="select")
@@ -799,8 +804,13 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
     decode_items = [(item.lo, item.multiplier) for item in key_items]
     single_column_key = key_column is not None
     limit = plan.limit
+    # SQL's one row of a scalar query over no rows: count reads 0,
+    # every other aggregate NULL.
+    no_rows = (None if key_items else
+               {0: [0 if spec.op == "count" else None for spec in slots]})
 
     def finish(groups: GroupTable) -> Tuple:
+        groups = groups or no_rows or {}
         rows = []
         for key_value in sorted(groups):
             slots_ = groups[key_value]
@@ -815,7 +825,7 @@ def lower_plan(plan: LogicalPlan, catalog: Catalog) -> CompiledQuery:
             else:
                 vals = []
             rows.append(tuple(fn(vals, slots_) for fn in output_fns))
-        if sort_specs:
+        if sort_specs and len(rows) > 1:
             rows.sort(key=lambda row: tuple(
                 [-row[index] if desc else row[index]
                  for index, desc in sort_specs] + list(row)))

@@ -108,118 +108,121 @@ def dpu_sort(
 
     buffer_capacity = 20 * 1024
     buffer = (0, buffer_capacity, 31 * 1024)
-    out_addr = dpu.alloc(max(rows * width, 8))
-    chunk_rows = min(2040, dpu.config.cmem_bank_bytes // width)
-    per_core_rows = buffer_capacity // width
+    # One owner for the output region and every spill region: all are
+    # freed once the sorted column is read back.
+    with dpu.heap.scope():
+        out_addr = dpu.alloc(max(rows * width, 8))
+        chunk_rows = min(2040, dpu.config.cmem_bank_bytes // width)
+        per_core_rows = buffer_capacity // width
 
-    def run_segment(seg_row0: int, seg_rows: int, seg_descending):
-        """Partition-sort rows [seg_row0, seg_row0+seg_rows)."""
-        column = [(ref[0] + seg_row0 * width, dtype)]
-        plan = None
+        def run_segment(seg_row0: int, seg_rows: int, seg_descending):
+            """Partition-sort rows [seg_row0, seg_row0+seg_rows)."""
+            column = [(ref[0] + seg_row0 * width, dtype)]
+            plan = None
 
-        def kernel(ctx):
-            nonlocal plan
-            cores = ctx.cores
-            if plan is None:
-                # The launch's first step: a range per core, sampled from
-                # the column; waves sized against the most loaded core,
-                # from the sample's observed skew (2x safety margin; the
-                # partition loop ends a wave early where the sample
-                # underestimated a range); a spill region per core.
-                sampled, sample_size, max_share = _sample_bounds(
-                    host_values, len(cores))
-                wave_rows = int(per_core_rows
-                                / max(2.0 * max_share, 2.0 / len(cores)))
-                plan = (PartitionSpec(mode=PartitionMode.RANGE,
-                                      bounds=sampled, radix_bits=5),
-                        sample_size,
-                        max(1, wave_rows // chunk_rows) * chunk_rows,
-                        {core: dpu.alloc(max(seg_rows * width, 8))
-                         for core in cores})
-            spec, sample_size, wave_rows, spill_addr = plan
-            collected: List[np.ndarray] = []
-            spilled = 0
+            def kernel(ctx):
+                nonlocal plan
+                cores = ctx.cores
+                if plan is None:
+                    # The launch's first step: a range per core, sampled from
+                    # the column; waves sized against the most loaded core,
+                    # from the sample's observed skew (2x safety margin; the
+                    # partition loop ends a wave early where the sample
+                    # underestimated a range); a spill region per core.
+                    sampled, sample_size, max_share = _sample_bounds(
+                        host_values, len(cores))
+                    wave_rows = int(per_core_rows
+                                    / max(2.0 * max_share, 2.0 / len(cores)))
+                    plan = (PartitionSpec(mode=PartitionMode.RANGE,
+                                          bounds=sampled, radix_bits=5),
+                            sample_size,
+                            max(1, wave_rows // chunk_rows) * chunk_rows,
+                            {core: dpu.alloc(max(seg_rows * width, 8))
+                             for core in cores})
+                spec, sample_size, wave_rows, spill_addr = plan
+                collected: List[np.ndarray] = []
+                spilled = 0
 
-            def spill(count):
-                # Spill this wave's partition rows to DDR scratch.
-                nonlocal spilled
-                if count:
-                    values = ctx.dmem.view(0, count * width, dtype)
-                    collected.append(values.copy())
-                    yield from store(
-                        ctx, 0, spill_addr[ctx.core_id] + spilled * width,
-                        count, width, event=6, channel=1,
+                def spill(count):
+                    # Spill this wave's partition rows to DDR scratch.
+                    nonlocal spilled
+                    if count:
+                        values = ctx.dmem.view(0, count * width, dtype)
+                        collected.append(values.copy())
+                        yield from store(
+                            ctx, 0, spill_addr[ctx.core_id] + spilled * width,
+                            count, width, event=6, channel=1,
+                        )
+                        spilled += count
+
+                if ctx.core_id == cores[0]:
+                    # Sampling pass to program the range engine.
+                    yield from ctx.compute(sample_size * _SAMPLE_CYCLES_PER_VALUE)
+                yield from partition_columns(ctx, column, seg_rows, spec, buffer,
+                                             chunk_rows, wave_rows, spill)
+                # Local sort: stream the spill back through DMEM in runs and
+                # merge (charged as n log2 n element-levels + the re-read).
+                mine = (np.concatenate(collected) if collected
+                        else np.empty(0, dtype=dtype))
+                if len(mine):
+                    levels = max(1, int(np.ceil(np.log2(max(2, len(mine))))))
+                    yield from ctx.compute(
+                        len(mine) * levels * _SORT_CYCLES_PER_ELEMENT_LEVEL
+                        + len(mine) * width / 16.0  # spill re-read stream
                     )
-                    spilled += count
+                    mine = np.sort(mine)
+                    if seg_descending:
+                        mine = mine[::-1]
+                return mine
 
-            if ctx.core_id == cores[0]:
-                # Sampling pass to program the range engine.
-                yield from ctx.compute(sample_size * _SAMPLE_CYCLES_PER_VALUE)
-            yield from partition_columns(ctx, column, seg_rows, spec, buffer,
-                                         chunk_rows, wave_rows, spill)
-            # Local sort: stream the spill back through DMEM in runs and
-            # merge (charged as n log2 n element-levels + the re-read).
-            mine = (np.concatenate(collected) if collected
-                    else np.empty(0, dtype=dtype))
-            if len(mine):
-                levels = max(1, int(np.ceil(np.log2(max(2, len(mine))))))
-                yield from ctx.compute(
-                    len(mine) * levels * _SORT_CYCLES_PER_ELEMENT_LEVEL
-                    + len(mine) * width / 16.0  # spill re-read stream
-                )
-                mine = np.sort(mine)
-                if seg_descending:
-                    mine = mine[::-1]
-            return mine
+            launch = dpu.launch(kernel)
+            if segments > 1:
+                for address in plan[3].values():
+                    dpu.free(address)  # the next segment reuses the space
+            return launch
 
-        launch = dpu.launch(kernel)
-        if segments > 1:
-            for address in plan[3].values():
-                dpu.free(address)  # the next segment reuses the space
-        return launch
-
-    # Memory grant: the eager plan reserves a full column-size spill
-    # for every core of the DPU (the launch may run on fewer). Under
-    # pressure, shrink to segments that fit the grant, each spilling
-    # only its own rows.
-    num_cores = dpu.config.num_cores
-    with spill_segments(governor, num_cores * max(rows * width, 8),
-                        num_cores * max(chunk_rows * width, 8),
-                        "sql.sort.spill") as segments:
-        seg_rows = -(-rows // segments)
-        launches = [
-            run_segment(row0, min(seg_rows, rows - row0),
-                        descending and segments == 1)
-            for row0 in range(0, rows, seg_rows)
-        ]
-    total_cycles = 0.0
-    for launch in launches:  # not sum(): it compensates on Python 3.12+
-        total_cycles += launch.cycles
-    if segments == 1:
-        # Eager plan: one partition pass; write the runs to the output
-        # region in partition order.
-        runs = launches[0].values
-        offset = 0
-        for run in (runs[::-1] if descending else runs):
-            if run is None or len(run) == 0:
-                continue
-            dpu.ddr.write(out_addr + offset, np.ascontiguousarray(run))
-            offset += len(run) * width
-    else:
-        # External sort under memory pressure: the sorted segments are
-        # merged at DMS streaming cost (one read+write pass per merge
-        # level).
-        parts = [run for launch in launches for run in launch.values
-                 if run is not None and len(run)]
-        merged = np.sort(np.concatenate(parts)) if parts else np.empty(
-            0, dtype=dtype)
-        if descending:
-            merged = merged[::-1]
-        merge_passes = max(1, int(np.ceil(np.log2(max(2, segments)))))
-        total_cycles += merge_passes * 2 * rows * width / 16.0
-        dpu.ddr.write(out_addr, np.ascontiguousarray(merged))
-    total_cycles += rows * width / 16.0  # output write at line rate
-    sorted_values = dpu.load_array(out_addr, rows, dtype)
+        # Memory grant: the eager plan reserves a full column-size spill
+        # for every core of the DPU (the launch may run on fewer). Under
+        # pressure, shrink to segments that fit the grant, each spilling
+        # only its own rows.
+        num_cores = dpu.config.num_cores
+        with spill_segments(governor, num_cores * max(rows * width, 8),
+                            num_cores * max(chunk_rows * width, 8),
+                            "sql.sort.spill") as segments:
+            seg_rows = -(-rows // segments)
+            launches = [
+                run_segment(row0, min(seg_rows, rows - row0),
+                            descending and segments == 1)
+                for row0 in range(0, rows, seg_rows)
+            ]
+        total_cycles = 0.0
+        for launch in launches:  # not sum(): it compensates on Python 3.12+
+            total_cycles += launch.cycles
+        if segments == 1:
+            # Eager plan: one partition pass; write the runs to the output
+            # region in partition order.
+            runs = launches[0].values
+            offset = 0
+            for run in (runs[::-1] if descending else runs):
+                if run is None or len(run) == 0:
+                    continue
+                dpu.ddr.write(out_addr + offset, np.ascontiguousarray(run))
+                offset += len(run) * width
+        else:
+            # External sort under memory pressure: the sorted segments are
+            # merged at DMS streaming cost (one read+write pass per merge
+            # level).
+            parts = [run for launch in launches for run in launch.values
+                     if run is not None and len(run)]
+            merged = np.sort(np.concatenate(parts)) if parts else np.empty(
+                0, dtype=dtype)
+            if descending:
+                merged = merged[::-1]
+            merge_passes = max(1, int(np.ceil(np.log2(max(2, segments)))))
+            total_cycles += merge_passes * 2 * rows * width / 16.0
+            dpu.ddr.write(out_addr, np.ascontiguousarray(merged))
+        total_cycles += rows * width / 16.0  # output write at line rate
+        sorted_values = dpu.load_array(out_addr, rows, dtype)
     return DpuOpResult(
         value=sorted_values,
         cycles=total_cycles,

@@ -48,6 +48,7 @@ traffic. Every job also reports its phase breakdown in ``detail``.
 
 from __future__ import annotations
 
+from contextlib import ExitStack
 from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -165,29 +166,35 @@ def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
 
     recovery = None
     try:
-        if cluster.num_dpus == 1:
-            value = compute(0, cluster.dpus[0])
-            gather_cycles = 0.0
-        else:
-            # Every exchange's tables are resident on their home DPUs
-            # before the first partition launch.
-            stored = [[table.to_dpu(dpu)
-                       for table, dpu in zip(tables, cluster.dpus)]
-                      for _label, tables, _key, _names in spec.exchanges]
-            with RecoveryManager.for_job(cluster, spec.site) as manager:
-                shuffled = [
-                    manager.run_exchange(label, dtables, key, names)
-                    for dtables, (label, _tables, key, names)
-                    in zip(stored, spec.exchanges)
-                ]
-                slots = [result.columns for result in shuffled]
-                value, gather_cycles = manager.run_job(
-                    spec.site, compute, spec.merge, spec.nbytes_of,
-                    owners=(dict(manager.last_slot_owner)
-                            if shuffled else None),
-                )
-            if manager.armed:
-                recovery = manager.stats
+        with ExitStack() as owners:
+            # One DDR owner per DPU for the whole job: what the job
+            # stores is freed when it ends, not before (see
+            # HeapAllocator.scope).
+            for dpu in cluster.dpus:
+                owners.enter_context(dpu.heap.scope())
+            if cluster.num_dpus == 1:
+                value = compute(0, cluster.dpus[0])
+                gather_cycles = 0.0
+            else:
+                # Every exchange's tables are resident on their home
+                # DPUs before the first partition launch.
+                stored = [[table.to_dpu(dpu)
+                           for table, dpu in zip(tables, cluster.dpus)]
+                          for _label, tables, _key, _names in spec.exchanges]
+                with RecoveryManager.for_job(cluster, spec.site) as manager:
+                    shuffled = [
+                        manager.run_exchange(label, dtables, key, names)
+                        for dtables, (label, _tables, key, names)
+                        in zip(stored, spec.exchanges)
+                    ]
+                    slots = [result.columns for result in shuffled]
+                    value, gather_cycles = manager.run_job(
+                        spec.site, compute, spec.merge, spec.nbytes_of,
+                        owners=(dict(manager.last_slot_owner)
+                                if shuffled else None),
+                    )
+                if manager.armed:
+                    recovery = manager.stats
     finally:
         cluster.release_job()
 

@@ -17,6 +17,14 @@ further dpCore involvement:
 * **event descriptors** set/clear/wait events locally;
 * **config descriptors** program the DMAC's hash/range engine.
 
+**The ring keeps only what is still to walk.** Each push drops the
+channel's walked prefix while the channel holds no LOOP descriptor,
+counting the one being pushed, and a drained channel is emptied
+whatever it held. So a LOOP rewinds only over a body that was still
+in the ring when the LOOP was pushed: push a LOOP chain in one burst,
+with no simulated time between its pushes (Listing 1). Occupancy, the
+occupancy peak and push stalls count unwalked entries either way.
+
 **No processes.** A channel's walker is a callback state machine, not
 a service process: it runs from heap callbacks until a wait blocks it
 (it then registers its continuation on the awaited event) or the list
@@ -98,13 +106,17 @@ _EVENT_WAITS = 4  # an EVENT descriptor's waits, from ``DmadChannel.held``
 
 @dataclass
 class DmadChannel:
-    """One active list: a growing program, a program counter and the
-    state of the walker that walks it."""
+    """One active list: its descriptors from the first one a LOOP may
+    still rewind to, a program counter and the state of the walker
+    that walks it."""
 
     index: int
     program: List[Descriptor] = field(default_factory=list)
     pc: int = 0
     loop_remaining: Dict[int, int] = field(default_factory=dict)
+    # True from a LOOP's push until the channel drains; meanwhile the
+    # walked prefix stays, for the LOOP to rewind over.
+    holds_loop: bool = False
     ddr_auto: Optional[int] = None
     dmem_auto: Optional[int] = None
     # True once the walker has drained the list: the next push wakes
@@ -183,12 +195,19 @@ class Dmad:
             chan = self._open_channel(channel)
         program = chan.program
         pending = len(program) - chan.pc
+        is_loop = descriptor.dtype is _LOOP
         if program and pending <= 0 and not chan.loop_remaining:
             # The ring is fully drained: retired slots are reusable, so
-            # recycle them (keeps the modelled list bounded; safe only
-            # with no pending LOOP, which could rewind over them).
+            # recycle them (safe only with no pending LOOP, which could
+            # rewind over them).
             program.clear()
             chan.pc = pending = 0
+            chan.holds_loop = False
+        elif chan.pc and not (chan.holds_loop or is_loop):
+            # No LOOP can rewind over the walked prefix: drop it.
+            del program[:chan.pc]
+            chan.pc = 0
+        chan.holds_loop = chan.holds_loop or is_loop
         program.append(descriptor)
         pending += 1
         # CounterRegistry.peak, in place.

@@ -15,12 +15,18 @@ large allocations. We reproduce that structure:
 
 Addresses are plain integers into the DPU's DDR space; the allocator
 is deterministic, which keeps every simulation bit-reproducible.
+
+A job's DDR has one owner, :meth:`HeapAllocator.scope`: a ``with``
+block that, when it returns normally, frees every region allocated
+inside it that is still live, so later work finds the same addresses
+free again.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 
 __all__ = ["HeapAllocator", "OutOfMemoryError", "SUPERBLOCK_SIZE", "SIZE_CLASSES"]
 
@@ -271,8 +277,12 @@ class HeapAllocator:
     ) -> None:
         self.global_heap = GlobalHeap(base, capacity)
         self.local_heaps = [LocalHeap(cid, self.global_heap) for cid in range(num_cores)]
-        # address -> ("small", size_class, superblock) | ("large", size)
+        # address -> ("small", size_class, superblock, core_id, serial)
+        # | ("large", size, serial), in allocation order; ``serial``
+        # counts mallocs, so a scope's regions are the records from
+        # its mark on.
         self._live: Dict[int, tuple] = {}
+        self._mallocs = 0
         self.peak_live_bytes = 0
         self._live_bytes = 0
         self.engine = engine  # optional: timestamps exhaustion errors
@@ -311,11 +321,12 @@ class HeapAllocator:
             if size_class is not None:
                 local = self.local_heaps[core_id % len(self.local_heaps)]
                 address, block = local.malloc(size_class)
-                self._live[address] = ("small", size_class, block, core_id)
+                self._live[address] = ("small", size_class, block, core_id,
+                                       self._mallocs)
                 self._live_bytes += size_class
             else:
                 address = self.global_heap.carve(size)
-                self._live[address] = ("large", size)
+                self._live[address] = ("large", size, self._mallocs)
                 self._live_bytes += size
         except OutOfMemoryError as error:
             # Re-raise with the full two-level picture: the carve-level
@@ -327,6 +338,7 @@ class HeapAllocator:
                 sim_time=self._now(),
                 heap_stats=self.stats(),
             ) from error
+        self._mallocs += 1
         self.peak_live_bytes = max(self.peak_live_bytes, self._live_bytes)
         if self._watermarks:
             self._check_watermarks()
@@ -337,11 +349,11 @@ class HeapAllocator:
         if record is None:
             raise ValueError(f"free of unallocated address {address:#x}")
         if record[0] == "small":
-            _kind, size_class, block, core_id = record
+            _kind, size_class, block, core_id, _serial = record
             self.local_heaps[core_id % len(self.local_heaps)].free(address, block)
             self._live_bytes -= size_class
         else:
-            _kind, size = record
+            _kind, size, _serial = record
             self.global_heap.reclaim(address, size)
             self._live_bytes -= size
         if self._watermarks:
@@ -350,6 +362,22 @@ class HeapAllocator:
 
     def live_bytes(self) -> int:
         return self._live_bytes
+
+    @contextmanager
+    def scope(self) -> Iterator[None]:
+        """Own the regions allocated inside the ``with`` block.
+
+        When the block returns normally, every region allocated inside
+        it that is still live is freed, in allocation order; a region the
+        block frees itself is not freed twice, and an inner scope has
+        already freed its own. When the block raises, nothing is
+        freed: a failed launch can leave kernels that still write
+        their regions, so those regions stay allocated."""
+        mark = self._mallocs
+        yield
+        for address in [address for address, record in self._live.items()
+                        if record[-1] >= mark]:
+            self.free(address)
 
     def stats(self) -> Dict:
         """Full two-level snapshot: global free-list shape plus

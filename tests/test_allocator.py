@@ -307,3 +307,68 @@ def test_watermark_rejects_bad_fraction():
         heap.add_watermark(0.0, lambda h: None)
     with pytest.raises(ValueError):
         heap.add_watermark(1.5, lambda h: None)
+
+
+# -- the DDR owner: HeapAllocator.scope ----------------------------------------
+
+
+def test_scope_frees_what_it_allocated_and_keeps_the_rest():
+    heap = make_heap()
+    kept = heap.malloc(100)
+    outside = heap.live_bytes()
+    with heap.scope():
+        first = [heap.malloc(size, core_id=1) for size in (16, 5000, 40000)]
+        heap.free(first[1])  # freed inside: not freed again at exit
+        heap.malloc(300)
+    assert heap.live_bytes() == outside
+    assert heap.allocation_size(kept) == 128  # still live
+    # The freed regions come back at the same addresses.
+    with heap.scope():
+        again = [heap.malloc(size, core_id=1) for size in (16, 5000, 40000)]
+    assert again[0] == first[0] and again[2] == first[2]
+
+
+def test_nested_scopes_free_their_own():
+    heap = make_heap()
+    with heap.scope():
+        outer = heap.malloc(5000)
+        with heap.scope():
+            heap.malloc(64)
+            heap.malloc(70000)
+        assert heap.live_bytes() == heap.allocation_size(outer)
+    assert heap.live_bytes() == 0
+
+
+def test_scope_that_raises_frees_nothing():
+    heap = make_heap()
+    with pytest.raises(RuntimeError):
+        with heap.scope():
+            heap.malloc(64)
+            heap.malloc(70000)
+            raise RuntimeError("a launch failed")
+    assert heap.live_bytes() == 64 + 70000
+    # An enclosing scope that returns normally still owns them.
+    with heap.scope():
+        with pytest.raises(RuntimeError):
+            with heap.scope():
+                heap.malloc(64)
+                raise RuntimeError("a launch failed")
+    assert heap.live_bytes() == 64 + 70000
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.tuples(st.integers(1, 70000), st.integers(0, 3),
+                          st.booleans()), min_size=1, max_size=40))
+def test_scope_restores_live_bytes(allocations):
+    heap = make_heap(capacity=8 * 1024 * 1024)
+    before = heap.live_bytes()
+    with heap.scope():
+        live = []
+        for size, core, free_now in allocations:
+            live.append(heap.malloc(size, core_id=core))
+            if free_now:
+                heap.free(live.pop(0))
+    assert heap.live_bytes() == before
+    assert heap.stats()["local_heaps"] == [] or all(
+        heap_stats["bytes_in_use"] == 0
+        for heap_stats in heap.stats()["local_heaps"])

@@ -316,3 +316,99 @@ def test_serialize_gathers_workaround_on_buggy_silicon():
     # Serialization costs cycles; the mutex must not deadlock or skew
     # results, only slow the overlapping gathers down.
     assert serialized.cycles >= fixed.cycles
+
+
+def _c8_kernel(dpu, rows=8192, tile_rows=256, num_columns=8):
+    """Fig. 11's ``c8`` point: each core streams eight 4 B columns in
+    256-row tiles (32 tiles, 256 data descriptors per core)."""
+    from repro.apps.streaming import stream_columns
+
+    columns = {core: [dpu.store_array(np.zeros(rows, dtype=np.uint32))
+                      for _ in range(num_columns)]
+               for core in dpu.config.core_ids}
+
+    def kernel(ctx):
+        refs = [(address, 4) for address in columns[ctx.core_id]]
+        yield from stream_columns(ctx, refs, rows, tile_rows, lambda *a: 8)
+    return kernel
+
+
+def test_ring_keeps_only_unwalked_descriptors(monkeypatch):
+    """A push drops the channel's walked prefix (no LOOP is held), so
+    right after every push a channel holds exactly its unwalked
+    descriptors, and after the launch only what was unwalked at its
+    last push. The ring used to keep every descriptor a stream pushed
+    until it drained: 256 per channel after this launch."""
+    from repro.dms.dmad import Dmad
+
+    dpu = DPU()
+    kernel = _c8_kernel(dpu)
+    push = Dmad.push
+    held_beyond_unwalked = []
+
+    def checked(self, descriptor, channel=0):
+        push(self, descriptor, channel)
+        chan = self.channels[channel]
+        if len(chan.program) != self.occupancy(channel):
+            held_beyond_unwalked.append((self.core_id, chan.pc))
+
+    monkeypatch.setattr(Dmad, "push", checked)
+    cores = [0, 1, 2, 3]
+    result = dpu.launch(kernel, cores=cores)
+    assert held_beyond_unwalked == []
+    snapshot = dpu.counter_registry().snapshot()
+    assert snapshot["dpu0.dmad.completed"] == 256 * len(cores)
+    peak = snapshot["dpu0.dmad.occupancy_peak"]
+    assert peak == 16
+    for core in cores:
+        (channel,) = [chan for chan in dpu.dmads[core].channels if chan]
+        assert len(channel.program) <= peak
+        assert dpu.dmads[core].idle()
+    # The same launch as when the ring kept every descriptor.
+    assert result.cycles == 112_700.0
+    assert snapshot["dpu0.dms.bytes_read"] == 1_048_576
+
+
+def test_loop_chain_after_a_walked_prefix():
+    """Listing 1's chain pushed in one burst behind a walked descriptor
+    and a blocked one: the push drops the walked one, the LOOP still
+    rewinds over its own body, and the stream moves the same bytes in
+    the same cycles as when the ring kept every descriptor."""
+    dpu = DPU()
+    data = np.arange(16 * 1024, dtype=np.uint32)  # 64 KB
+    address = dpu.store_array(data)
+    head = dpu.store_array(np.arange(256, dtype=np.uint32) + 7)
+    iterations = len(data) * 4 // 2048
+
+    def kernel(ctx):
+        ctx.push(ddr_to_dmem(256, 4, head, 4096, notify_event=2))
+        ctx.push(ddr_to_dmem(256, 4, head, 5120, notify_event=3,
+                             wait_event=5))
+        yield from ctx.wfe(2)  # the first descriptor is walked
+        assert ctx.dmad.occupancy() == 1  # the second waits on event 5
+        ctx.push(ddr_to_dmem(256, 4, address, 0, notify_event=0,
+                             src_addr_inc=True))
+        ctx.push(ddr_to_dmem(256, 4, address, 1024, notify_event=1,
+                             src_addr_inc=True))
+        ctx.push(loop(2, iterations - 1))
+        ctx.set_event(5)
+        yield from ctx.wfe(3)
+        total = int(ctx.dmem.view(5120, 1024, np.uint32).sum())
+        buf = 0
+        for _ in range(2 * iterations):
+            yield from ctx.wfe(buf)
+            total += int(ctx.dmem.view(buf * 1024, 1024, np.uint32).sum())
+            ctx.clear_event(buf)
+            buf = 1 - buf
+        return total
+
+    result = dpu.launch(kernel, cores=[0])
+    assert result.values[0] == int(data.sum()) + int(
+        (np.arange(256) + 7).sum())
+    assert result.cycles == 6_091.0
+    snapshot = dpu.counter_registry().snapshot()
+    assert snapshot["dpu0.dms.bytes_read"] == 67_584
+    assert snapshot["dpu0.dmad.completed"] == 66
+    # The blocked descriptor, the chain's two and its LOOP: the walked
+    # head was dropped at the chain's first push.
+    assert len(dpu.dmads[0].channels[0].program) == 4

@@ -369,7 +369,9 @@ class TestCompiledQueryDifferential:
             mask &= fn(columns)
         if not group_cols:
             if not mask.any():
-                return ()
+                # SQL's one row over no rows: count 0, the rest NULL.
+                return (tuple(0 if name == "count(*)" else None
+                              for name in agg_names),)
             row = tuple(cls._AGGS[name](columns, mask)
                         for name in agg_names)
             return (row,)

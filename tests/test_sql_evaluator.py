@@ -171,7 +171,9 @@ def _oracle(tables, conjuncts, group, aggs):
         mask &= fn(wide)
     if not group:
         if not mask.any():
-            return ()
+            # SQL's one row over no rows: count 0, the sums NULL.
+            return (tuple(0 if name == "count(*)" else None
+                          for name in aggs),)
         return (tuple(_AGGS[name](wide, mask) for name in aggs),)
     cells = sorted(set(zip(*(wide[g][mask].tolist() for g in group))))
     rows = []

@@ -193,10 +193,51 @@ class TestNonIntegerLiterals:
             compiled = compile_query(
                 f"select count(*) from lineitem where {where} "
                 "and l_quantity > 0", catalog, "eq")
-            expected = ((int(np.count_nonzero(keep)),),) \
-                if keep.any() else ()
+            expected = ((int(np.count_nonzero(keep)),),)
             assert compiled.run_xeon(XeonModel(), data).value == expected
             assert compiled.run_dpu(DPU(), data).value == expected
+
+
+class TestScalarAggregateOverNoRows:
+    """SQL gives a scalar aggregate over no rows one row: ``count``
+    reads 0 and every other aggregate NULL (None), and so does ``avg``.
+    Every path takes its rows from the plan's one ``finish``."""
+
+    SCALAR = [
+        ("select count(*), sum(l_quantity), avg(l_quantity) from lineitem "
+         "where l_quantity > 100", ((0, None, None),)),
+        ("select count(*) from lineitem where l_quantity > 100", ((0,),)),
+    ]
+
+    @staticmethod
+    def _paths(data, sql):
+        from repro.serve import QueryRequest, ServingFrontend
+
+        catalog = tpch_catalog(data)
+        compiled = compile_query(sql, catalog, "empty")
+        frontend = ServingFrontend(
+            Cluster(2), catalog, {"empty": sql},
+            {"lineitem": _shard_fact(compiled, data, 2)},
+            tenants={"t": "gold"})
+        served = frontend.run([QueryRequest(0, "t", "gold", "empty", 0.0)])
+        return {
+            "xeon": compiled.run_xeon(XeonModel(), data).value,
+            "dpu": compiled.run_dpu(DPU(), data).value,
+            "cluster2": cluster_compiled_query(
+                Cluster(2), compiled, _shard_fact(compiled, data, 2)).value,
+            "serving": served.results["empty"],
+        }
+
+    @pytest.mark.parametrize("sql, row", SCALAR,
+                             ids=["count_sum_avg", "count"])
+    def test_one_sql_row_on_every_path(self, data, sql, row):
+        assert self._paths(data, sql) == dict.fromkeys(
+            ("xeon", "dpu", "cluster2", "serving"), row)
+
+    def test_grouped_query_over_no_rows_has_no_rows(self, data):
+        sql = ("select l_returnflag, count(*) from lineitem "
+               "where l_quantity > 100 group by l_returnflag")
+        assert set(self._paths(data, sql).values()) == {()}
 
 
 class TestHandPlanParity:
