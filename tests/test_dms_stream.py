@@ -412,3 +412,43 @@ def test_loop_chain_after_a_walked_prefix():
     # The blocked descriptor, the chain's two and its LOOP: the walked
     # head was dropped at the chain's first push.
     assert len(dpu.dmads[0].channels[0].program) == 4
+
+
+def test_push_while_a_loop_runs_keeps_its_body():
+    """A descriptor pushed while a LOOP still rewinds drops nothing:
+    the channel holds its LOOP until it drains, so the loop body stays
+    in the ring, the loop moves every byte and the late descriptor
+    runs after it, in the same cycles as when the ring kept every
+    descriptor."""
+    dpu = DPU()
+    data = np.arange(16 * 1024, dtype=np.uint32)  # 64 KB
+    address = dpu.store_array(data)
+    tail = dpu.store_array(np.arange(256, dtype=np.uint32) + 7)
+    iterations = len(data) * 4 // 2048
+
+    def kernel(ctx):
+        ctx.push(ddr_to_dmem(256, 4, address, 0, notify_event=0,
+                             src_addr_inc=True))
+        ctx.push(ddr_to_dmem(256, 4, address, 1024, notify_event=1,
+                             src_addr_inc=True))
+        ctx.push(loop(2, iterations - 1))
+        total = 0
+        buf = 0
+        for step in range(2 * iterations):
+            yield from ctx.wfe(buf)
+            if step == 3:  # rewound twice, the walker past the body's head
+                ctx.push(ddr_to_dmem(256, 4, tail, 5120, notify_event=3))
+                assert ctx.dmad.channels[0].pc == 1  # nothing was dropped
+            total += int(ctx.dmem.view(buf * 1024, 1024, np.uint32).sum())
+            ctx.clear_event(buf)
+            buf = 1 - buf
+        yield from ctx.wfe(3)
+        return total + int(ctx.dmem.view(5120, 1024, np.uint32).sum())
+
+    result = dpu.launch(kernel, cores=[0])
+    assert result.values[0] == int(data.sum()) + int(
+        (np.arange(256) + 7).sum())
+    snapshot = dpu.counter_registry().snapshot()
+    assert snapshot["dpu0.dms.bytes_read"] == 66_560
+    assert snapshot["dpu0.dmad.completed"] == 65
+    assert result.cycles == 5_978.0
