@@ -168,7 +168,7 @@ def _run_job(cluster: Cluster, spec: _JobSpec) -> ScaleOutResult:
     try:
         with ExitStack() as owners:
             # One DDR owner per DPU for the whole job: what the job
-            # stores is freed when it ends, not before (see
+            # stores and has not freed is freed when it returns (see
             # HeapAllocator.scope).
             for dpu in cluster.dpus:
                 owners.enter_context(dpu.heap.scope())
